@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .harmonics import shared_table
 from .mesh import TriangleMesh, project_mesh
 from .rotation import RotationZYZ, _small_d_many, geodesic_distance
 from .sft import SpectralCoeffs, sft_sepvar
@@ -138,7 +139,7 @@ def align_shapes(
     maps shape A onto shape B.  When ``truth`` is given, the geodesic error
     in degrees is reported alongside.
     """
-    from .network import forward, shared_table
+    from .network import forward
 
     feats = []
     for mesh in (mesh_a, mesh_b):

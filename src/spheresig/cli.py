@@ -137,7 +137,7 @@ def _cmd_mesh2sphere(args) -> int:
 
 def _cmd_sft(args) -> int:
     from .formats import read_sph1, write_spec1
-    from .network import shared_table
+    from .harmonics import shared_table
     from .sft import sft_direct, sft_sepvar
 
     sig = read_sph1(args.input)
@@ -149,7 +149,7 @@ def _cmd_sft(args) -> int:
 
 def _cmd_isft(args) -> int:
     from .formats import read_spec1, write_sph1
-    from .network import shared_table
+    from .harmonics import shared_table
     from .sft import isft
 
     coeffs = read_spec1(args.input)
@@ -295,7 +295,8 @@ def _cmd_equiv_report(args) -> int:
     import numpy as np
 
     from .equivariance import measure
-    from .network import init_parameters, shared_table
+    from .harmonics import shared_table
+    from .network import init_parameters
     from .sft import SphericalSignal, random_bandlimited_signal
     from .synth import make_blob_dataset
 

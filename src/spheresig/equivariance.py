@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkConfig, ParameterStore, _forward_batch, shared_table
+from .harmonics import shared_table
+from .network import NetworkConfig, ParameterStore, _forward_batch
 from .rotation import random_rotations, rotate_signal
 from .sft import SphericalSignal
 
@@ -83,15 +84,12 @@ def measure(
     counts = np.zeros(len(names), dtype=int)
     rng = np.random.default_rng(seed)
     rots = random_rotations(rotations * len(signals), seed=int(rng.integers(2**32)))
-    k = 0
-    for sig in signals:
+    for si, sig in enumerate(signals):
         x = np.asarray(sig.values, dtype=np.float64)
-        for _ in range(rotations):
-            r = rots[k]
-            k += 1
+        _, taps_ref, _ = _forward_batch(config, params, x[None])
+        for r in rots[si * rotations : (si + 1) * rotations]:
             x_rot = rotate_signal(sig, r, table)
             _, taps_rot, _ = _forward_batch(config, params, x_rot.values[None])
-            _, taps_ref, _ = _forward_batch(config, params, x[None])
             pairs = [("input", x_rot.values[None], x[None], b_in)]
             for i, name in enumerate(branch0):
                 pairs.append((name, taps_rot[name], taps_ref[name], bws[i]))

@@ -14,17 +14,21 @@ SPEC1: magic ``SPEC`` | u32 bandwidth | u32 channels | u8 real_origin
 CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
        utf-8 name, u8 rank, u32 dims, float32 payload.
 
-Readers reject wrong magic bytes and truncated payloads.
+Readers reject wrong magic bytes, bandwidths outside the grid's range and
+truncated payloads; declared sizes are checked against the bytes left in the
+file before anything is read or allocated.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
 from .errors import FormatError
-from .grid import make_grid
+from .grid import DEFAULT_MAX_BANDWIDTH, make_grid
 from .sft import SpectralCoeffs, SphericalSignal
 
 _SPH_MAGIC = b"SPH1"
@@ -33,10 +37,17 @@ _CKPT_MAGIC = b"CKPT1"
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FormatError(f"truncated file while reading {what}")
     data = fh.read(n)
     if len(data) != n:
         raise FormatError(f"truncated file while reading {what}")
     return data
+
+
+def _check_bandwidth(path: str, b: int) -> None:
+    if not 2 <= b <= DEFAULT_MAX_BANDWIDTH:
+        raise FormatError(f"{path}: bandwidth {b} outside [2, {DEFAULT_MAX_BANDWIDTH}]")
 
 
 def write_sph1(path: str, signal: SphericalSignal, dtype: str = "f64") -> None:
@@ -55,6 +66,7 @@ def read_sph1(path: str) -> SphericalSignal:
         if _read_exact(fh, 4, "magic") != _SPH_MAGIC:
             raise FormatError(f"{path}: not an SPH1 file")
         b, channels, code = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
+        _check_bandwidth(path, b)
         if code not in (0, 1):
             raise FormatError(f"{path}: unknown dtype code {code}")
         np_dtype = "<f4" if code == 0 else "<f8"
@@ -93,6 +105,7 @@ def read_spec1(path: str) -> SpectralCoeffs:
         if _read_exact(fh, 4, "magic") != _SPEC_MAGIC:
             raise FormatError(f"{path}: not a SPEC1 file")
         b, channels, real_origin = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
+        _check_bandwidth(path, b)
         count = (b * (b + 1)) // 2 if real_origin else b * b
         payload = _read_exact(fh, channels * count * 16, "payload")
         if fh.read(1):
@@ -134,7 +147,7 @@ def read_ckpt1(path: str) -> dict[str, np.ndarray]:
             name = _read_exact(fh, nlen, "name").decode("utf-8")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "shape"))
-            size = int(np.prod(shape)) if rank else 1
+            size = math.prod(shape)
             data = _read_exact(fh, 4 * size, f"tensor {name}")
             out[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
         if fh.read(1):

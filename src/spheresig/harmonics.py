@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DEFAULT_MAX_BANDWIDTH, SphericalGrid
+from .grid import DEFAULT_MAX_BANDWIDTH, SphericalGrid, make_grid
 
 _INV_SQRT_4PI = 0.5 / np.sqrt(np.pi)
 
@@ -131,3 +131,15 @@ def build_table(
     leg.setflags(write=False)
     phases.setflags(write=False)
     return HarmonicTable(grid=grid, legendre=leg, fourier_phases=phases)
+
+
+_TABLE_CACHE: dict[int, HarmonicTable] = {}
+
+
+def shared_table(b: int) -> HarmonicTable:
+    """Process-wide cache of ``build_table(make_grid(b))``; entries are immutable."""
+    t = _TABLE_CACHE.get(b)
+    if t is None:
+        t = build_table(make_grid(b))
+        _TABLE_CACHE[b] = t
+    return t

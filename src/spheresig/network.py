@@ -7,11 +7,11 @@ spatial domain between blocks, so each block costs one analysis/synthesis
 pair.  The head is a rotation-invariant descriptor (area-weighted global
 average or per-degree coefficient norms) followed by a linear projection.
 
-Gradients are computed layer by layer in reverse.  The transform adjoints
-reuse the analysis/synthesis kernels with altered weights: the Euclidean
-adjoint of analysis is an unweighted synthesis scaled by the quadrature
-measure, and vice versa.  Everything is checked against central finite
-differences in the test suite.
+The network owns no layer arithmetic: the forward pass composes the ``sft``
+transforms with the ``spectral`` forward of each operation (filter
+realization, per-degree channel mixing, pooling, ReLU, head); the backward
+pass applies their vector-Jacobian products and the ``sft`` transform
+adjoints in reverse, checked against central finite differences in tests.
 """
 
 from __future__ import annotations
@@ -20,31 +20,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import spectral
 from .errors import DivergenceError
 from .grid import make_grid
-from .harmonics import HarmonicTable, build_table
+from .harmonics import HarmonicTable, shared_table
 from .mesh import TriangleMesh, bounding_sphere
 from .rotation import random_rotations, rotate_signal
 from .sft import (
     SphericalSignal,
-    _analysis_sepvar_complex,
+    _analysis_adjoint,
     _analysis_sepvar_real,
-    _prefactor,
-    _synthesis_complex,
+    _synthesis_adjoint,
     _synthesis_real,
 )
-from .spectral import anchor_layout, conv_scale, degree_of_index
-
-_TABLE_CACHE: dict[int, HarmonicTable] = {}
-
-
-def shared_table(b: int) -> HarmonicTable:
-    """Process-wide table cache; entries are immutable."""
-    t = _TABLE_CACHE.get(b)
-    if t is None:
-        t = build_table(make_grid(b))
-        _TABLE_CACHE[b] = t
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +105,6 @@ class NetworkConfig:
         if self.branches == 2 and branch == 0 and i in self.concat_layers:
             base += self.layers[i - 1].out_channels
         return base
-
-    def tap_names(self) -> list[str]:
-        names = [f"conv{i + 1}" for i in range(len(self.layers))]
-        if self.branches == 2:
-            names += [f"branch1/conv{i + 1}" for i in range(len(self.layers))]
-        return names
 
     def feature_dim(self) -> int:
         last = self.layers[-1].out_channels * self.branches
@@ -221,10 +203,11 @@ class ParameterStore:
         return int(sum(v.size for v in self.tensors.values()))
 
 
-def _filter_param_count(cfg: LayerConfig, b: int) -> int:
+def _anchors(cfg: LayerConfig, b: int) -> np.ndarray | None:
+    """Anchor degrees of an anchored filter at bandwidth b; None for full filters."""
     if cfg.filter_mode == "full":
-        return b
-    return len(anchor_layout(b, min(cfg.anchors, b)))
+        return None
+    return spectral.anchor_layout(b, min(cfg.anchors, b))
 
 
 def parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -233,7 +216,8 @@ def parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]
     for br in range(config.branches):
         prefix = "" if br == 0 else "branch1/"
         for i, lay in enumerate(config.layers):
-            nf = _filter_param_count(lay, bws[i])
+            anchors = _anchors(lay, bws[i])
+            nf = bws[i] if anchors is None else len(anchors)
             n_in = config.layer_in_channels(br, i)
             out.append((f"{prefix}conv{i + 1}/filters", (lay.out_channels, n_in, nf)))
             out.append((f"{prefix}conv{i + 1}/bias", (lay.out_channels,)))
@@ -261,46 +245,9 @@ def init_parameters(config: NetworkConfig, seed: int = 0) -> ParameterStore:
     return store
 
 
-def _interp_matrix(b: int, anchors: np.ndarray) -> np.ndarray:
-    """Linear-interpolation matrix W: spectrum = anchor_values @ W.T."""
-    w = np.zeros((b, len(anchors)))
-    for l in range(b):
-        j = int(np.searchsorted(anchors, l, side="right")) - 1
-        if anchors[j] == l:
-            w[l, j] = 1.0
-        else:
-            span = anchors[j + 1] - anchors[j]
-            w[l, j] = (anchors[j + 1] - l) / span
-            w[l, j + 1] = (l - anchors[j]) / span
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward.
 # ---------------------------------------------------------------------------
-
-
-def _realize_scales(
-    lay: LayerConfig, filt: np.ndarray, b: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-degree multipliers (out, in, b) and the interpolation matrix used."""
-    if lay.filter_mode == "full":
-        spectrum, w = filt, None
-    else:
-        w = _interp_matrix(b, anchor_layout(b, min(lay.anchors, b)))
-        spectrum = filt @ w.T
-    return conv_scale(b) * spectrum, w
-
-
-def _blocks_2x2(x: np.ndarray) -> np.ndarray:
-    """(..., 2h, 2h) -> (..., h, h, 2, 2) block view used by spatial pooling."""
-    h = x.shape[-1] // 2
-    return np.moveaxis(x.reshape(x.shape[:-2] + (h, 2, h, 2)), -3, -2)
-
-
-def _unblock_2x2(blocks: np.ndarray) -> np.ndarray:
-    h = blocks.shape[-3]
-    return np.moveaxis(blocks, -2, -3).reshape(blocks.shape[:-4] + (2 * h, 2 * h))
 
 
 def _forward_batch(
@@ -311,15 +258,13 @@ def _forward_batch(
 ):
     """Run the network on (B, C, n, n) values; returns logits, taps, cache."""
     bws = [config.input_bandwidth] + config.layer_bandwidths()[:-1]
-    if config.branches == 1:
-        outs = [x]
-    else:
-        outs = [x[:, :1], x[:, 1:]]
+    outs = np.split(x, config.branches, axis=1)
     taps: dict[str, np.ndarray] = {}
     cache: dict = {"layers": []}
     for i, lay in enumerate(config.layers):
         b = bws[i]
         table = shared_table(b)
+        anchors = _anchors(lay, b)
         new_outs: dict[int, np.ndarray] = {}
         # Branch 1 is cached first so that the reversed backward pass visits
         # branch 0 of a layer (which stashes the concat cotangent) before
@@ -331,32 +276,22 @@ def _forward_batch(
             prefix = "" if br == 0 else "branch1/"
             filt = params.tensors[f"{prefix}conv{i + 1}/filters"]
             bias = params.tensors[f"{prefix}conv{i + 1}/bias"]
-            scales, w_interp = _realize_scales(lay, filt, b)
-            coeffs = _analysis_sepvar_real(xin, table)  # (B, Cin, b*b)
-            s_full = scales[:, :, degree_of_index(b)]  # (out, in, b*b)
-            yhat = np.einsum("oif,bif->bof", s_full, coeffs)
-            b_out = b // 2 if lay.pool != "none" else b
+            spectra = spectral.realize_fwd(filt, b, anchors)  # (out, in, b)
+            coeffs = _analysis_sepvar_real(xin, table)  # (B, in, b*b)
+            yhat = spectral.conv_fwd(coeffs, spectra)
             if lay.pool == "sp":
-                y = _synthesis_real(yhat[..., : b_out * b_out], shared_table(b_out))
+                y = _synthesis_real(spectral.sp_fwd(yhat, b // 2), shared_table(b // 2))
             else:
                 y = _synthesis_real(yhat, table)
             y = y + bias[:, None, None]
-            pool_cache = None
+            argmax = None
             if lay.pool == "wap":
-                rw = table.grid.area_weights.reshape(b, 2)  # theta-row pairs per block row
-                wgt = rw / (2.0 * rw.sum(axis=1))[:, None]
-                blocks = _blocks_2x2(y)  # (..., j, k, a, c)
-                y = np.einsum("...jkac,ja->...jk", blocks, wgt)
-                pool_cache = wgt
+                y = spectral.wap_fwd(y, table.grid)
             elif lay.pool == "max":
-                flat = _blocks_2x2(y).reshape(y.shape[:-2] + (b, b, 4))
-                idx = flat.argmax(axis=-1)
-                y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-                pool_cache = idx
+                y, argmax = spectral.max_fwd(y)
             mask = None
             if lay.nonlinearity == "relu":
-                mask = y > 0
-                y = np.where(mask, y, 0.0)
+                y, mask = spectral.relu_fwd(y)
             new_outs[br] = y
             if want_cache:
                 cache["layers"].append(
@@ -364,35 +299,29 @@ def _forward_batch(
                         layer=i,
                         branch=br,
                         b=b,
-                        b_out=b_out,
+                        anchors=anchors,
                         coeffs=coeffs,
-                        s_full=s_full,
-                        w_interp=w_interp,
-                        pool_cache=pool_cache,
+                        spectra=spectra,
+                        argmax=argmax,
                         mask=mask,
                     )
                 )
             taps[f"{prefix}conv{i + 1}"] = y
         outs = [new_outs[br] for br in range(config.branches)]
-    feat = outs[0] if config.branches == 1 else np.concatenate(outs, axis=1)
+    feat = np.concatenate(outs, axis=1)
     b_last = config.layer_bandwidths()[-1]
     table = shared_table(b_last)
     if config.head == "wgap":
-        aw = table.grid.area_weights
-        wvec = aw / (aw.sum() * table.grid.n)
-        desc = (feat * wvec[:, None]).sum(axis=(-2, -1))
-        head_cache = ("wgap", wvec)
+        desc = spectral.wgap_fwd(feat, table.grid)
+        head_cache = None
     else:
         coeffs = _analysis_sepvar_real(feat, table)
-        norms = np.zeros(feat.shape[:2] + (b_last,))
-        for l in range(b_last):
-            seg = coeffs[..., l * l : (l + 1) * (l + 1)]
-            norms[..., l] = np.sqrt((seg.real**2 + seg.imag**2).sum(axis=-1))
+        norms = spectral.magl_fwd(coeffs)
         desc = norms.reshape(feat.shape[0], -1)
-        head_cache = ("magl", coeffs, norms)
+        head_cache = (coeffs, norms)
     w = params.tensors["head/weight"]
     logits = desc @ w.T + params.tensors["head/bias"]
-    cache.update(desc=desc, head=head_cache, b_last=b_last, feat_channels=feat.shape[1])
+    cache.update(desc=desc, head=head_cache, b_last=b_last)
     return logits, taps, cache
 
 
@@ -410,11 +339,7 @@ def forward(
     logits, taps, _ = _forward_batch(
         config, params, np.asarray(signal.values, dtype=np.float64)[None]
     )
-    bws = config.layer_bandwidths()
-    named = {}
-    for name, arr in taps.items():
-        i = int(name.rsplit("conv", 1)[1]) - 1
-        named[name] = SphericalSignal(make_grid(bws[i]), arr[0])
+    named = {k: SphericalSignal(make_grid(v.shape[-1] // 2), v[0]) for k, v in taps.items()}
     return logits[0], named
 
 
@@ -444,21 +369,6 @@ def descriptors(
     return cache["desc"]
 
 
-def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Cotangent of synthesis: v_lm = sum_jk u_jk conj(Y_lm)(j, k)."""
-    ones = np.ones(table.grid.n)
-    return _analysis_sepvar_complex(
-        u.astype(np.complex128), table, weights=ones, prefactor=1.0
-    )
-
-
-def _analysis_adjoint(v: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Cotangent of analysis back to grid values (complex cotangent allowed)."""
-    b = table.bandwidth
-    w = table.grid.quad_weights
-    return _prefactor(b) * w[:, None] * _synthesis_complex(v, table).real
-
-
 def backward(
     config: NetworkConfig,
     params: ParameterStore,
@@ -482,32 +392,15 @@ def backward(
     grads["head/bias"] = dlogits.sum(axis=0)
     ddesc = dlogits @ params.tensors["head/weight"]
 
-    b_last = cache["b_last"]
-    table = shared_table(b_last)
-    n_last = table.grid.n
-    head = cache["head"]
-    if head[0] == "wgap":
-        wvec = head[1]
-        dfeat = (
-            ddesc[:, :, None, None]
-            * wvec[None, None, :, None]
-            * np.ones((1, 1, 1, n_last))
-        )
+    table = shared_table(cache["b_last"])
+    if config.head == "wgap":
+        dfeat = spectral.wgap_vjp(ddesc, table.grid)
     else:
-        _, coeffs, norms = head
-        dnorms = ddesc.reshape(norms.shape)
-        vc = np.zeros_like(coeffs)
-        for l in range(b_last):
-            seg = coeffs[..., l * l : (l + 1) * (l + 1)]
-            safe = norms[..., l] > 0
-            scale = np.where(safe, dnorms[..., l] / np.where(safe, norms[..., l], 1.0), 0.0)
-            vc[..., l * l : (l + 1) * (l + 1)] = scale[..., None] * seg
+        coeffs, norms = cache["head"]
+        vc = spectral.magl_vjp(ddesc.reshape(norms.shape), coeffs, norms)
         dfeat = _analysis_adjoint(vc, table)
 
-    last_ch = config.layers[-1].out_channels
-    dbranch = [dfeat if config.branches == 1 else dfeat[:, :last_ch]]
-    if config.branches == 2:
-        dbranch.append(dfeat[:, last_ch:])
+    dbranch = np.split(dfeat, config.branches, axis=1)
 
     # Reversed cache order visits branch 0 of a layer before branch 1, so a
     # concat contribution (a cotangent on branch 1's previous-layer output)
@@ -517,42 +410,24 @@ def backward(
     for entry in reversed(cache["layers"]):
         i, br = entry["layer"], entry["branch"]
         lay = config.layers[i]
-        b, b_out = entry["b"], entry["b_out"]
+        b = entry["b"]
         table = shared_table(b)
         prefix = "" if br == 0 else "branch1/"
         dy = dbranch[br]
         if entry["mask"] is not None:
-            dy = np.where(entry["mask"], dy, 0.0)
+            dy = spectral.relu_vjp(dy, entry["mask"])
         if lay.pool == "wap":
-            wgt = entry["pool_cache"]  # (b, 2)
-            blocks = (
-                dy[..., :, :, None, None] * wgt[None, None, :, None, :, None]
-            )  # (..., j, k, a, c): dy[j,k] * wgt[j,a], both columns alike
-            blocks = np.broadcast_to(blocks, dy.shape[:-2] + (b, b, 2, 2))
-            dy = _unblock_2x2(blocks)
+            dy = spectral.wap_vjp(dy, table.grid)
         elif lay.pool == "max":
-            idx = entry["pool_cache"]
-            flat = np.zeros(dy.shape[:-2] + (b, b, 4))
-            np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
-            dy = _unblock_2x2(flat.reshape(dy.shape[:-2] + (b, b, 2, 2)))
+            dy = spectral.max_vjp(dy, entry["argmax"])
         grads[f"{prefix}conv{i + 1}/bias"] += dy.sum(axis=(0, -2, -1))
-        syn_b = b_out if lay.pool == "sp" else b
-        vhat = _synthesis_adjoint(dy, shared_table(syn_b))
         if lay.pool == "sp":
-            pad = np.zeros(vhat.shape[:-1] + (b * b,), dtype=np.complex128)
-            pad[..., : b_out * b_out] = vhat
-            vhat = pad
-        coeffs, s_full = entry["coeffs"], entry["s_full"]
-        ds_full = np.einsum("bof,bif->oif", vhat.conj(), coeffs).real
-        dcoeffs = np.einsum("oif,bof->bif", s_full, vhat)
-        ds = np.zeros((s_full.shape[0], s_full.shape[1], b))
-        for l in range(b):
-            ds[:, :, l] = ds_full[:, :, l * l : (l + 1) * (l + 1)].sum(axis=-1)
-        ds *= conv_scale(b)
-        if entry["w_interp"] is not None:
-            grads[f"{prefix}conv{i + 1}/filters"] += ds @ entry["w_interp"]
+            vhat = spectral.sp_vjp(_synthesis_adjoint(dy, shared_table(b // 2)), b)
         else:
-            grads[f"{prefix}conv{i + 1}/filters"] += ds
+            vhat = _synthesis_adjoint(dy, table)
+        dcoeffs, dspectra = spectral.conv_vjp(vhat, entry["coeffs"], entry["spectra"])
+        dfilt = spectral.realize_vjp(dspectra, b, entry["anchors"])
+        grads[f"{prefix}conv{i + 1}/filters"] += dfilt
         dx = _analysis_adjoint(dcoeffs, table)
         if br == 1 and pending_concat is not None:
             dx = dx + pending_concat

@@ -6,10 +6,14 @@ Analysis follows the sampled quadrature form
             conj(Y_m^l)(theta_j, phi_k),
 
 with ``w_j`` the grid's quadrature weights; synthesis is the plain harmonic
-sum.  Two analysis paths are provided: a direct full-grid contraction per
-order (O(b^4)), and a separation-of-variables path that runs a row-wise FFT
-over longitude followed by a dense associated Legendre transform per order
-(O(b^3)).  Both agree to ~1e-12; separation of variables wins from b = 32 up.
+sum.  Kernels: ``_analysis_sepvar_real`` (row-wise FFT over longitude, then
+a dense associated Legendre transform per order, O(b^3); wins from b = 32
+up), ``_analysis_direct`` (full-grid contraction per order, O(b^4); the
+reference, agreeing to ~1e-12), ``_synthesis_real`` (real arithmetic over
+orders m >= 0 of conjugate-symmetric coefficients) and ``_synthesis_complex``
+(any complex coefficients).  The adjoints backpropagation needs reuse them
+(Driscoll & Healy 1994): the adjoint of analysis is synthesis times the
+quadrature measure, that of synthesis is analysis with unit weights.
 
 Coefficients are stored packed per channel: degree l occupies the slice
 [l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds exactly
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SphericalGrid, make_grid
-from .harmonics import HarmonicTable, build_table
+from .grid import SphericalGrid
+from .harmonics import HarmonicTable, shared_table
 
 
 @dataclass
@@ -97,10 +101,9 @@ def coeff_index(l: int, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Kernels.  values arrays carry shape (..., 2b, 2b); packed coefficient
-# arrays carry shape (..., b*b).  The *_complex kernels accept arbitrary
-# complex data and are used by adjoints; the real-input analysis fills
-# negative orders through the conjugation symmetry so the identity holds
-# entry-exactly.
+# arrays carry shape (..., b*b).  The real-input analysis fills negative
+# orders through the conjugation symmetry so the identity holds
+# entry-exactly; the real synthesis reads only orders m >= 0.
 # ---------------------------------------------------------------------------
 
 
@@ -108,42 +111,24 @@ def _prefactor(b: int) -> float:
     return np.sqrt(2.0 * np.pi) / (2.0 * b)
 
 
-def _analysis_sepvar_real(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    b = table.bandwidth
-    w = table.grid.quad_weights
-    g = np.fft.rfft(values, axis=-1)[..., :b]  # (..., 2b, b), bin m = sum_k f e^{-im phi_k}
-    gw = g * w[:, None]
-    out = np.zeros(values.shape[:-2] + (b * b,), dtype=np.complex128)
-    pref = _prefactor(b)
-    for m in range(b):
-        block = pref * (gw[..., :, m] @ table.legendre[m:, m, :].T)  # (..., b-m)
-        ls = np.arange(m, b)
-        out[..., ls * ls + ls + m] = block
-        if m > 0:
-            out[..., ls * ls + ls - m] = (-1) ** m * np.conj(block)
-    return out
-
-
-def _analysis_sepvar_complex(
+def _analysis_sepvar_real(
     values: np.ndarray,
     table: HarmonicTable,
     weights: np.ndarray | None = None,
     prefactor: float | None = None,
 ) -> np.ndarray:
     b = table.bandwidth
-    n = 2 * b
     w = table.grid.quad_weights if weights is None else weights
     pref = _prefactor(b) if prefactor is None else prefactor
-    g = np.fft.fft(values, axis=-1)
+    g = np.fft.rfft(values, axis=-1)[..., :b]  # (..., 2b, b), bin m = sum_k f e^{-im phi_k}
     gw = g * w[:, None]
     out = np.zeros(values.shape[:-2] + (b * b,), dtype=np.complex128)
     for m in range(b):
+        block = pref * (gw[..., :, m] @ table.legendre[m:, m, :].T)  # (..., b-m)
         ls = np.arange(m, b)
-        pos = pref * (gw[..., :, m] @ table.legendre[m:, m, :].T)
-        out[..., ls * ls + ls + m] = pos
+        out[..., ls * ls + ls + m] = block
         if m > 0:
-            neg = pref * (gw[..., :, (n - m) % n] @ table.legendre[m:, m, :].T)
-            out[..., ls * ls + ls - m] = (-1) ** m * neg
+            out[..., ls * ls + ls - m] = (-1) ** m * np.conj(block)
     return out
 
 
@@ -190,19 +175,17 @@ def _synthesis_complex(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
     return np.fft.ifft(h * n, axis=-1)
 
 
-def _synthesis_direct(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Unfactorized synthesis; pairs with _analysis_direct for benchmarks."""
-    b = table.bandwidth
-    out = np.zeros(coeffs.shape[:-1] + (2 * b, 2 * b), dtype=np.float64)
-    for m in range(b):
-        ls = np.arange(m, b)
-        y = table.legendre[m:, m, :, None] * np.conj(table.fourier_phases[m, None, None, :])
-        term = np.tensordot(coeffs[..., ls * ls + ls + m], y, axes=([-1], [0]))
-        if m == 0:
-            out += term.real
-        else:
-            out += 2.0 * term.real
-    return out
+def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable) -> np.ndarray:
+    """Adjoint of synthesis on real grid values: v_lm = sum_jk u_jk conj(Y_lm)(j, k),
+    i.e. analysis with unit weights and unit prefactor."""
+    return _analysis_sepvar_real(u, table, weights=np.ones(table.grid.n), prefactor=1.0)
+
+
+def _analysis_adjoint(v: np.ndarray, table: HarmonicTable) -> np.ndarray:
+    """Adjoint of analysis for conjugate-symmetric ``v``: synthesis followed by
+    the quadrature measure sqrt(2 pi)/(2b) * w_j."""
+    w = table.grid.quad_weights
+    return _prefactor(table.bandwidth) * w[:, None] * _synthesis_real(v, table)
 
 
 def _check_match(obj_b: int, table: HarmonicTable) -> None:
@@ -279,7 +262,7 @@ def random_bandlimited_signal(
     table: HarmonicTable | None = None,
 ) -> SphericalSignal:
     """Convenience: synthesize a random strictly bandlimited real signal."""
-    table = build_table(make_grid(b)) if table is None else table
+    table = shared_table(b) if table is None else table
     return isft(random_coeffs(b, channels, rng), table)
 
 

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import make_grid
-from .harmonics import build_table
+from .harmonics import shared_table
 from .mesh import TriangleMesh
 from .sft import SphericalSignal, SpectralCoeffs, isft, random_coeffs
 
@@ -173,7 +172,7 @@ def make_blob_dataset(
     without it, constellations are drawn fresh per sample.
     """
     classes = _BLOB_CLASSES if classes is None else classes
-    table = build_table(make_grid(b))
+    table = shared_table(b)
     rng = np.random.default_rng(seed)
     canon = []
     for n_bumps, _ in classes:
@@ -197,7 +196,7 @@ def make_harmonic_dataset(
     """Classes with energy confined to distinct harmonic degree sets."""
     if degree_sets is None:
         degree_sets = [[1, 2], [3, 4], [5, 6]]
-    table = build_table(make_grid(b))
+    table = shared_table(b)
     rng = np.random.default_rng(seed)
     signals, labels = [], []
     for ci, degs in enumerate(degree_sets):

@@ -1,6 +1,7 @@
 """Command-line pipelines: exit codes, reproducibility, end-to-end flows."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -167,3 +168,15 @@ class TestExitCodes:
         path, _ = bandlimited_sph
         assert main(["pool", path, "--kind", "sp", "-o", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+    def test_spec1_zero_bandwidth(self, tmp_path, capsys):
+        bad = tmp_path / "b0.spec"
+        bad.write_bytes(b"SPEC" + struct.pack("<IIB", 0, 1, 1))
+        assert main(["isft", str(bad), "-o", str(tmp_path / "o")]) == 2
+        assert "bandwidth 0" in capsys.readouterr().err
+
+    def test_sph1_huge_bandwidth(self, tmp_path, capsys):
+        bad = tmp_path / "huge.sph"
+        bad.write_bytes(b"SPH1" + struct.pack("<IIB", 2**31 - 1, 1, 1))
+        assert main(["sft", str(bad), "-o", str(tmp_path / "o")]) == 2
+        assert "bandwidth 2147483647" in capsys.readouterr().err

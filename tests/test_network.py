@@ -26,8 +26,18 @@ from spheresig.network import (
     two_branch_config,
 )
 from spheresig.rotation import random_rotations, rotate_signal
-from spheresig.sft import SphericalSignal, isft, random_coeffs
-from spheresig.spectral import conv_scale
+from spheresig.sft import SpectralCoeffs, SphericalSignal, isft, random_coeffs, sft_sepvar
+from spheresig.spectral import (
+    ZonalFilterSpec,
+    anchor_layout,
+    conv_fwd,
+    conv_scale,
+    max_pool,
+    pointwise_nonlinearity,
+    realize_filter,
+    spectral_pool,
+    weighted_avg_pool,
+)
 from spheresig.synth import icosphere, make_blob_dataset
 
 
@@ -98,6 +108,36 @@ class TestForward:
             forward(cfg, params, SphericalSignal(make_grid(4), np.zeros((1, 8, 8))))
         with pytest.raises(ValueError):
             forward(cfg, params, SphericalSignal(make_grid(8), np.zeros((2, 16, 16))))
+
+
+@pytest.mark.parametrize("pool", ["sp", "wap", "max"])
+def test_pooled_tap_matches_public_chain(pool):
+    """A pooled ReLU layer's tap equals sft_sepvar -> per-degree mix ->
+    the public pooling function -> pointwise_nonlinearity."""
+    b = 8
+    cfg = stack_config(b, [3], in_channels=2, num_classes=3, pool=pool, pool_layers=[0])
+    params = init_parameters(cfg, seed=40)
+    rng = np.random.default_rng(41)
+    params.tensors["conv1/bias"][:] = 0.1 * rng.standard_normal(3)
+    sig = SphericalSignal(make_grid(b), rng.standard_normal((2, 16, 16)))
+    _, taps = forward(cfg, params, sig)
+
+    filt, bias = params.tensors["conv1/filters"], params.tensors["conv1/bias"]
+    anchors = anchor_layout(b, 4)
+    spectra = np.array([
+        [realize_filter(ZonalFilterSpec("anchored", b, anchor_degrees=anchors, anchor_values=f))
+         for f in row]
+        for row in filt
+    ])
+    mixed = SpectralCoeffs(b, conv_fwd(sft_sepvar(sig, shared_table(b)).coeffs, spectra))
+    if pool == "sp":
+        mixed = spectral_pool(mixed)
+    y = isft(mixed, shared_table(mixed.bandwidth))
+    y = SphericalSignal(y.grid, y.values + bias[:, None, None])
+    if pool != "sp":
+        y = weighted_avg_pool(y) if pool == "wap" else max_pool(y)
+    want = pointwise_nonlinearity(y).values
+    np.testing.assert_allclose(taps["conv1"].values, want, rtol=0, atol=1e-12)
 
 
 class TestGradients:

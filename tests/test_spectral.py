@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from spheresig import spectral
 from spheresig.grid import make_grid
-from spheresig.harmonics import build_table
+from spheresig.harmonics import build_table, shared_table
 from spheresig.rotation import random_rotations, rotate_signal, rotate_spectrum
 from spheresig.sft import (
     SpectralCoeffs,
     SphericalSignal,
+    _analysis_adjoint,
+    _analysis_sepvar_real,
+    _synthesis_adjoint,
+    _synthesis_real,
     coeff_index,
     isft,
     random_coeffs,
@@ -283,3 +288,69 @@ class TestNonlinearity:
         sig = SphericalSignal(make_grid(4), np.zeros((1, 8, 8)))
         with pytest.raises(ValueError):
             pointwise_nonlinearity(sig, kind="tanh")
+
+
+def _adjoint_case(name: str, rng: np.random.Generator):
+    """(x, J x, y, J^T y) for one forward/vjp pair at bandwidth 8."""
+    b = 8
+    grid = make_grid(b)
+    vals = rng.standard_normal((2, 3, 2 * b, 2 * b))
+    pooled = rng.standard_normal((2, 3, b, b))
+    coeffs = random_coeffs(b, 6, rng).coeffs.reshape(2, 3, b * b)
+    if name == "analysis":
+        v = random_coeffs(b, 6, rng).coeffs.reshape(2, 3, b * b)
+        table = shared_table(b)
+        return vals, _analysis_sepvar_real(vals, table), v, _analysis_adjoint(v, table)
+    if name == "synthesis":
+        table = shared_table(b)
+        return coeffs, _synthesis_real(coeffs, table), vals, _synthesis_adjoint(vals, table)
+    if name == "realize":
+        anchors = spectral.anchor_layout(b, 4)
+        x, y = rng.standard_normal((4, 3, 4)), rng.standard_normal((4, 3, b))
+        return x, spectral.realize_fwd(x, b, anchors), y, spectral.realize_vjp(y, b, anchors)
+    if name in ("conv_coeffs", "conv_spectra"):
+        spectra = rng.standard_normal((4, 3, b))
+        v = rng.standard_normal((2, 4, b * b)) + 1j * rng.standard_normal((2, 4, b * b))
+        dcoeffs, dspectra = spectral.conv_vjp(v, coeffs, spectra)
+        out = spectral.conv_fwd(coeffs, spectra)  # bilinear: J x = out for either x
+        if name == "conv_coeffs":
+            return coeffs, out, v, dcoeffs
+        return spectra, out, v, dspectra
+    if name == "sp":
+        v = random_coeffs(b // 2, 6, rng).coeffs.reshape(2, 3, -1)
+        return coeffs, spectral.sp_fwd(coeffs, b // 2), v, spectral.sp_vjp(v, b)
+    if name == "wap":
+        return vals, spectral.wap_fwd(vals, grid), pooled, spectral.wap_vjp(pooled, grid)
+    if name == "max":
+        # Piecewise linear and positively homogeneous, so J x equals the output.
+        y, idx = spectral.max_fwd(vals)
+        return vals, y, pooled, spectral.max_vjp(pooled, idx)
+    if name == "relu":
+        y, mask = spectral.relu_fwd(vals)
+        dy = rng.standard_normal(vals.shape)
+        return vals, y, dy, spectral.relu_vjp(dy, mask)
+    if name == "wgap":
+        d = rng.standard_normal((2, 3))
+        return vals, spectral.wgap_fwd(vals, grid), d, spectral.wgap_vjp(d, grid)
+    if name == "magl":
+        # Per-degree norms are positively homogeneous: the Jacobian at c maps c
+        # to the norms themselves.
+        norms = spectral.magl_fwd(coeffs)
+        d = rng.standard_normal(norms.shape)
+        return coeffs, norms, d, spectral.magl_vjp(d, coeffs, norms)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["analysis", "synthesis", "realize", "conv_coeffs", "conv_spectra", "sp", "wap",
+     "max", "relu", "wgap", "magl"],
+)
+def test_vjp_is_adjoint_of_forward(name):
+    """<J x, y> = <x, J^T y> under the real inner product Re(sum conj(a) b)."""
+    x, jx, y, jty = _adjoint_case(name, np.random.default_rng(30))
+    assert jx.shape == y.shape and jty.shape == x.shape
+    lhs = np.vdot(jx, y).real
+    rhs = np.vdot(x, jty).real
+    scale = np.linalg.norm(jx) * np.linalg.norm(y)
+    assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs)
