@@ -18,7 +18,6 @@ from .mesh import (
     load_mesh,
     load_obj,
     load_off,
-    mesh_to_sphere,
     project_mesh,
 )
 from .network import (

@@ -11,7 +11,8 @@ directly for arbitrary angle lists.
 
 The returned rotation maximizes the score over a coarse lattice followed by
 one local refinement pass on a three-times-finer lattice around the best
-cell.  Ties break toward the lexicographically smallest (alpha, beta, gamma).
+cell.  Ties, scores within 1e-12 (relative) of the maximum, break toward the
+lexicographically smallest (alpha, beta, gamma).
 """
 
 from __future__ import annotations
@@ -64,8 +65,20 @@ def _score_lattice(
         t[:, sl, sl] += d * outer
     ea = np.exp(-1j * np.outer(alphas, ms))  # (A, M')
     eg = np.exp(-1j * np.outer(gammas, ms))  # (G, M)
-    scores = np.einsum("ap,bpm,gm->abg", ea, t, eg)
-    return scores.real
+    scores = (ea @ t) @ eg.T  # (B, A, G)
+    return scores.real.transpose(1, 0, 2)
+
+
+def _first_max(scores: np.ndarray) -> tuple[int, ...]:
+    """Index of the lexicographically first score within roundoff of the maximum.
+
+    At beta = 0 every (alpha, gamma) with the same alpha + gamma is one
+    rotation, so exact ties are structural; the tolerance keeps the choice
+    independent of the order in which a kernel sums.
+    """
+    top = scores.max()
+    first = np.flatnonzero(scores.ravel() >= top - 1e-12 * max(abs(top), 1.0))[0]
+    return tuple(int(x) for x in np.unravel_index(first, scores.shape))
 
 
 def _refine(
@@ -79,7 +92,7 @@ def _refine(
     betas = np.clip(b0 + offs * db, 0.0, np.pi)
     gammas = g0 + offs * dg
     scores = _score_lattice(a_list, b_list, alphas, betas, gammas)
-    i, j, k = np.unravel_index(int(scores.argmax()), scores.shape)
+    i, j, k = _first_max(scores)
     return RotationZYZ(alphas[i], betas[j], gammas[k]), float(scores[i, j, k])
 
 
@@ -100,7 +113,7 @@ def so3_correlate(
     betas = np.pi * np.arange(nb) / nb
     gammas = 2 * np.pi * np.arange(ng) / ng
     scores = _score_lattice(a_list, b_list, alphas, betas, gammas)
-    i, j, k = np.unravel_index(int(scores.argmax()), scores.shape)
+    i, j, k = _first_max(scores)
     best_rot = RotationZYZ(alphas[i], betas[j], gammas[k])
     best_score = float(scores[i, j, k])
     spread = float(scores.max() - scores.min())

@@ -98,6 +98,28 @@ def _filter_from_json(doc: dict):
     )
 
 
+def _load_checkpoint(path: str, config):
+    """Checkpoint tensors, checked by name and then by shape against ``config``."""
+    from .formats import read_ckpt1
+    from .network import ParameterStore, parameter_shapes
+
+    tensors = read_ckpt1(path)
+    expected = dict(parameter_shapes(config))
+    for name in expected:
+        if name not in tensors:
+            raise FormatError(f"{path}: missing tensor {name!r} required by the config")
+    for name in tensors:
+        if name not in expected:
+            raise FormatError(f"{path}: tensor {name!r} is not a parameter of the config")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise FormatError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"the config needs {shape}"
+            )
+    return ParameterStore(tensors=tensors)
+
+
 def _load_dataset_dir(path: str):
     import numpy as np
 
@@ -238,11 +260,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .formats import read_ckpt1, read_sph1
-    from .network import ParameterStore, forward
+    from .formats import read_sph1
+    from .network import forward
 
     config = _network_from_json(_load_json(args.config))
-    params = ParameterStore(tensors=read_ckpt1(args.ckpt))
+    params = _load_checkpoint(args.ckpt, config)
     sig = read_sph1(args.input)
     logits, _ = forward(config, params, sig)
     _emit(
@@ -259,13 +281,10 @@ def _cmd_align(args) -> int:
 
     net = params = None
     if args.net:
-        from .formats import read_ckpt1
-        from .network import ParameterStore
-
         if not args.config:
             raise UsageError("--net requires --config")
         net = _network_from_json(_load_json(args.config))
-        params = ParameterStore(tensors=read_ckpt1(args.net))
+        params = _load_checkpoint(args.net, net)
     truth = None
     if args.truth:
         a, b, g = (float(t) for t in args.truth.split(","))

@@ -14,9 +14,9 @@ SPEC1: magic ``SPEC`` | u32 bandwidth | u32 channels | u8 real_origin
 CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
        utf-8 name, u8 rank, u32 dims, float32 payload.
 
-Readers reject wrong magic bytes, bandwidths outside the grid's range and
-truncated payloads; declared sizes are checked against the bytes left in the
-file before anything is read or allocated.
+Readers reject wrong magic bytes, bandwidths outside the grid's range, zero
+channel counts and truncated payloads; declared sizes are checked against the
+bytes left in the file before anything is read or allocated.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def _check_bandwidth(path: str, b: int) -> None:
+def _check_header(path: str, b: int, channels: int) -> None:
     if not 2 <= b <= DEFAULT_MAX_BANDWIDTH:
         raise FormatError(f"{path}: bandwidth {b} outside [2, {DEFAULT_MAX_BANDWIDTH}]")
+    if channels == 0:
+        raise FormatError(f"{path}: header declares 0 channels")
 
 
 def write_sph1(path: str, signal: SphericalSignal, dtype: str = "f64") -> None:
@@ -66,7 +68,7 @@ def read_sph1(path: str) -> SphericalSignal:
         if _read_exact(fh, 4, "magic") != _SPH_MAGIC:
             raise FormatError(f"{path}: not an SPH1 file")
         b, channels, code = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
-        _check_bandwidth(path, b)
+        _check_header(path, b, channels)
         if code not in (0, 1):
             raise FormatError(f"{path}: unknown dtype code {code}")
         np_dtype = "<f4" if code == 0 else "<f8"
@@ -105,7 +107,7 @@ def read_spec1(path: str) -> SpectralCoeffs:
         if _read_exact(fh, 4, "magic") != _SPEC_MAGIC:
             raise FormatError(f"{path}: not a SPEC1 file")
         b, channels, real_origin = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
-        _check_bandwidth(path, b)
+        _check_header(path, b, channels)
         count = (b * (b + 1)) // 2 if real_origin else b * b
         payload = _read_exact(fh, channels * count * 16, "payload")
         if fh.read(1):

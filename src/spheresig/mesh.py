@@ -190,42 +190,90 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+_CONE_MARGIN = 1e-6  # radians added to every face cone
+_CONE_WIDE = 0.1  # faces whose cone has cos(half-angle) <= this are never culled
+_PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) cone tests held in memory
+
+
+def _face_cones(
+    origin: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axis and cos(half-angle) of a cone from ``origin`` around each face.
+
+    The cone holds the three vertex directions, hence (being convex) every
+    ray that meets the face.  Its half-angle is the widest vertex angle plus
+    ``_CONE_MARGIN``, which covers the barycentric tolerance of the hit test
+    and the roundoff of the vertex offsets.  Wide cones, and faces with a
+    vertex at the origin (closer than 1e-6 of the face's extent, where its
+    direction is unreliable), get cos = -inf so that every ray stays a
+    candidate.
+    """
+    a0 = v0 - origin
+    corners = np.stack([a0, a0 + e1, a0 + e2], axis=1)  # (F, 3 vertices, 3)
+    dist = np.linalg.norm(corners, axis=2)
+    scale = np.linalg.norm(a0, axis=1) + np.linalg.norm(e1, axis=1) + np.linalg.norm(e2, axis=1)
+    at_origin = dist.min(axis=1) <= 1e-6 * scale
+    unit = corners / np.where(dist > 0, dist, 1.0)[:, :, None]
+    axis = unit.sum(axis=1)
+    norm = np.linalg.norm(axis, axis=1)
+    axis /= np.where(norm > 0, norm, 1.0)[:, None]
+    sin = np.linalg.norm(np.cross(unit, axis[:, None, :]), axis=2)
+    cos = np.einsum("fkj,fj->fk", unit, axis)
+    half = np.arctan2(sin, cos).max(axis=1) + _CONE_MARGIN
+    cos_half = np.cos(np.minimum(half, np.pi))
+    cos_half[at_origin | (norm == 0) | (cos_half <= _CONE_WIDE)] = -np.inf
+    return axis, cos_half
+
+
 def _cast_rows(
     dirs: np.ndarray, origin: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Farthest-hit distance and hit-face index for a batch of rays.
 
-    Moller-Trumbore over all (ray, face) pairs; returns (t, face) with
-    t = -inf where the ray misses everything.
+    One matmul against per-face bounding cones culls the (ray, face) pairs
+    that cannot intersect; Moller-Trumbore runs on the survivors with the
+    arithmetic of an all-pairs test.  Returns (t, face) with t = -inf and
+    face = 0 where the ray misses everything; equal distances go to the
+    lowest face index.
     """
-    p = np.cross(dirs[:, None, :], e2[None, :, :])  # (R, F, 3)
-    det = np.einsum("fj,rfj->rf", e1, p)
-    ok = np.abs(det) > _EPS
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    axis, cos_half = _face_cones(origin, v0, e1, e2)
     s = origin[None, :] - v0  # (F, 3)
-    u = np.einsum("fj,rfj->rf", s, p) * inv
     q = np.cross(s, e1)  # (F, 3)
-    v = np.einsum("rj,fj->rf", dirs, q) * inv
-    t = np.einsum("fj,fj->f", e2, q)[None, :] * inv
+    tq = np.einsum("fj,fj->f", e2, q)
     tol = 1e-9
-    hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS)
-    t = np.where(hit, t, -np.inf)
-    face = np.argmax(t, axis=1)
-    return t[np.arange(len(dirs)), face], face
-
-
-def mesh_to_sphere(mesh: TriangleMesh, b: int) -> SphericalRepresentation:
-    """Project a mesh onto the bandwidth-``b`` grid by center ray casting."""
-    return project_mesh(mesh, b)
+    t_out = np.full(len(dirs), -np.inf)
+    face_out = np.zeros(len(dirs), dtype=np.int64)
+    step = max(1, _PAIRS_PER_BLOCK // max(1, len(v0)))
+    for start in range(0, len(dirs), step):
+        d = dirs[start : start + step]
+        # candidate (ray, face) pairs from flat indices into the block
+        r, f = np.divmod(np.flatnonzero(d @ axis.T >= cos_half), len(v0))
+        p = np.cross(d[r], e2[f])
+        det = np.einsum("kj,kj->k", e1[f], p)
+        ok = np.abs(det) > _EPS
+        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        u = np.einsum("kj,kj->k", s[f], p) * inv
+        v = np.einsum("kj,kj->k", d[r], q[f]) * inv
+        t = tq[f] * inv
+        hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS)
+        r, f, t = r[hit], f[hit], t[hit]
+        order = np.lexsort((f, -t, r))  # per ray: farthest first, then lowest face
+        r, f, t = r[order], f[order], t[order]
+        first = np.ones(len(r), dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        t_out[start + r[first]] = t[first]
+        face_out[start + r[first]] = f[first]
+    return t_out, face_out
 
 
 def project_mesh(
     mesh: TriangleMesh, b: int, center: np.ndarray | None = None
 ) -> SphericalRepresentation:
-    """As ``mesh_to_sphere`` but allowing a shifted projection center.
+    """Project a mesh onto the bandwidth-``b`` grid by ray casting from a center.
 
-    An explicit ``center`` wins; otherwise a ``projection_offset`` recorded
-    on the mesh (by augmentation) displaces the bounding center.
+    The center is the bounding-sphere center unless an explicit ``center``
+    is given, or a ``projection_offset`` recorded on the mesh (by
+    augmentation) displaces it; an explicit ``center`` wins.
     """
     if len(mesh.faces) == 0:
         raise ValueError("mesh has no faces to intersect")
@@ -250,17 +298,12 @@ def project_mesh(
     normals = np.cross(e1, e2)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
+    t, face = _cast_rows(dirs, origin, v0, e1, e2)
+    hit = np.isfinite(t)
+    dist = np.where(hit, t, 0.0) / radius
+    cosang = np.abs(np.einsum("rj,rj->r", dirs, normals[face]))
+    sina = np.where(hit, np.clip(cosang, 0.0, 1.0), 0.0)
     n = grid.n
-    dist = np.empty(n * n)
-    sina = np.empty(n * n)
-    rows = max(1, int(2e6 // max(1, len(f))))  # bound the (ray, face) block size
-    for start in range(0, n * n, rows * n):
-        stop = min(n * n, start + rows * n)
-        t, face = _cast_rows(dirs[start:stop], origin, v0, e1, e2)
-        hit = np.isfinite(t)
-        dist[start:stop] = np.where(hit, t, 0.0) / radius
-        cosang = np.abs(np.einsum("rj,rj->r", dirs[start:stop], normals[face]))
-        sina[start:stop] = np.where(hit, np.clip(cosang, 0.0, 1.0), 0.0)
     values = np.stack([dist.reshape(n, n), sina.reshape(n, n)])
     signal = SphericalSignal(grid, values)
     return SphericalRepresentation(signal=signal, center=origin, radius=radius)

@@ -149,7 +149,7 @@ def _small_d_many(l: int, betas: np.ndarray) -> np.ndarray:
     """Stack of small-d matrices for several beta values, shape (B, 2l+1, 2l+1)."""
     w, v = _jy_eig(l)
     phase = np.exp(-1j * np.asarray(betas)[:, None] * w[None, :])
-    return np.einsum("ik,bk,jk->bij", v, phase, v.conj()).real
+    return ((v * phase[:, None, :]) @ v.conj().T).real
 
 
 def wigner_d(l: int, r: RotationZYZ) -> WignerBlock:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spheresig.align import so3_correlate, align_shapes
+from spheresig.align import _first_max, _score_lattice, align_shapes, so3_correlate
 from spheresig.rotation import (
     RotationZYZ,
     geodesic_distance,
@@ -85,6 +85,39 @@ class TestCorrelation:
         a = random_coeffs(4, 1, np.random.default_rng(7))
         res = so3_correlate([a], [a], grid_size=(4, 4, 4), refine=False, keep_scores=True)
         assert res.per_rotation_scores.shape == (64,)
+
+
+class TestLatticeKernel:
+    def test_scores_match_rotated_inner_products(self):
+        rng = np.random.default_rng(12)
+        a = random_coeffs(8, 2, rng)
+        b = random_coeffs(8, 2, rng)
+        alphas = 2 * np.pi * np.arange(6) / 6
+        betas = np.pi * np.arange(5) / 5
+        gammas = 2 * np.pi * np.arange(7) / 7
+        scores = _score_lattice([a], [b], alphas, betas, gammas)
+        assert scores.shape == (6, 5, 7)
+        scale = np.linalg.norm(a.coeffs) * np.linalg.norm(b.coeffs)  # bounds |score|
+        for i, j, k in [(0, 0, 0), (0, 0, 3), (1, 2, 5), (5, 4, 6), (3, 1, 0), (2, 3, 4)]:
+            r = RotationZYZ(alphas[i], betas[j], gammas[k])
+            want = (rotate_spectrum(a, r).coeffs * np.conj(b.coeffs)).sum().real
+            assert abs(scores[i, j, k] - want) < 1e-12 * scale
+
+    def test_first_max_takes_the_lexicographically_first_tie(self):
+        scores = np.zeros((3, 2, 4))
+        scores[2, 0, 1] = 5.0
+        scores[1, 1, 3] = 5.0 * (1 - 1e-13)  # within roundoff of the maximum
+        scores[0, 1, 0] = 5.0 * (1 - 1e-9)  # a real gap
+        assert _first_max(scores) == (1, 1, 3)
+        assert _first_max(-np.ones((2, 2, 2))) == (0, 0, 0)
+
+    def test_equal_rotations_at_beta_zero_resolve_to_identity(self):
+        a = random_coeffs(8, 2, np.random.default_rng(0))
+        res = so3_correlate([a], [a], grid_size=(8, 8, 8), refine=False, keep_scores=True)
+        scores = res.per_rotation_scores.reshape(8, 8, 8)
+        # (alpha, 0, gamma) with alpha + gamma = 0 mod 2 pi is the identity too
+        np.testing.assert_allclose(scores[5, 0, 3], scores[0, 0, 0], rtol=1e-12)
+        assert res.rotation.alpha == 0.0 and res.rotation.gamma == 0.0
 
 
 class TestAlignShapes:

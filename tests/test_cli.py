@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from spheresig.cli import main
-from spheresig.formats import read_spec1, read_sph1, write_sph1
+from spheresig.formats import read_spec1, read_sph1, write_ckpt1, write_sph1
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
+from spheresig.network import LayerConfig, NetworkConfig, init_parameters
 from spheresig.sft import isft, random_coeffs
 from spheresig.synth import star_mesh
 
@@ -180,3 +181,67 @@ class TestExitCodes:
         bad.write_bytes(b"SPH1" + struct.pack("<IIB", 2**31 - 1, 1, 1))
         assert main(["sft", str(bad), "-o", str(tmp_path / "o")]) == 2
         assert "bandwidth 2147483647" in capsys.readouterr().err
+
+    def test_zero_channel_headers(self, tmp_path, capsys):
+        sph = tmp_path / "c0.sph"
+        sph.write_bytes(b"SPH1" + struct.pack("<IIB", 8, 0, 1))
+        assert sph.stat().st_size == 13
+        assert main(["sft", str(sph), "-o", str(tmp_path / "o.spec")]) == 2
+        assert main(["pool", str(sph), "--kind", "wap", "-o", str(tmp_path / "o.sph")]) == 2
+        spec = tmp_path / "c0.spec"
+        spec.write_bytes(b"SPEC" + struct.pack("<IIB", 8, 0, 1))
+        assert main(["isft", str(spec), "-o", str(tmp_path / "o2.sph")]) == 2
+        assert "0 channels" in capsys.readouterr().err
+        assert not any(tmp_path.glob("o*"))
+
+
+class TestCheckpointAgainstConfig:
+    CONFIG = dict(input_bandwidth=8, num_classes=3, in_channels=1,
+                  layers=[dict(out_channels=4)])
+
+    @pytest.fixture()
+    def files(self, tmp_path, bandlimited_sph):
+        cfg = NetworkConfig(
+            input_bandwidth=8, layers=(LayerConfig(1, 4, "anchored", 4, "none", "relu"),),
+            num_classes=3,
+        )
+        cfgfile = tmp_path / "net.json"
+        cfgfile.write_text(json.dumps(self.CONFIG))
+        return str(cfgfile), init_parameters(cfg, seed=0).tensors, bandlimited_sph[0]
+
+    def infer(self, tmp_path, files, tensors):
+        cfgfile, _, sig = files
+        ckpt = str(tmp_path / "m.ckpt")
+        write_ckpt1(ckpt, tensors)
+        return main(["infer", "--config", cfgfile, "--ckpt", ckpt, "--input", sig])
+
+    def test_matching_checkpoint_loads(self, tmp_path, files, capsys):
+        assert self.infer(tmp_path, files, files[1]) == 0
+        capsys.readouterr()
+
+    def test_missing_tensor(self, tmp_path, files, capsys):
+        tensors = dict(files[1])
+        del tensors["conv1/bias"]
+        assert self.infer(tmp_path, files, tensors) == 2
+        err = capsys.readouterr().err
+        assert "missing tensor 'conv1/bias'" in err
+
+    def test_wrong_anchor_count(self, tmp_path, files, capsys):
+        tensors = dict(files[1])
+        tensors["conv1/filters"] = np.zeros((4, 1, 5))
+        assert self.infer(tmp_path, files, tensors) == 2
+        err = capsys.readouterr().err
+        assert "'conv1/filters' has shape (4, 1, 5)" in err and "(4, 1, 4)" in err
+
+    def test_unknown_tensor(self, tmp_path, files, capsys):
+        tensors = dict(files[1], **{"branch1/conv1/bias": np.zeros(4)})
+        assert self.infer(tmp_path, files, tensors) == 2
+        assert "'branch1/conv1/bias'" in capsys.readouterr().err
+
+    def test_align_net_checks_too(self, tmp_path, files, star_off, capsys):
+        cfgfile, tensors, _ = files
+        ckpt = str(tmp_path / "m.ckpt")
+        write_ckpt1(ckpt, {k: v for k, v in tensors.items() if k != "head/weight"})
+        assert main(["align", star_off, star_off, "-b", "8", "--net", ckpt,
+                     "--config", cfgfile, "--layer", "conv1"]) == 2
+        assert "missing tensor 'head/weight'" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spheresig import mesh as mesh_module
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
 from spheresig.mesh import (
@@ -10,7 +11,6 @@ from spheresig.mesh import (
     bounding_sphere,
     load_obj,
     load_off,
-    mesh_to_sphere,
     project_mesh,
 )
 from spheresig.rotation import random_rotations, rotate_signal
@@ -93,14 +93,14 @@ class TestBoundingSphere:
 
 class TestProjection:
     def test_icosphere_is_unit_distance_and_face_on(self):
-        rep = mesh_to_sphere(icosphere(3), 16)
+        rep = project_mesh(icosphere(3), 16)
         d, sina = rep.signal.values
         assert d.min() > 0.994  # facet chord error stays under 0.6%
         assert d.max() <= 1.0 + 1e-12
         assert sina.min() > 0.99
 
     def test_cube_axis_distance(self):
-        rep = mesh_to_sphere(cube_mesh(1.0), 8)
+        rep = project_mesh(cube_mesh(1.0), 8)
         np.testing.assert_allclose(rep.radius, np.sqrt(3), rtol=1e-12)
         # +x axis is theta = pi/2 (row 8), phi = 0 (column 0)
         np.testing.assert_allclose(rep.signal.values[0, 8, 0], 1 / np.sqrt(3), rtol=1e-12)
@@ -114,7 +114,7 @@ class TestProjection:
             ]
         )
         mesh = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
-        rep = mesh_to_sphere(mesh, 4)
+        rep = project_mesh(mesh, 4)
         d, sina = rep.signal.values
         miss = d == 0
         assert miss.sum() > d.size // 2
@@ -122,15 +122,15 @@ class TestProjection:
 
     def test_scaling_invariance(self):
         mesh = star_mesh(seed=5, n_theta=10, n_phi=20)
-        a = mesh_to_sphere(mesh, 8).signal.values
+        a = project_mesh(mesh, 8).signal.values
         scaled = TriangleMesh(mesh.vertices * 7.3, mesh.faces)
-        c = mesh_to_sphere(scaled, 8).signal.values
+        c = project_mesh(scaled, 8).signal.values
         np.testing.assert_allclose(a, c, atol=1e-9)
 
     def test_deterministic(self):
         mesh = star_mesh(seed=6, n_theta=10, n_phi=20)
-        a = mesh_to_sphere(mesh, 8).signal.values
-        c = mesh_to_sphere(mesh, 8).signal.values
+        a = project_mesh(mesh, 8).signal.values
+        c = project_mesh(mesh, 8).signal.values
         np.testing.assert_array_equal(a, c)
 
     def test_rotation_equivariance_within_sampling_tolerance(self):
@@ -145,8 +145,8 @@ class TestProjection:
         table = build_table(make_grid(b))
         mesh = star_mesh(seed=7, n_theta=32, n_phi=64, amplitude=0.25, sharpness=(3, 6))
         r = random_rotations(1, seed=8)[0]
-        rotated_first = mesh_to_sphere(mesh.transformed(r.matrix()), b).signal
-        projected_first = rotate_signal(mesh_to_sphere(mesh, b).signal, r, table)
+        rotated_first = project_mesh(mesh.transformed(r.matrix()), b).signal
+        projected_first = rotate_signal(project_mesh(mesh, b).signal, r, table)
         num = np.linalg.norm(rotated_first.values - projected_first.values)
         den = np.linalg.norm(projected_first.values)
         assert num / den < 0.02
@@ -159,4 +159,86 @@ class TestProjection:
 
     def test_empty_faces_rejected(self):
         with pytest.raises(ValueError):
-            mesh_to_sphere(TriangleMesh(np.eye(3), np.zeros((0, 3), int)), 4)
+            project_mesh(TriangleMesh(np.eye(3), np.zeros((0, 3), int)), 4)
+
+
+def all_pairs_cast(dirs, origin, v0, e1, e2):
+    """Reference caster: Moller-Trumbore on every (ray, face) pair.
+
+    Rays go in blocks only to bound memory; each pair's arithmetic is the
+    same whatever the block.  Ties in distance go to the lowest face index
+    (``argmax``).
+    """
+    eps, tol = 1e-12, 1e-9
+    ts, faces = [], []
+    step = max(1, 200_000 // len(v0))
+    for start in range(0, len(dirs), step):
+        d = dirs[start : start + step]
+        p = np.cross(d[:, None, :], e2[None, :, :])
+        det = np.einsum("fj,rfj->rf", e1, p)
+        ok = np.abs(det) > eps
+        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        s = origin[None, :] - v0
+        u = np.einsum("fj,rfj->rf", s, p) * inv
+        q = np.cross(s, e1)
+        v = np.einsum("rj,fj->rf", d, q) * inv
+        t = np.einsum("fj,fj->f", e2, q)[None, :] * inv
+        hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > eps)
+        t = np.where(hit, t, -np.inf)
+        face = np.argmax(t, axis=1)
+        ts.append(t[np.arange(len(d)), face])
+        faces.append(face)
+    return np.concatenate(ts), np.concatenate(faces)
+
+
+def two_far_triangles():
+    verts = np.array(
+        [
+            [1, -0.01, -0.01], [1, 0.01, 0], [1, 0, 0.01],
+            [-1, -0.01, -0.01], [-1, 0.01, 0], [-1, 0, 0.01],
+        ]
+    )
+    return TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
+
+
+class TestCulledCastingParity:
+    """The cone-culled caster reproduces the all-pairs caster bit for bit."""
+
+    def assert_matches_all_pairs(self, monkeypatch, mesh, b, center=None):
+        fast = project_mesh(mesh, b, center=center).signal.values
+        with monkeypatch.context() as m:
+            m.setattr(mesh_module, "_cast_rows", all_pairs_cast)
+            ref = project_mesh(mesh, b, center=center).signal.values
+        np.testing.assert_array_equal(fast, ref)
+
+    @pytest.mark.parametrize("seed", [800, 801, 802, 803])
+    def test_star_meshes(self, monkeypatch, seed):
+        mesh = star_mesh(seed=seed, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9))
+        self.assert_matches_all_pairs(monkeypatch, mesh, 32)
+
+    def test_fine_icosphere(self, monkeypatch):
+        self.assert_matches_all_pairs(monkeypatch, icosphere(4), 32)
+
+    @pytest.mark.parametrize("b", [8, 16])
+    def test_cube_edge_ties(self, monkeypatch, b):
+        self.assert_matches_all_pairs(monkeypatch, cube_mesh(1.0), b)
+
+    def test_misses(self, monkeypatch):
+        self.assert_matches_all_pairs(monkeypatch, two_far_triangles(), 16)
+
+    @pytest.mark.parametrize("where", ["face", "edge", "vertex"])
+    def test_center_on_the_surface(self, monkeypatch, where):
+        mesh = icosphere(2)
+        corners = mesh.vertices[mesh.faces[0]]
+        center = {"face": corners.mean(axis=0), "edge": corners[:2].mean(axis=0),
+                  "vertex": corners[0]}[where]
+        v0 = mesh.vertices[mesh.faces[:, 0]]
+        e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+        e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+        _, cos_half = mesh_module._face_cones(center, v0, e1, e2)
+        assert np.isneginf(cos_half[0])  # face 0 is never culled
+        self.assert_matches_all_pairs(monkeypatch, mesh, 16, center=center)
+
+    def test_cube_corner_center(self, monkeypatch):
+        mesh = cube_mesh(1.0)
+        self.assert_matches_all_pairs(monkeypatch, mesh, 16, center=mesh.vertices[0])

@@ -9,6 +9,8 @@ from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
 from spheresig.rotation import (
     RotationZYZ,
+    _small_d,
+    _small_d_many,
     geodesic_distance,
     random_rotations,
     rotate_signal,
@@ -67,6 +69,14 @@ class TestWignerBlocks:
                     np.testing.assert_allclose(
                         d[i, j], small_d_reference(l, mp, m, beta), atol=1e-12
                     )
+
+
+    def test_batched_small_d_matches_per_beta(self):
+        betas = np.concatenate([[0.0, np.pi], np.pi * np.arange(1, 16) / 16, [0.83, 2.9]])
+        for l in (0, 1, 2, 7, 16, 31):
+            stack = _small_d_many(l, betas)
+            for beta, d in zip(betas, stack):
+                np.testing.assert_allclose(d, _small_d(l, float(beta)), rtol=0, atol=1e-14)
 
 
 class TestRotateSpectrum:
