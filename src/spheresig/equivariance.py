@@ -2,9 +2,10 @@
 and report the average relative discrepancy per layer.
 
 For every sample and rotation the input is rotated through the harmonic
-domain (exact at the grid bandwidth), the network is run on both versions,
-and each layer's feature maps of the unrotated pass are rotated at that
-layer's bandwidth.  The error is the quadrature-weighted relative L2 norm
+domain (exact at the grid bandwidth), the network is run on the rotated
+input, and each layer's feature maps of the unrotated pass are rotated at
+that layer's bandwidth.  The error is the quadrature-weighted relative L2
+norm
 
     || taps_L(rotate(x)) - rotate(taps_L(x)) || / || taps_L(x) ||,
 
@@ -12,6 +13,12 @@ averaged over (sample, rotation) pairs.  Layer zero reports the input
 itself; because the stimulus rotation is realized spectrally, it is exact
 for bandlimited inputs by construction.  Samples whose feature norm
 vanishes at some layer are excluded from that layer's mean with a warning.
+
+Work is shared where the result allows it.  Once per sample: the reference
+forward, the analysis of the input and of every tap, and their norms.  Once
+per rotation: each degree's Wigner block (``rotation.rotate_packed`` applies
+it to all of that sample's spectra together), one synthesis of the rotated
+input and one per rotated tap, and one forward on the rotated input.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import numpy as np
 
 from .harmonics import shared_table
 from .network import NetworkConfig, ParameterStore, _forward_batch
-from .rotation import random_rotations, rotate_signal
-from .sft import SphericalSignal
+from .rotation import random_rotations, rotate_packed
+from .sft import SphericalSignal, _analysis_sepvar_real, _synthesis_real
 
 
 @dataclass
@@ -72,14 +79,23 @@ def measure(
     seed: int = 0,
     descriptor: dict | None = None,
 ) -> EquivarianceReport:
-    """Per-layer equivariance errors of ``config`` on a signal dataset."""
+    """Per-layer equivariance errors of ``config`` on a signal dataset.
+
+    Once per sample: one reference forward, then the spectra of the input
+    and of each branch-0 tap (at that tap's bandwidth) and their weighted
+    norms.  A layer whose reference norm is zero is excluded for that sample
+    with a warning.  Once per rotation: all those spectra are rotated
+    together, each degree's Wigner block built once; the rotated input is
+    synthesized once in float64 (``y64``) and cast to the signal's dtype to
+    give the network input ``x_rot``; one forward runs on ``x_rot``; each
+    rotated reference tap is synthesized and compared with the matching tap
+    of that forward.  The input layer scores ``||x_rot - y64|| / ||x||``.
+    """
     if not signals:
         raise ValueError("need at least one signal")
     b_in = config.input_bandwidth
-    table = shared_table(b_in)
-    bws = config.layer_bandwidths()
-    branch0 = [f"conv{i + 1}" for i in range(len(config.layers))]
-    names = ["input"] + branch0
+    bws = [b_in] + config.layer_bandwidths()
+    names = ["input"] + [f"conv{i + 1}" for i in range(len(config.layers))]
     sums = np.zeros(len(names))
     counts = np.zeros(len(names), dtype=int)
     rng = np.random.default_rng(seed)
@@ -87,23 +103,33 @@ def measure(
     for si, sig in enumerate(signals):
         x = np.asarray(sig.values, dtype=np.float64)
         _, taps_ref, _ = _forward_batch(config, params, x[None])
+        refs = [x] + [taps_ref[name][0] for name in names[1:]]
+        # live: (layer, reference norm) of every layer this sample scores;
+        # specs: the input's spectrum (it also makes x_rot), then the live taps'.
+        live, specs = [], []
+        for li, (ref, b_layer) in enumerate(zip(refs, bws)):
+            ref_norm = _weighted_norm(ref, b_layer)
+            if ref_norm == 0.0:
+                warnings.warn(
+                    f"zero-norm feature map at {names[li]}; sample excluded", stacklevel=2
+                )
+            else:
+                live.append((li, ref_norm))
+            if ref_norm != 0.0 or li == 0:
+                specs.append(_analysis_sepvar_real(ref, shared_table(b_layer)))
         for r in rots[si * rotations : (si + 1) * rotations]:
-            x_rot = rotate_signal(sig, r, table)
-            _, taps_rot, _ = _forward_batch(config, params, x_rot.values[None])
-            pairs = [("input", x_rot.values[None], x[None], b_in)]
-            for i, name in enumerate(branch0):
-                pairs.append((name, taps_rot[name], taps_ref[name], bws[i]))
-            for li, (name, a_vals, ref_vals, b_layer) in enumerate(pairs):
-                ref_norm = _weighted_norm(ref_vals[0], b_layer)
-                if ref_norm == 0.0:
-                    warnings.warn(
-                        f"zero-norm feature map at {name}; sample excluded", stacklevel=2
-                    )
-                    continue
-                ref_sig = SphericalSignal(shared_table(b_layer).grid, ref_vals[0])
-                rotated_ref = rotate_signal(ref_sig, r, shared_table(b_layer))
-                err = _weighted_norm(a_vals[0] - rotated_ref.values, b_layer) / ref_norm
-                sums[li] += err
+            rotated = rotate_packed(specs, r)
+            y64 = _synthesis_real(rotated[0], shared_table(b_in))
+            x_rot = y64.astype(sig.values.dtype, copy=False)
+            _, taps_rot, _ = _forward_batch(config, params, x_rot[None])
+            rotated_taps = iter(rotated[1:])
+            for li, ref_norm in live:
+                if li == 0:
+                    diff = x_rot - y64
+                else:
+                    y = _synthesis_real(next(rotated_taps), shared_table(bws[li]))
+                    diff = taps_rot[names[li]][0] - y
+                sums[li] += _weighted_norm(diff, bws[li]) / ref_norm
                 counts[li] += 1
     errors = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     desc = dict(descriptor or {})

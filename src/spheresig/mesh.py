@@ -25,7 +25,8 @@ _EPS = 1e-12
 
 @dataclass
 class TriangleMesh:
-    """Vertex/face soup; degenerate (zero-area) faces are dropped on build."""
+    """Vertex/face soup with finite vertices; degenerate (zero-area) faces are
+    dropped on build."""
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -36,6 +37,8 @@ class TriangleMesh:
         f = np.asarray(self.faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError(f"vertices must be (N, 3), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("vertex coordinates must be finite")
         if f.size == 0:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:
@@ -78,24 +81,41 @@ class SphericalRepresentation:
 
 
 def load_off(path: str) -> TriangleMesh:
+    tokens: list[str] = []
+    lines: list[int] = []  # source line of each token
     with open(path, "r", encoding="utf-8") as fh:
-        tokens: list[str] = []
-        for line in fh:
+        for lineno, line in enumerate(fh):
             line = line.split("#", 1)[0].strip()
             if line:
-                tokens.extend(line.split())
+                words = line.split()
+                tokens.extend(words)
+                lines.extend([lineno] * len(words))
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
-    pos = 1
-    nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-    pos += 3  # vertex count, face count, edge count
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: OFF header needs vertex, face and edge counts")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    if nv < 0 or nf < 0:
+        raise ValueError(f"{path}: negative vertex or face count")
+    pos = 4
+    if len(tokens) < pos + 3 * nv:
+        raise ValueError(f"{path}: file ends before its {nv} vertices")
     verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
     pos += 3 * nv
     faces: list[tuple[int, int, int]] = []
-    for _ in range(nf):
+    for fi in range(nf):
+        if pos >= len(tokens):
+            raise ValueError(f"{path}: file ends after {fi} of its {nf} faces")
         k = int(tokens[pos])
-        idx = [int(t) for t in tokens[pos + 1 : pos + 1 + k]]
-        pos += 1 + k
+        if k < 0:
+            raise ValueError(f"{path}: face {fi} declares {k} indices")
+        end = pos + 1 + k
+        if end > len(tokens) or lines[end - 1] != lines[pos]:
+            raise ValueError(f"{path}: face {fi} has fewer than the {k} indices it declares")
+        idx = [int(t) for t in tokens[pos + 1 : end]]
+        pos = end
+        while pos < len(tokens) and lines[pos] == lines[end - 1]:
+            pos += 1  # optional per-face colour values
         for i in range(1, k - 1):
             faces.append((idx[0], idx[i], idx[i + 1]))
     return TriangleMesh(verts, np.array(faces, dtype=np.int64))

@@ -11,12 +11,18 @@ f -> f o R^{-1} under this package's harmonic convention.  The middle factor
 angular-momentum generator Jy, which is stable at any degree; blocks are
 unitary to ~1e-13.
 
+``rotate_packed`` is the one rotation kernel: it rotates any number of
+packed spectra of mixed bandwidths by one rotation, building each degree's
+block once.  ``rotate_spectrum``, ``rotate_signal`` and the equivariance
+harness all go through it.
+
 Eigendecompositions are cached per degree; cached entries are immutable and
 safe for concurrent readers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,19 +70,6 @@ class RotationZYZ:
             and self.beta <= tol
             and min(self.gamma, _TWO_PI - self.gamma) <= tol
         )
-
-
-@dataclass(frozen=True)
-class WignerBlock:
-    """Unitary action of one rotation on the degree-l coefficient block."""
-
-    degree: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = 2 * self.degree + 1
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"degree-{self.degree} block must be {n}x{n}")
 
 
 def _rz(t: float) -> np.ndarray:
@@ -152,31 +145,48 @@ def _small_d_many(l: int, betas: np.ndarray) -> np.ndarray:
     return ((v * phase[:, None, :]) @ v.conj().T).real
 
 
-def wigner_d(l: int, r: RotationZYZ) -> WignerBlock:
-    """Unitary representation matrix of ``r`` on degree-l coefficients."""
+def wigner_d(l: int, r: RotationZYZ) -> np.ndarray:
+    """Unitary (2l+1, 2l+1) representation matrix of ``r`` on degree-l coefficients."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     m = np.arange(-l, l + 1)
     if r.beta == 0.0:
-        mat = np.diag(np.exp(-1j * m * (r.alpha + r.gamma)))
-    else:
-        mat = (
-            np.exp(-1j * m * r.alpha)[:, None]
-            * _small_d(l, r.beta)
-            * np.exp(-1j * m * r.gamma)[None, :]
-        )
-    return WignerBlock(degree=l, matrix=mat)
+        return np.diag(np.exp(-1j * m * (r.alpha + r.gamma)))
+    return (
+        np.exp(-1j * m * r.alpha)[:, None]
+        * _small_d(l, r.beta)
+        * np.exp(-1j * m * r.gamma)[None, :]
+    )
+
+
+def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
+    """Apply ``r`` to packed coefficient arrays (..., b*b) of any bandwidths.
+
+    Degree by degree, the block is built once and applied to every array
+    whose bandwidth exceeds that degree, then dropped; only one block is held
+    at a time.  Exact for bandlimited content.
+    """
+    bws = []
+    for a in arrays:
+        b = math.isqrt(a.shape[-1])
+        if b * b != a.shape[-1]:
+            raise ValueError(f"packed length {a.shape[-1]} is not a square")
+        bws.append(b)
+    outs = [np.empty_like(a) for a in arrays]
+    for l in range(max(bws, default=0)):
+        block_t = wigner_d(l, r).T
+        seg = slice(l * l, (l + 1) * (l + 1))
+        for a, out, b in zip(arrays, outs, bws):
+            if b > l:
+                out[..., seg] = a[..., seg] @ block_t
+    return outs
 
 
 def rotate_spectrum(coeffs, r: RotationZYZ):
     """Apply ``r`` per degree block; exact for bandlimited content."""
     from .sft import SpectralCoeffs
 
-    out = np.empty_like(coeffs.coeffs)
-    for l in range(coeffs.bandwidth):
-        block = wigner_d(l, r).matrix
-        seg = coeffs.coeffs[:, l * l : (l + 1) * (l + 1)]
-        out[:, l * l : (l + 1) * (l + 1)] = seg @ block.T
+    (out,) = rotate_packed([coeffs.coeffs], r)
     return SpectralCoeffs(coeffs.bandwidth, out, real_origin=coeffs.real_origin)
 
 

@@ -1,7 +1,11 @@
 """Command-line pipelines: exit codes, reproducibility, end-to-end flows."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,32 @@ class TestExitCodes:
         assert main(["isft", str(spec), "-o", str(tmp_path / "o2.sph")]) == 2
         assert "0 channels" in capsys.readouterr().err
         assert not any(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("face_lines", [[], ["3 0 1"], ["3 0 1", "3 0 1 2"]])
+    def test_off_with_missing_face_indices(self, tmp_path, capsys, face_lines):
+        off = tmp_path / "short.off"
+        off.write_text("\n".join(["OFF", "3 1 0", "0 0 0", "1 0 0", "0 1 0"] + face_lines) + "\n")
+        assert main(["mesh2sphere", str(off), "-b", "8", "-o", str(tmp_path / "m.sph")]) == 2
+        err = capsys.readouterr().err
+        assert "short.off" in err and "Traceback" not in err
+
+    def test_nonfinite_vertex(self, tmp_path, star_off, capsys):
+        tet = ["0 0 0", "1 0 0", "0 1 0", "0 0 1"]
+        faces = ["3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]
+        nan = tmp_path / "nan.off"
+        nan.write_text("\n".join(["OFF", "4 4 0", "nan 0 0"] + tet[1:] + faces) + "\n")
+        assert main(["align", str(nan), star_off, "-b", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """``--threads`` sets the BLAS/OpenMP variables in ``main``; that only
+    works if importing the CLI has not loaded numpy already."""
+    src = str(Path(__import__("spheresig").__path__[0]).parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spheresig.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestCheckpointAgainstConfig:

@@ -37,6 +37,12 @@ class TestLoading:
         mesh = load_off(str(path))
         assert len(mesh.faces) == 2
 
+    def test_off_face_colours_ignored(self, tmp_path):
+        path = tmp_path / "colour.off"
+        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2 255 0 0\n3 0 2 3 0 9 0\n")
+        mesh = load_off(str(path))
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
+
     def test_obj_subset(self, tmp_path):
         path = tmp_path / "tri.obj"
         path.write_text("# comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1/2/3 2//1 3\nf 1 3 4\n")

@@ -13,6 +13,7 @@ from spheresig.rotation import (
     _small_d_many,
     geodesic_distance,
     random_rotations,
+    rotate_packed,
     rotate_signal,
     rotate_spectrum,
     rotation_from_matrix,
@@ -44,11 +45,11 @@ class TestWignerBlocks:
     def test_identity_rotation_is_exact_identity(self):
         for l in (0, 1, 4):
             block = wigner_d(l, RotationZYZ(0, 0, 0))
-            np.testing.assert_array_equal(block.matrix, np.eye(2 * l + 1))
+            np.testing.assert_array_equal(block, np.eye(2 * l + 1))
 
     def test_z_rotation_is_diagonal_phase(self):
         g = 0.9
-        block = wigner_d(3, RotationZYZ(0, 0, g)).matrix
+        block = wigner_d(3, RotationZYZ(0, 0, g))
         m = np.arange(-3, 4)
         np.testing.assert_allclose(np.diag(block), np.exp(-1j * m * g), atol=1e-15)
         np.testing.assert_allclose(block - np.diag(np.diag(block)), 0, atol=1e-15)
@@ -56,14 +57,14 @@ class TestWignerBlocks:
     def test_unitarity(self):
         r = RotationZYZ(0.4, 1.2, 2.7)
         for l in (1, 3, 10, 40):
-            d = wigner_d(l, r).matrix
+            d = wigner_d(l, r)
             np.testing.assert_allclose(d @ d.conj().T, np.eye(2 * l + 1), atol=1e-10)
 
     def test_matches_factorial_formula(self):
         rng = np.random.default_rng(8)
         for l in range(6):
             beta = rng.uniform(0.05, np.pi - 0.05)
-            d = wigner_d(l, RotationZYZ(0.0, beta, 0.0)).matrix.real
+            d = wigner_d(l, RotationZYZ(0.0, beta, 0.0)).real
             for i, mp in enumerate(range(-l, l + 1)):
                 for j, m in enumerate(range(-l, l + 1)):
                     np.testing.assert_allclose(
@@ -102,6 +103,19 @@ class TestRotateSpectrum:
                 np.linalg.norm(c.degree(l), axis=1),
                 rtol=1e-12,
             )
+
+    def test_packed_mixed_bandwidths_match_per_spectrum(self):
+        rng = np.random.default_rng(5)
+        specs = [random_coeffs(b, ch, rng) for b, ch in ((4, 1), (16, 3), (8, 2))]
+        for r in random_rotations(2, seed=6) + [RotationZYZ(0.7, 0.0, 1.1)]:
+            out = rotate_packed([c.coeffs for c in specs], r)
+            assert len(out) == len(specs)
+            for got, c in zip(out, specs):
+                np.testing.assert_array_equal(got, rotate_spectrum(c, r).coeffs)
+
+    def test_packed_rejects_non_square_length(self):
+        with pytest.raises(ValueError):
+            rotate_packed([np.zeros((1, 5), dtype=np.complex128)], RotationZYZ(0, 0, 0))
 
 
 class TestRotateSignal:
@@ -201,7 +215,7 @@ class TestSampling:
         acc = np.zeros((3, 3), dtype=np.complex128)
         rots = random_rotations(10_000, seed=13)
         for r in rots:
-            acc += wigner_d(1, r).matrix
+            acc += wigner_d(1, r)
         assert np.abs(acc / len(rots)).max() < 0.05
 
     def test_sample_rotations_dispatch(self):
