@@ -49,7 +49,6 @@ _EXPORTS = {
         "rotate_spectrum",
         "rotation_grid",
         "random_rotations",
-        "sample_rotations",
         "wigner_d",
     ),
     "sft": (

@@ -39,9 +39,18 @@ def _emit(doc: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse=None):
+    """A JSON object from ``path``, passed through ``parse`` if given.  A field
+    of the wrong JSON type (a string for a list, null for a number) surfaces
+    as TypeError/AttributeError while parsing: a data error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return doc if parse is None else parse(doc)
+    except (TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +108,9 @@ def _filter_from_json(doc: dict):
 
 
 def _load_checkpoint(path: str, config):
-    """Checkpoint tensors, checked by name and then by shape against ``config``."""
+    """Checkpoint tensors, checked by name, then shape, then finiteness against ``config``."""
+    import numpy as np
+
     from .formats import read_ckpt1
     from .network import ParameterStore, parameter_shapes
 
@@ -117,6 +128,8 @@ def _load_checkpoint(path: str, config):
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                 f"the config needs {shape}"
             )
+        if not np.isfinite(tensors[name]).all():
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
     return ParameterStore(tensors=tensors)
 
 
@@ -185,7 +198,7 @@ def _cmd_conv(args) -> int:
     from .spectral import conv_spectral
 
     coeffs = read_spec1(args.input)
-    h = _filter_from_json(_load_json(args.filter))
+    h = _load_json(args.filter, _filter_from_json)
     write_spec1(args.output, conv_spectral(coeffs, h))
     return 0
 
@@ -232,7 +245,7 @@ def _cmd_train(args) -> int:
     from .formats import write_ckpt1
     from .network import TrainSchedule, predict, train
 
-    config = _network_from_json(_load_json(args.config))
+    config = _load_json(args.config, _network_from_json)
     meta, signals, labels = _load_dataset_dir(args.data)
     x = np.stack([s.values for s in signals])
     schedule = TrainSchedule(
@@ -263,7 +276,7 @@ def _cmd_infer(args) -> int:
     from .formats import read_sph1
     from .network import forward
 
-    config = _network_from_json(_load_json(args.config))
+    config = _load_json(args.config, _network_from_json)
     params = _load_checkpoint(args.ckpt, config)
     sig = read_sph1(args.input)
     logits, _ = forward(config, params, sig)
@@ -283,7 +296,7 @@ def _cmd_align(args) -> int:
     if args.net:
         if not args.config:
             raise UsageError("--net requires --config")
-        net = _network_from_json(_load_json(args.config))
+        net = _load_json(args.config, _network_from_json)
         params = _load_checkpoint(args.net, net)
     truth = None
     if args.truth:
@@ -319,7 +332,7 @@ def _cmd_equiv_report(args) -> int:
     from .sft import SphericalSignal, random_bandlimited_signal
     from .synth import make_blob_dataset
 
-    config = _network_from_json(_load_json(args.config))
+    config = _load_json(args.config, _network_from_json)
     b = config.input_bandwidth
     if args.bandlimited:
         rng = np.random.default_rng(args.seed)

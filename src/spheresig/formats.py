@@ -5,18 +5,20 @@ All integers and floats are little-endian.
 SPH1:  magic ``SPH1`` | u32 bandwidth | u32 channels | u8 dtype (0=f32, 1=f64)
        | payload: channel-major, then colatitude row, then longitude column.
 
-SPEC1: magic ``SPEC`` | u32 bandwidth | u32 channels | u8 real_origin
+SPEC1: magic ``SPEC`` | u32 bandwidth | u32 channels | u8 storage
        | packed complex float64 pairs in (l, m) lexicographic order, with m
-       running -l..l, or 0..l when real_origin is set (negative orders are
-       reconstructed from the conjugation symmetry, losslessly because the
-       analysis path derives them from the same symmetry).
+       running -l..l (storage 0), or 0..l (storage 1: only m >= 0, written
+       whenever the coefficients are exactly conjugate-symmetric; the reader
+       mirrors the negative orders back through ``sft.mirror_negative``, so
+       every round trip is bit-exact).
 
 CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
        utf-8 name, u8 rank, u32 dims, float32 payload.
 
 Readers reject wrong magic bytes, bandwidths outside the grid's range, zero
-channel counts and truncated payloads; declared sizes are checked against the
-bytes left in the file before anything is read or allocated.
+channel counts, unknown dtype or storage codes, repeated tensor names and
+truncated payloads; declared sizes are checked against the bytes left in the
+file before anything is read or allocated.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import FormatError
 from .grid import DEFAULT_MAX_BANDWIDTH, make_grid
-from .sft import SpectralCoeffs, SphericalSignal
+from .sft import SpectralCoeffs, SphericalSignal, half_index, mirror_negative
 
 _SPH_MAGIC = b"SPH1"
 _SPEC_MAGIC = b"SPEC"
@@ -81,24 +83,13 @@ def read_sph1(path: str) -> SphericalSignal:
     return SphericalSignal(make_grid(b), values.astype(np_dtype[1:], copy=True))
 
 
-def _half_index(b: int) -> np.ndarray:
-    """Packed-layout indices of the m >= 0 coefficients, (l, m) lexicographic."""
-    idx = []
-    for l in range(b):
-        for m in range(l + 1):
-            idx.append(l * l + l + m)
-    return np.array(idx)
-
-
 def write_spec1(path: str, coeffs: SpectralCoeffs) -> None:
-    b = coeffs.bandwidth
+    b, c = coeffs.bandwidth, coeffs.coeffs
+    half = mirror_negative(c.copy()).tobytes() == c.tobytes()
     with open(path, "wb") as fh:
         fh.write(_SPEC_MAGIC)
-        fh.write(struct.pack("<IIB", b, coeffs.channels, 1 if coeffs.real_origin else 0))
-        if coeffs.real_origin:
-            data = coeffs.coeffs[:, _half_index(b)]
-        else:
-            data = coeffs.coeffs
+        fh.write(struct.pack("<IIB", b, coeffs.channels, int(half)))
+        data = c[:, half_index(b)] if half else c
         fh.write(np.ascontiguousarray(data, dtype="<c16").tobytes())
 
 
@@ -106,22 +97,20 @@ def read_spec1(path: str) -> SpectralCoeffs:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != _SPEC_MAGIC:
             raise FormatError(f"{path}: not a SPEC1 file")
-        b, channels, real_origin = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
+        b, channels, half = struct.unpack("<IIB", _read_exact(fh, 9, "header"))
         _check_header(path, b, channels)
-        count = (b * (b + 1)) // 2 if real_origin else b * b
+        if half not in (0, 1):
+            raise FormatError(f"{path}: unknown storage code {half}")
+        count = (b * (b + 1)) // 2 if half else b * b
         payload = _read_exact(fh, channels * count * 16, "payload")
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     data = np.frombuffer(payload, dtype="<c16").reshape(channels, count)
-    if not real_origin:
-        return SpectralCoeffs(b, data.copy(), real_origin=False)
+    if not half:
+        return SpectralCoeffs(b, data.copy())
     full = np.zeros((channels, b * b), dtype=np.complex128)
-    full[:, _half_index(b)] = data
-    for l in range(b):
-        base = l * l + l
-        for m in range(1, l + 1):
-            full[:, base - m] = (-1) ** m * np.conj(full[:, base + m])
-    return SpectralCoeffs(b, full, real_origin=True)
+    full[:, half_index(b)] = data
+    return SpectralCoeffs(b, mirror_negative(full))
 
 
 def write_ckpt1(path: str, tensors: dict[str, np.ndarray]) -> None:
@@ -147,6 +136,8 @@ def read_ckpt1(path: str) -> dict[str, np.ndarray]:
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
             name = _read_exact(fh, nlen, "name").decode("utf-8")
+            if name in out:
+                raise FormatError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "shape"))
             size = math.prod(shape)

@@ -50,6 +50,11 @@ class LayerConfig:
     nonlinearity: str = "relu"  # "relu" | "none"
 
     def __post_init__(self) -> None:
+        if min(self.in_channels, self.out_channels) < 1:
+            raise ValueError(
+                f"channel counts must be at least 1, got {self.in_channels} -> "
+                f"{self.out_channels}"
+            )
         if self.filter_mode not in ("anchored", "full"):
             raise ValueError(f"unknown filter mode {self.filter_mode!r}")
         if self.pool not in ("none", "sp", "wap", "max"):
@@ -72,7 +77,11 @@ class NetworkConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.branches not in (1, 2):
             raise ValueError("branches must be 1 or 2")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
         layers = tuple(self.layers)
+        if not layers:
+            raise ValueError("a network needs at least one layer")
         prev = None
         for i, lay in enumerate(layers):
             if prev is not None and lay.in_channels != prev:

@@ -187,21 +187,21 @@ def rotate_spectrum(coeffs, r: RotationZYZ):
     from .sft import SpectralCoeffs
 
     (out,) = rotate_packed([coeffs.coeffs], r)
-    return SpectralCoeffs(coeffs.bandwidth, out, real_origin=coeffs.real_origin)
+    return SpectralCoeffs(coeffs.bandwidth, out)
 
 
 def rotate_signal(signal, r: RotationZYZ, table):
     """Rotate a sampled signal: SFT, per-degree block action, ISFT.
 
     Exact for bandlimited signals; signals with unresolved content are
-    implicitly bandlimited by the analysis step.
+    implicitly bandlimited by the analysis step.  The rotated spectrum is
+    synthesized from its orders m >= 0, as the rotation of a real signal.
     """
-    from .sft import isft, sft_sepvar
+    from .sft import SphericalSignal, _synthesis_real, sft_sepvar
 
     spec = rotate_spectrum(sft_sepvar(signal, table), r)
-    out = isft(spec, table)
-    out.values = out.values.astype(signal.values.dtype, copy=False)
-    return out
+    vals = _synthesis_real(spec.coeffs, table)
+    return SphericalSignal(table.grid, vals.astype(signal.values.dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +245,3 @@ def rotation_grid(n_alpha: int, n_beta: int, n_gamma: int) -> list[RotationZYZ]:
     return [
         RotationZYZ(a, b, g) for a in alphas for b in betas for g in gammas
     ]
-
-
-def sample_rotations(scheme: str, **kwargs) -> list[RotationZYZ]:
-    """Named dispatch over the two sampling schemes.
-
-    ``sample_rotations("random_uniform", seed=0, count=10)`` draws
-    Haar-uniform rotations; ``sample_rotations("equiangular_grid",
-    n_alpha=8, n_beta=4, n_gamma=8)`` enumerates the ZYZ lattice.
-    """
-    if scheme == "random_uniform":
-        return random_rotations(kwargs["count"], kwargs.get("seed"))
-    if scheme == "equiangular_grid":
-        return rotation_grid(kwargs["n_alpha"], kwargs["n_beta"], kwargs["n_gamma"])
-    raise ValueError(f"unknown rotation sampling scheme: {scheme!r}")

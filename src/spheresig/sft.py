@@ -9,11 +9,18 @@ with ``w_j`` the grid's quadrature weights; synthesis is the plain harmonic
 sum.  Kernels: ``_analysis_sepvar_real`` (row-wise FFT over longitude, then
 a dense associated Legendre transform per order, O(b^3); wins from b = 32
 up), ``_analysis_direct`` (full-grid contraction per order, O(b^4); the
-reference, agreeing to ~1e-12), ``_synthesis_real`` (real arithmetic over
-orders m >= 0 of conjugate-symmetric coefficients) and ``_synthesis_complex``
-(any complex coefficients).  The adjoints backpropagation needs reuse them
-(Driscoll & Healy 1994): the adjoint of analysis is synthesis times the
-quadrature measure, that of synthesis is analysis with unit weights.
+reference, agreeing to ~1e-12) and ``_synthesis_real`` (real arithmetic over
+the orders m >= 0 of conjugate-symmetric coefficients).  The adjoints
+backpropagation needs reuse them (Driscoll & Healy 1994): the adjoint of
+analysis is synthesis times the quadrature measure, that of synthesis is
+analysis with unit weights.
+
+The spectrum of a real function obeys c_{-m}^l = (-1)^m conj(c_m^l).
+``conj_mirror`` states that rule once; the analysis kernels, random spectra
+and the SPEC1 reader fill their negative orders through ``mirror_negative``.
+``isft`` returns the real part of the full harmonic sum of any coefficients:
+it synthesizes their conjugate-symmetric part (c + conj_mirror(c)) / 2,
+which equals the coefficients bit for bit when they came from a real signal.
 
 Coefficients are stored packed per channel: degree l occupies the slice
 [l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds exactly
@@ -24,6 +31,7 @@ All accumulation is float64/complex128 regardless of the signal dtype.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +71,12 @@ class SphericalSignal:
 class SpectralCoeffs:
     """Packed harmonic coefficients, (C, b*b) complex128.
 
-    real_origin marks coefficients obtained from a real signal, for which
-    c_{-m}^l = (-1)^m conj(c_m^l) holds entry-exactly by construction.
+    Coefficients obtained from a real signal satisfy the conjugation rule
+    entry-exactly by construction (see ``conj_mirror``).
     """
 
     bandwidth: int
     coeffs: np.ndarray
-    real_origin: bool = True
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -99,11 +106,44 @@ def coeff_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
+def packed_orders(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree l and order m of each slot of the packed layout, length b*b each."""
+    l = np.repeat(np.arange(b), 2 * np.arange(b) + 1)
+    return l, np.arange(b * b) - l * l - l
+
+
+def half_index(b: int) -> np.ndarray:
+    """Packed slots of the orders m >= 0, in (l, m) lexicographic order."""
+    return np.flatnonzero(packed_orders(b)[1] >= 0)
+
+
+def conj_mirror(coeffs: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
+    """(-1)^m conj(c_{-m}^l) at the packed ``slots`` (l, m) of (..., b*b)
+    coefficients, every slot by default.
+
+    The spectrum of a real function equals its mirror (Driscoll & Healy 1994);
+    the mirror is an involution, exact in floating point.
+    """
+    slots = np.arange(coeffs.shape[-1]) if slots is None else slots
+    m = packed_orders(math.isqrt(coeffs.shape[-1]))[1][slots]
+    out = np.conj(coeffs[..., slots - 2 * m])
+    np.negative(out, out=out, where=m % 2 == 1)
+    return out
+
+
+def mirror_negative(coeffs: np.ndarray) -> np.ndarray:
+    """Overwrite the negative orders of ``coeffs`` with the mirror of the
+    positive ones, in place; returns ``coeffs``."""
+    neg = np.flatnonzero(packed_orders(math.isqrt(coeffs.shape[-1]))[1] < 0)
+    coeffs[..., neg] = conj_mirror(coeffs, neg)
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # Kernels.  values arrays carry shape (..., 2b, 2b); packed coefficient
-# arrays carry shape (..., b*b).  The real-input analysis fills negative
-# orders through the conjugation symmetry so the identity holds
-# entry-exactly; the real synthesis reads only orders m >= 0.
+# arrays carry shape (..., b*b).  The analysis kernels compute the orders
+# m >= 0 and mirror the rest, so the conjugation rule holds entry-exactly;
+# the synthesis reads only orders m >= 0.
 # ---------------------------------------------------------------------------
 
 
@@ -127,9 +167,7 @@ def _analysis_sepvar_real(
         block = pref * (gw[..., :, m] @ table.legendre[m:, m, :].T)  # (..., b-m)
         ls = np.arange(m, b)
         out[..., ls * ls + ls + m] = block
-        if m > 0:
-            out[..., ls * ls + ls - m] = (-1) ** m * np.conj(block)
-    return out
+    return mirror_negative(out)
 
 
 def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
@@ -145,9 +183,7 @@ def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
         block = pref * np.tensordot(wf, ybar, axes=([-2, -1], [1, 2]))
         ls = np.arange(m, b)
         out[..., ls * ls + ls + m] = block
-        if m > 0:
-            out[..., ls * ls + ls - m] = (-1) ** m * np.conj(block)
-    return out
+    return mirror_negative(out)
 
 
 def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
@@ -159,20 +195,6 @@ def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
         ls = np.arange(m, b)
         h[..., :, m] = coeffs[..., ls * ls + ls + m] @ table.legendre[m:, m, :]
     return np.fft.irfft(h * n, n=n, axis=-1)
-
-
-def _synthesis_complex(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    b = table.bandwidth
-    n = 2 * b
-    h = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
-    for m in range(b):
-        ls = np.arange(m, b)
-        h[..., :, m] = coeffs[..., ls * ls + ls + m] @ table.legendre[m:, m, :]
-        if m > 0:
-            h[..., :, n - m] = ((-1) ** m * coeffs[..., ls * ls + ls - m]) @ table.legendre[
-                m:, m, :
-            ]
-    return np.fft.ifft(h * n, axis=-1)
 
 
 def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable) -> np.ndarray:
@@ -204,30 +226,28 @@ def sft_direct(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
     """Forward transform by direct quadrature over the full grid."""
     _check_match(signal.bandwidth, table)
     vals = np.asarray(signal.values, dtype=np.float64)
-    return SpectralCoeffs(table.bandwidth, _analysis_direct(vals, table), real_origin=True)
+    return SpectralCoeffs(table.bandwidth, _analysis_direct(vals, table))
 
 
 def sft_sepvar(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
     """Forward transform via row-wise FFT + dense Legendre transform per order."""
     _check_match(signal.bandwidth, table)
     vals = np.asarray(signal.values, dtype=np.float64)
-    return SpectralCoeffs(table.bandwidth, _analysis_sepvar_real(vals, table), real_origin=True)
+    return SpectralCoeffs(table.bandwidth, _analysis_sepvar_real(vals, table))
 
 
 def isft(
     coeffs: SpectralCoeffs, table: HarmonicTable, dtype: np.dtype | type = np.float64
 ) -> SphericalSignal:
-    """Inverse transform.
+    """Inverse transform: the real part of the full harmonic sum.
 
-    For real-origin coefficients the real-arithmetic expansion over m >= 0 is
-    used.  Other coefficients go through the complex path; the imaginary
-    residue is dropped (it is < 1e-9 whenever the conjugation symmetry holds).
+    That is the synthesis of the conjugate-symmetric part (c + conj_mirror(c)) / 2
+    of the coefficients, which is ``c`` itself, bit for bit, for coefficients
+    of a real signal.
     """
     _check_match(coeffs.bandwidth, table)
-    if coeffs.real_origin:
-        vals = _synthesis_real(coeffs.coeffs, table)
-    else:
-        vals = _synthesis_complex(coeffs.coeffs, table).real
+    c = coeffs.coeffs
+    vals = _synthesis_real(0.5 * (c + conj_mirror(c)), table)
     return SphericalSignal(table.grid, vals.astype(dtype, copy=False))
 
 
@@ -242,17 +262,17 @@ def random_coeffs(
 ) -> SpectralCoeffs:
     """Random coefficients satisfying the real-signal conjugation symmetry."""
     rng = np.random.default_rng() if rng is None else rng
+    # Draw k of degree l (row l*l + k): k = 0 is the order 0, then the real
+    # and imaginary parts of the orders 1 .. l in turn.
+    z = rng.standard_normal((b * b, channels)).T
     c = np.zeros((channels, b * b), dtype=np.complex128)
-    for l in range(b):
-        base = l * l + l
-        c[:, base] = scale * rng.standard_normal(channels)
-        for m in range(1, l + 1):
-            z = scale * (
-                rng.standard_normal(channels) + 1j * rng.standard_normal(channels)
-            ) / np.sqrt(2.0)
-            c[:, base + m] = z
-            c[:, base - m] = (-1) ** m * np.conj(z)
-    return SpectralCoeffs(b, c, real_origin=True)
+    ls = np.arange(b)
+    c[:, ls * ls + ls] = scale * z[:, ls * ls]
+    l, m = packed_orders(b)
+    l, m = l[m > 0], m[m > 0]
+    re = l * l + 2 * m - 1
+    c[:, l * l + l + m] = scale * (z[:, re] + 1j * z[:, re + 1]) / np.sqrt(2.0)
+    return SpectralCoeffs(b, mirror_negative(c))
 
 
 def random_bandlimited_signal(
@@ -273,7 +293,7 @@ def evaluate_coeffs_at(
 
     Exact (up to rounding) for any direction set, independent of the grid;
     used for resampling under rotation and as a reference in tests.
-    Returns an array of shape (channels,) + thetas.shape.
+    Returns the real part, like ``isft``, of shape (channels,) + thetas.shape.
     """
     from .harmonics import normalized_legendre
 
@@ -291,6 +311,4 @@ def evaluate_coeffs_at(
         else:
             neg = ((-1) ** m * coeffs.coeffs[:, ls * ls + ls - m]) @ leg[m:, m, :]
             out += pos * phase[m] + neg * np.conj(phase[m])
-    if coeffs.real_origin:
-        return out.real.reshape((coeffs.channels,) + thetas.shape)
-    return out.reshape((coeffs.channels,) + thetas.shape)
+    return out.real.reshape((coeffs.channels,) + thetas.shape)

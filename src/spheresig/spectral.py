@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import SphericalGrid, make_grid
 from .harmonics import HarmonicTable, shared_table
-from .sft import SpectralCoeffs, SphericalSignal, isft
+from .sft import SpectralCoeffs, SphericalSignal, isft, packed_orders
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,19 @@ class ZonalFilterSpec:
             fc = np.asarray(self.full_coeffs, dtype=np.float64)
             if fc.shape != (b,):
                 raise ValueError(f"full spectrum must have length {b}, got {fc.shape}")
+            if not np.isfinite(fc).all():
+                raise ValueError("full spectrum holds non-finite values")
             object.__setattr__(self, "full_coeffs", fc)
         elif self.mode == "anchored":
-            deg = np.asarray(self.anchor_degrees, dtype=np.int64)
+            raw = np.asarray(self.anchor_degrees, dtype=np.float64)
             val = np.asarray(self.anchor_values, dtype=np.float64)
-            if deg.ndim != 1 or deg.shape != val.shape:
+            if raw.ndim != 1 or raw.shape != val.shape:
                 raise ValueError("anchor degrees and values must be 1-d and matched")
+            if not np.isfinite(val).all():
+                raise ValueError("anchor values hold non-finite values")
+            if np.any(raw != np.round(raw)):  # NaN fails this too
+                raise ValueError(f"anchor degrees must be integers, got {raw.tolist()}")
+            deg = raw.astype(np.int64)
             if len(deg) < 2 or np.any(np.diff(deg) <= 0):
                 raise ValueError("anchor degrees must be strictly increasing")
             if deg[0] != 0 or deg[-1] != b - 1:
@@ -73,11 +80,6 @@ def conv_scale(b: int) -> np.ndarray:
     """Degree-wise constant 2 pi sqrt(4 pi / (2l+1)) of the convolution theorem."""
     ls = np.arange(b)
     return 2.0 * np.pi * np.sqrt(4.0 * np.pi / (2.0 * ls + 1.0))
-
-
-def degree_of_index(b: int) -> np.ndarray:
-    """Degree of each slot in the packed coefficient layout, length b*b."""
-    return np.repeat(np.arange(b), 2 * np.arange(b) + 1)
 
 
 def interp_matrix(b: int, anchors: np.ndarray) -> np.ndarray:
@@ -148,7 +150,7 @@ def conv_spectral(f: SpectralCoeffs, h: ZonalFilterSpec) -> SpectralCoeffs:
             f"bandwidth mismatch: coeffs b={f.bandwidth}, filter b={h.bandwidth}"
         )
     out = conv_fwd(f.coeffs[:, None], realize_filter(h)[None, None])[:, 0]
-    return SpectralCoeffs(f.bandwidth, out, real_origin=f.real_origin)
+    return SpectralCoeffs(f.bandwidth, out)
 
 
 def filter_to_signal(spec: ZonalFilterSpec, table: HarmonicTable | None = None) -> SphericalSignal:
@@ -158,7 +160,7 @@ def filter_to_signal(spec: ZonalFilterSpec, table: HarmonicTable | None = None) 
     c = np.zeros((1, b * b), dtype=np.complex128)
     ls = np.arange(b)
     c[0, ls * ls + ls] = realize_filter(spec)
-    return isft(SpectralCoeffs(b, c, real_origin=True), table)
+    return isft(SpectralCoeffs(b, c), table)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +195,9 @@ def spectral_pool(f: SpectralCoeffs, presmooth: bool = False) -> SpectralCoeffs:
     half = _halved(f.bandwidth)
     out = np.array(sp_fwd(f.coeffs, half))
     if presmooth:
-        ls = degree_of_index(half)
+        ls = packed_orders(half)[0]
         out *= np.cos(0.5 * np.pi * ls / half) ** 2
-    return SpectralCoeffs(half, out, real_origin=f.real_origin)
+    return SpectralCoeffs(half, out)
 
 
 def _blocks(values: np.ndarray) -> np.ndarray:
@@ -286,7 +288,7 @@ def magl_vjp(dnorms: np.ndarray, coeffs: np.ndarray, norms: np.ndarray) -> np.nd
     """Cotangent in the coefficients; a zero norm passes no gradient."""
     safe = norms > 0
     scale = np.where(safe, dnorms / np.where(safe, norms, 1.0), 0.0)
-    return scale[..., degree_of_index(norms.shape[-1])] * coeffs
+    return scale[..., packed_orders(norms.shape[-1])[0]] * coeffs
 
 
 def wgap(signal: SphericalSignal) -> InvariantDescriptor:

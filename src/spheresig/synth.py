@@ -205,7 +205,7 @@ def make_harmonic_dataset(
             mask = np.zeros(b * b)
             for l in degs:
                 mask[l * l : (l + 1) * (l + 1)] = 1.0
-            c = SpectralCoeffs(b, c.coeffs * mask, real_origin=True)
+            c = SpectralCoeffs(b, c.coeffs * mask)
             signals.append(isft(c, table))
             labels.append(ci)
     names = ["deg" + "_".join(map(str, d)) for d in degree_sets]

@@ -275,3 +275,70 @@ class TestCheckpointAgainstConfig:
         assert main(["align", star_off, star_off, "-b", "8", "--net", ckpt,
                      "--config", cfgfile, "--layer", "conv1"]) == 2
         assert "missing tensor 'head/weight'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("head/weight", np.nan), ("conv1/filters", np.inf)])
+    def test_nonfinite_tensor(self, tmp_path, files, capsys, name, value):
+        tensors = dict(files[1])
+        tensors[name] = np.full_like(tensors[name], value)
+        assert self.infer(tmp_path, files, tensors) == 2
+        err = capsys.readouterr().err
+        assert f"{name!r} holds non-finite values" in err and "Traceback" not in err
+
+    def test_repeated_tensor(self, tmp_path, files, capsys):
+        """A second ``conv1/bias`` must not silently replace the first."""
+        cfgfile, tensors, sig = files
+        ckpt, extra = tmp_path / "m.ckpt", tmp_path / "bias.ckpt"
+        write_ckpt1(str(ckpt), tensors)
+        write_ckpt1(str(extra), {"conv1/bias": np.zeros_like(tensors["conv1/bias"])})
+        body = ckpt.read_bytes()[9:] + extra.read_bytes()[9:]
+        ckpt.write_bytes(b"CKPT1" + struct.pack("<I", len(tensors) + 1) + body)
+        assert main(["infer", "--config", cfgfile, "--ckpt", str(ckpt), "--input", sig]) == 2
+        assert "'conv1/bias' appears twice" in capsys.readouterr().err
+
+
+class TestJsonEdges:
+    """Config and filter JSON of the wrong shape exit 2 with a message, never a traceback."""
+
+    NET = dict(input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2)])
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([NET], "expected a JSON object"),
+            (dict(NET, layers="ab"), "net.json: string indices must be integers"),
+            (dict(NET, layers=[]), "at least one layer"),
+            (dict(NET, layers=[dict(out_channels=0)]), "channel counts must be at least 1"),
+        ],
+        ids=["top-level-list", "layers-string", "layers-empty", "out-channels-0"],
+    )
+    def test_network_config(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["equiv-report", "--config", str(cfg), "--count", "1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([dict(mode="full", bandwidth=8, coeffs=[1.0] * 8)], "expected a JSON object"),
+            (dict(mode="full", bandwidth=8, coeffs=[None] + [1.0] * 7), "non-finite"),
+            (
+                dict(mode="anchored", bandwidth=8, degrees=[0, 1.5, 7], values=[1, 2, 3]),
+                "anchor degrees must be integers",
+            ),
+        ],
+        ids=["top-level-list", "null-coefficient", "fractional-degree"],
+    )
+    def test_filter(self, tmp_path, bandlimited_sph, capsys, doc, message):
+        spec = tmp_path / "x.spec"
+        assert main(["sft", bandlimited_sph[0], "-o", str(spec)]) == 0
+        filt = tmp_path / "f.json"
+        filt.write_text(json.dumps(doc))
+        out = tmp_path / "y.spec"
+        assert main(["conv", str(spec), "--filter", str(filt), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """Binary containers: round trips are bit-exact, corruption is rejected."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -69,17 +71,15 @@ class TestSpec1:
         path = str(tmp_path / "x.spec")
         write_spec1(path, c)
         back = read_spec1(path)
-        assert back.real_origin
         np.testing.assert_array_equal(back.coeffs, c.coeffs)
 
     def test_full_storage_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
-        c = SpectralCoeffs(4, raw, real_origin=False)
+        c = SpectralCoeffs(4, raw)
         path = str(tmp_path / "x.spec")
         write_spec1(path, c)
         back = read_spec1(path)
-        assert not back.real_origin
         np.testing.assert_array_equal(back.coeffs, c.coeffs)
 
     def test_payload_is_half_size_for_real_origin(self, tmp_path):
@@ -87,8 +87,52 @@ class TestSpec1:
         half = tmp_path / "half.spec"
         write_spec1(str(half), c)
         full = tmp_path / "full.spec"
-        write_spec1(str(full), SpectralCoeffs(8, c.coeffs, real_origin=False))
+        perturbed = c.coeffs.copy()
+        perturbed[0, 1] += 1e-3  # the order -1 of degree 1 alone: no longer symmetric
+        write_spec1(str(full), SpectralCoeffs(8, perturbed))
         assert half.stat().st_size < full.stat().st_size
+
+    def test_nonsymmetric_roundtrip_is_exact(self, tmp_path):
+        """One negative order a single ulp off the mirror forces full storage."""
+        c = random_coeffs(8, 2, np.random.default_rng(8)).coeffs
+        c[1, 5] = np.nextafter(c[1, 5].real, np.inf) + 1j * c[1, 5].imag
+        path = tmp_path / "x.spec"
+        write_spec1(str(path), SpectralCoeffs(8, c))
+        assert path.read_bytes()[12] == 0
+        np.testing.assert_array_equal(read_spec1(str(path)).coeffs, c)
+
+    def test_symmetric_coefficients_use_half_storage(self, tmp_path):
+        path = tmp_path / "x.spec"
+        write_spec1(str(path), random_coeffs(4, 1, np.random.default_rng(9)))
+        assert path.read_bytes()[12] == 1
+
+    def test_half_storage_read_matches_loop(self, tmp_path):
+        """The reader's mirrored negative orders equal the per-(l, m) loop's."""
+        b, channels = 9, 2
+        rng = np.random.default_rng(10)
+        half = rng.standard_normal((channels, b * (b + 1) // 2)) * (1 + 1j)
+        path = tmp_path / "x.spec"
+        path.write_bytes(
+            b"SPEC" + struct.pack("<IIB", b, channels, 1) + half.astype("<c16").tobytes()
+        )
+        want = np.zeros((channels, b * b), dtype=np.complex128)
+        k = 0
+        for l in range(b):
+            for m in range(l + 1):
+                want[:, l * l + l + m] = half[:, k]
+                k += 1
+            for m in range(1, l + 1):
+                want[:, l * l + l - m] = (-1) ** m * np.conj(want[:, l * l + l + m])
+        np.testing.assert_array_equal(read_spec1(str(path)).coeffs, want)
+
+    def test_unknown_storage_code(self, tmp_path):
+        path = tmp_path / "x.spec"
+        write_spec1(str(path), random_coeffs(4, 1, np.random.default_rng(11)))
+        data = bytearray(path.read_bytes())
+        data[12] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="storage"):
+            read_spec1(str(path))
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.spec"
@@ -118,6 +162,14 @@ class TestCkpt1:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"CKPTX" + b"\0" * 8)
         with pytest.raises(FormatError):
+            read_ckpt1(str(path))
+
+    def test_repeated_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_ckpt1(str(path), {"w": np.ones(2)})
+        data = path.read_bytes()
+        path.write_bytes(data[:5] + struct.pack("<I", 2) + data[9:] * 2)
+        with pytest.raises(FormatError, match="twice"):
             read_ckpt1(str(path))
 
     def test_truncated_tensor(self, tmp_path):

@@ -18,10 +18,16 @@ from spheresig.rotation import (
     rotate_spectrum,
     rotation_from_matrix,
     rotation_grid,
-    sample_rotations,
     wigner_d,
 )
-from spheresig.sft import evaluate_coeffs_at, isft, random_coeffs
+from spheresig.sft import (
+    SphericalSignal,
+    _synthesis_real,
+    evaluate_coeffs_at,
+    isft,
+    random_coeffs,
+    sft_sepvar,
+)
 
 
 def small_d_reference(l: int, mp: int, m: int, beta: float) -> float:
@@ -139,6 +145,21 @@ class TestRotateSignal:
         back = rotate_signal(rotate_signal(sig, r, table), r.inverse(), table)
         np.testing.assert_allclose(back.values, sig.values, atol=1e-9)
 
+    def test_synthesizes_nonnegative_orders_of_rotated_spectrum(self):
+        """Bit for bit the m >= 0 synthesis of the rotated spectrum, in the
+        input's dtype; ``isft`` of that spectrum differs only by rounding."""
+        b = 8
+        table = build_table(make_grid(b))
+        x = np.random.default_rng(12).standard_normal((2, 2 * b, 2 * b))
+        r = RotationZYZ(0.3, 1.1, -0.7)
+        for dtype in (np.float64, np.float32):
+            sig = SphericalSignal(table.grid, x.astype(dtype))
+            spec = rotate_spectrum(sft_sepvar(sig, table), r)
+            got = rotate_signal(sig, r, table).values
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, _synthesis_real(spec.coeffs, table).astype(dtype))
+            np.testing.assert_allclose(got, isft(spec, table, dtype).values, atol=1e-6)
+
     def test_convention_lock_against_resampling(self):
         """Spectral rotation must equal sampling at inverse-mapped directions.
 
@@ -217,9 +238,3 @@ class TestSampling:
         for r in rots:
             acc += wigner_d(1, r)
         assert np.abs(acc / len(rots)).max() < 0.05
-
-    def test_sample_rotations_dispatch(self):
-        assert len(sample_rotations("random_uniform", count=3, seed=0)) == 3
-        assert len(sample_rotations("equiangular_grid", n_alpha=2, n_beta=2, n_gamma=2)) == 8
-        with pytest.raises(ValueError):
-            sample_rotations("spiral")

@@ -8,19 +8,81 @@ from spheresig.harmonics import build_table
 from spheresig.sft import (
     SpectralCoeffs,
     SphericalSignal,
+    _analysis_direct,
+    _analysis_sepvar_real,
+    _prefactor,
     bandlimit,
     coeff_index,
+    conj_mirror,
     evaluate_coeffs_at,
+    half_index,
     isft,
+    mirror_negative,
     random_coeffs,
     sft_direct,
     sft_sepvar,
 )
-from spheresig.sft import _synthesis_complex
 
 
 def table_for(b):
     return build_table(make_grid(b))
+
+
+def _synthesis_complex(coeffs, table):
+    """Reference synthesis: the full complex harmonic sum over all orders."""
+    b = table.bandwidth
+    n = 2 * b
+    h = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
+    for m in range(b):
+        ls = np.arange(m, b)
+        h[..., :, m] = coeffs[..., ls * ls + ls + m] @ table.legendre[m:, m, :]
+        if m > 0:
+            h[..., :, n - m] = ((-1) ** m * coeffs[..., ls * ls + ls - m]) @ table.legendre[
+                m:, m, :
+            ]
+    return np.fft.ifft(h * n, axis=-1)
+
+
+def loop_random_coeffs(b, channels, rng, scale=1.0):
+    """Reference: one draw per (l, m), negative orders conjugated in the loop."""
+    c = np.zeros((channels, b * b), dtype=np.complex128)
+    for l in range(b):
+        base = l * l + l
+        c[:, base] = scale * rng.standard_normal(channels)
+        for m in range(1, l + 1):
+            z = scale * (
+                rng.standard_normal(channels) + 1j * rng.standard_normal(channels)
+            ) / np.sqrt(2.0)
+            c[:, base + m] = z
+            c[:, base - m] = (-1) ** m * np.conj(z)
+    return c
+
+
+def loop_analysis(values, table, direct):
+    """Reference: both analysis kernels with the conjugate fill inside the m loop."""
+    b = table.bandwidth
+    w = table.grid.quad_weights
+    g = np.fft.rfft(values, axis=-1)[..., :b] * w[:, None]
+    out = np.zeros(values.shape[:-2] + (b * b,), dtype=np.complex128)
+    for m in range(b):
+        if direct:
+            ybar = table.legendre[m:, m, :, None] * table.fourier_phases[m, None, None, :]
+            block = _prefactor(b) * np.tensordot(
+                values * w[:, None], ybar, axes=([-2, -1], [1, 2])
+            )
+        else:
+            block = _prefactor(b) * (g[..., :, m] @ table.legendre[m:, m, :].T)
+        ls = np.arange(m, b)
+        out[..., ls * ls + ls + m] = block
+        if m > 0:
+            out[..., ls * ls + ls - m] = (-1) ** m * np.conj(block)
+    return out
+
+
+def nonsymmetric(b, channels, seed):
+    rng = np.random.default_rng(seed)
+    shape = (channels, b * b)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestForward:
@@ -112,6 +174,14 @@ class TestInverse:
         complex_path = _synthesis_complex(c.coeffs, table).real
         np.testing.assert_allclose(real_path, complex_path, atol=1e-12)
 
+    def test_nonsymmetric_is_real_part_of_harmonic_sum(self):
+        """Negative orders count: isft is Re of the full sum for any coefficients."""
+        for b in (2, 5, 8):
+            table = table_for(b)
+            c = nonsymmetric(b, 2, b)
+            want = _synthesis_complex(c, table).real
+            np.testing.assert_allclose(isft(SpectralCoeffs(b, c), table).values, want, atol=1e-12)
+
     def test_output_dtype(self):
         table = table_for(4)
         c = random_coeffs(4, 1, np.random.default_rng(0))
@@ -164,6 +234,62 @@ class TestPointwiseSynthesis:
         sig = isft(c, table)
         tt, pp = np.meshgrid(table.grid.thetas, table.grid.phis, indexing="ij")
         np.testing.assert_allclose(evaluate_coeffs_at(c, tt, pp), sig.values, atol=1e-12)
+
+
+    def test_nonsymmetric_matches_grid_synthesis(self):
+        table = table_for(6)
+        c = SpectralCoeffs(6, nonsymmetric(6, 2, 8))
+        tt, pp = np.meshgrid(table.grid.thetas, table.grid.phis, indexing="ij")
+        got = evaluate_coeffs_at(c, tt, pp)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, isft(c, table).values, atol=1e-12)
+
+
+class TestConjugationRule:
+    def test_half_index_is_lexicographic_nonnegative_orders(self):
+        for b in (1, 2, 7):
+            want = [l * l + l + m for l in range(b) for m in range(l + 1)]
+            np.testing.assert_array_equal(half_index(b), want)
+
+    def test_mirror_is_an_exact_involution(self):
+        c = nonsymmetric(6, 3, 9)
+        np.testing.assert_array_equal(conj_mirror(conj_mirror(c)), c)
+        for l in range(6):
+            for m in range(-l, l + 1):
+                want = (-1) ** m * np.conj(c[:, coeff_index(l, -m)])
+                np.testing.assert_array_equal(conj_mirror(c)[:, coeff_index(l, m)], want)
+
+    def test_mirror_negative_keeps_nonnegative_orders(self):
+        c = nonsymmetric(5, 2, 10)
+        got = mirror_negative(c.copy())
+        keep = half_index(5)
+        np.testing.assert_array_equal(got[:, keep], c[:, keep])
+        neg = np.setdiff1d(np.arange(25), keep)
+        np.testing.assert_array_equal(got[:, neg], conj_mirror(got)[:, neg])
+
+
+class TestParity:
+    """Vectorized paths against their per-(l, m) loop references, bit for bit."""
+
+    def test_random_coeffs_matches_loop(self):
+        for b in (2, 3, 8, 16, 33):
+            for channels in (1, 3):
+                for seed in (0, 1):
+                    for scale in (1.0, 0.37):
+                        got = random_coeffs(b, channels, np.random.default_rng(seed), scale)
+                        want = loop_random_coeffs(b, channels, np.random.default_rng(seed), scale)
+                        np.testing.assert_array_equal(got.coeffs, want)
+
+    def test_analysis_kernels_match_loop(self):
+        for b in (2, 5, 8, 16):
+            table = table_for(b)
+            x = np.random.default_rng(b).standard_normal((2, 3, 2 * b, 2 * b))
+            np.testing.assert_array_equal(
+                _analysis_sepvar_real(x, table), loop_analysis(x, table, direct=False)
+            )
+            np.testing.assert_array_equal(
+                _analysis_direct(x, table), loop_analysis(x, table, direct=True)
+            )
 
 
 class TestSignalValidation:
