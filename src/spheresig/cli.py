@@ -134,15 +134,28 @@ def _load_checkpoint(path: str, config):
 
 
 def _load_dataset_dir(path: str):
+    """``meta.json`` of a dataset directory: a ``samples`` list of objects, each
+    naming an SPH1 ``file`` (a string) and an integer ``label``."""
     import numpy as np
 
     from .formats import read_sph1
 
-    meta = _load_json(os.path.join(path, "meta.json"))
+    meta_path = os.path.join(path, "meta.json")
+    meta = _load_json(meta_path)
+    samples = meta.get("samples")
+    if not isinstance(samples, list):
+        raise FormatError(f"{meta_path}: 'samples' must be a list of objects")
     signals, labels = [], []
-    for sample in meta["samples"]:
-        signals.append(read_sph1(os.path.join(path, sample["file"])))
-        labels.append(int(sample["label"]))
+    for i, sample in enumerate(samples):
+        if not isinstance(sample, dict):
+            raise FormatError(f"{meta_path}: sample {i} is not an object")
+        file, label = sample.get("file"), sample.get("label")
+        if not isinstance(file, str):
+            raise FormatError(f"{meta_path}: sample {i} needs a string 'file'")
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise FormatError(f"{meta_path}: sample {i} needs an integer 'label'")
+        signals.append(read_sph1(os.path.join(path, file)))
+        labels.append(label)
     return meta, signals, np.array(labels)
 
 
@@ -194,12 +207,18 @@ def _cmd_isft(args) -> int:
 
 
 def _cmd_conv(args) -> int:
+    import numpy as np
+
     from .formats import read_spec1, write_spec1
     from .spectral import conv_spectral
 
     coeffs = read_spec1(args.input)
     h = _load_json(args.filter, _filter_from_json)
-    write_spec1(args.output, conv_spectral(coeffs, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = conv_spectral(coeffs, h)
+    if not np.isfinite(out.coeffs).all():
+        raise FormatError(f"{args.filter}: convolving {args.input} overflows float64")
+    write_spec1(args.output, out)
     return 0
 
 

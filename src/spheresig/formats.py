@@ -16,9 +16,10 @@ CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
        utf-8 name, u8 rank, u32 dims, float32 payload.
 
 Readers reject wrong magic bytes, bandwidths outside the grid's range, zero
-channel counts, unknown dtype or storage codes, repeated tensor names and
-truncated payloads; declared sizes are checked against the bytes left in the
-file before anything is read or allocated.
+channel counts, unknown dtype or storage codes, repeated tensor names,
+truncated payloads and non-finite SPEC1 coefficients (which the writer
+refuses too); declared sizes are checked against the bytes left in the file
+before anything is read or allocated.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def read_sph1(path: str) -> SphericalSignal:
 
 def write_spec1(path: str, coeffs: SpectralCoeffs) -> None:
     b, c = coeffs.bandwidth, coeffs.coeffs
+    if not np.isfinite(c).all():
+        raise FormatError(f"{path}: refusing to write non-finite coefficients")
     half = mirror_negative(c.copy()).tobytes() == c.tobytes()
     with open(path, "wb") as fh:
         fh.write(_SPEC_MAGIC)
@@ -106,6 +109,8 @@ def read_spec1(path: str) -> SpectralCoeffs:
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     data = np.frombuffer(payload, dtype="<c16").reshape(channels, count)
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: coefficients hold non-finite values")
     if not half:
         return SpectralCoeffs(b, data.copy())
     full = np.zeros((channels, b * b), dtype=np.complex128)

@@ -12,6 +12,14 @@ transforms with the ``spectral`` forward of each operation (filter
 realization, per-degree channel mixing, pooling, ReLU, head); the backward
 pass applies their vector-Jacobian products and the ``sft`` transform
 adjoints in reverse, checked against central finite differences in tests.
+
+Inside ``_forward_batch`` and ``backward`` every array is channel-major:
+feature maps are (channel, batch, 2b, 2b) and spectra are half spectra
+(m, l, channel, batch) from ``sft._analysis_half``, so channel mixing is one
+batched matmul and ``sp`` pooling a slice.  No packed spectrum and no
+conjugate mirror appears on this path; the orders m > 0 count twice in the
+filter gradient and the MAG-L norms.  Inputs arrive and taps leave as
+(batch, channel, 2b, 2b) views.
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ from .rotation import random_rotations, rotate_signal
 from .sft import (
     SphericalSignal,
     _analysis_adjoint,
-    _analysis_sepvar_real,
+    _analysis_half,
     _synthesis_adjoint,
-    _synthesis_real,
+    _synthesis_half,
 )
 
 
@@ -267,7 +275,7 @@ def _forward_batch(
 ):
     """Run the network on (B, C, n, n) values; returns logits, taps, cache."""
     bws = [config.input_bandwidth] + config.layer_bandwidths()[:-1]
-    outs = np.split(x, config.branches, axis=1)
+    outs = np.split(x.swapaxes(0, 1), config.branches, axis=0)
     taps: dict[str, np.ndarray] = {}
     cache: dict = {"layers": []}
     for i, lay in enumerate(config.layers):
@@ -281,18 +289,18 @@ def _forward_batch(
         for br in reversed(range(config.branches)):
             xin = outs[br]
             if config.branches == 2 and br == 0 and i in config.concat_layers:
-                xin = np.concatenate([xin, outs[1]], axis=1)
+                xin = np.concatenate([xin, outs[1]], axis=0)
             prefix = "" if br == 0 else "branch1/"
             filt = params.tensors[f"{prefix}conv{i + 1}/filters"]
             bias = params.tensors[f"{prefix}conv{i + 1}/bias"]
             spectra = spectral.realize_fwd(filt, b, anchors)  # (out, in, b)
-            coeffs = _analysis_sepvar_real(xin, table)  # (B, in, b*b)
+            coeffs = _analysis_half(xin, table)  # (b, b, in, B)
             yhat = spectral.conv_fwd(coeffs, spectra)
             if lay.pool == "sp":
-                y = _synthesis_real(spectral.sp_fwd(yhat, b // 2), shared_table(b // 2))
+                y = _synthesis_half(spectral.sp_fwd(yhat, b // 2), shared_table(b // 2))
             else:
-                y = _synthesis_real(yhat, table)
-            y = y + bias[:, None, None]
+                y = _synthesis_half(yhat, table)
+            y += bias[:, None, None, None]
             argmax = None
             if lay.pool == "wap":
                 y = spectral.wap_fwd(y, table.grid)
@@ -315,18 +323,18 @@ def _forward_batch(
                         mask=mask,
                     )
                 )
-            taps[f"{prefix}conv{i + 1}"] = y
+            taps[f"{prefix}conv{i + 1}"] = y.swapaxes(0, 1)
         outs = [new_outs[br] for br in range(config.branches)]
-    feat = np.concatenate(outs, axis=1)
+    feat = np.concatenate(outs, axis=0)
     b_last = config.layer_bandwidths()[-1]
     table = shared_table(b_last)
     if config.head == "wgap":
-        desc = spectral.wgap_fwd(feat, table.grid)
+        desc = spectral.wgap_fwd(feat, table.grid).T
         head_cache = None
     else:
-        coeffs = _analysis_sepvar_real(feat, table)
-        norms = spectral.magl_fwd(coeffs)
-        desc = norms.reshape(feat.shape[0], -1)
+        coeffs = _analysis_half(feat, table)
+        norms = spectral.magl_fwd(coeffs)  # (C, B, b)
+        desc = norms.swapaxes(0, 1).reshape(feat.shape[1], -1)
         head_cache = (coeffs, norms)
     w = params.tensors["head/weight"]
     logits = desc @ w.T + params.tensors["head/bias"]
@@ -403,13 +411,13 @@ def backward(
 
     table = shared_table(cache["b_last"])
     if config.head == "wgap":
-        dfeat = spectral.wgap_vjp(ddesc, table.grid)
+        dfeat = spectral.wgap_vjp(ddesc.T, table.grid)
     else:
         coeffs, norms = cache["head"]
-        vc = spectral.magl_vjp(ddesc.reshape(norms.shape), coeffs, norms)
-        dfeat = _analysis_adjoint(vc, table)
+        dnorms = ddesc.reshape(norms.shape[1], norms.shape[0], -1).swapaxes(0, 1)
+        dfeat = _analysis_adjoint(spectral.magl_vjp(dnorms, coeffs, norms), table)
 
-    dbranch = np.split(dfeat, config.branches, axis=1)
+    dbranch = np.split(dfeat, config.branches, axis=0)
 
     # Reversed cache order visits branch 0 of a layer before branch 1, so a
     # concat contribution (a cotangent on branch 1's previous-layer output)
@@ -429,7 +437,7 @@ def backward(
             dy = spectral.wap_vjp(dy, table.grid)
         elif lay.pool == "max":
             dy = spectral.max_vjp(dy, entry["argmax"])
-        grads[f"{prefix}conv{i + 1}/bias"] += dy.sum(axis=(0, -2, -1))
+        grads[f"{prefix}conv{i + 1}/bias"] += dy.sum(axis=(1, 2, 3))
         if lay.pool == "sp":
             vhat = spectral.sp_vjp(_synthesis_adjoint(dy, shared_table(b // 2)), b)
         else:
@@ -443,8 +451,8 @@ def backward(
             pending_concat = None
         if config.branches == 2 and br == 0 and i in config.concat_layers:
             own = lay.in_channels
-            pending_concat = dx[:, own:]
-            dx = dx[:, :own]
+            pending_concat = dx[own:]
+            dx = dx[:own]
         dbranch[br] = dx
     return loss, grads
 

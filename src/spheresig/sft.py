@@ -6,25 +6,44 @@ Analysis follows the sampled quadrature form
             conj(Y_m^l)(theta_j, phi_k),
 
 with ``w_j`` the grid's quadrature weights; synthesis is the plain harmonic
-sum.  Kernels: ``_analysis_sepvar_real`` (row-wise FFT over longitude, then
-a dense associated Legendre transform per order, O(b^3); wins from b = 32
-up), ``_analysis_direct`` (full-grid contraction per order, O(b^4); the
-reference, agreeing to ~1e-12) and ``_synthesis_real`` (real arithmetic over
-the orders m >= 0 of conjugate-symmetric coefficients).  The adjoints
-backpropagation needs reuse them (Driscoll & Healy 1994): the adjoint of
-analysis is synthesis times the quadrature measure, that of synthesis is
-analysis with unit weights.
+sum.
+
+Two coefficient layouts exist.  The public one (``SpectralCoeffs``, SPEC1,
+``rotation``, ``equivariance``) is packed per channel: degree l occupies the
+slice [l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds
+exactly b*b complex entries.  The network's layout is the half spectrum: the
+orders m >= 0 only, stored m-major as (m, l, ...) complex with zeros where
+l < m, so both transforms are one batched real matmul against views of the
+one (l, m, j) Legendre table.  ``to_half`` and ``to_packed`` convert between
+the two at the public boundaries.
+
+Kernels:
+
+* ``_analysis_half``: row-wise rfft over longitude, one transpose to
+  (m, j, ...), then ``legendre[:, m, :] @ G_m`` for all m in one batched real
+  matmul; weights and prefactor go on the data side.  The network's analysis.
+* ``_synthesis_half``: ``legendre[:, m, :].T @ C_m`` in one batched real
+  matmul, one transpose into the padded irfft input.  The only synthesis;
+  ``_synthesis_real`` is its packed entry point (a gather, then the kernel).
+* ``_analysis_sepvar_real`` (per-order dense Legendre transform, behind
+  ``sft_sepvar``) and ``_analysis_direct`` (full-grid contraction per order,
+  O(b^4)) are the packed references, agreeing to ~1e-12.
+
+The adjoints backpropagation needs reuse them (Driscoll & Healy 1994): the
+adjoint of analysis is synthesis times the quadrature measure, that of
+synthesis is analysis with unit weights.  A half spectrum stands for the
+conjugate-symmetric full spectrum, so its inner product counts each order
+m > 0 twice (``order_weights``); under that inner product the two adjoints
+need no extra factor, and whoever contracts half spectra (a filter gradient,
+a per-degree norm) applies the weights.
 
 The spectrum of a real function obeys c_{-m}^l = (-1)^m conj(c_m^l).
-``conj_mirror`` states that rule once; the analysis kernels, random spectra
-and the SPEC1 reader fill their negative orders through ``mirror_negative``.
-``isft`` returns the real part of the full harmonic sum of any coefficients:
-it synthesizes their conjugate-symmetric part (c + conj_mirror(c)) / 2,
-which equals the coefficients bit for bit when they came from a real signal.
-
-Coefficients are stored packed per channel: degree l occupies the slice
-[l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds exactly
-b*b complex entries.
+``conj_mirror`` states that rule once; the packed analysis kernels, random
+spectra, ``to_packed`` and the SPEC1 reader fill their negative orders
+through ``mirror_negative``.  ``isft`` returns the real part of the full
+harmonic sum of any coefficients: it synthesizes their conjugate-symmetric
+part, which equals the coefficients bit for bit when they came from a real
+signal.
 
 All accumulation is float64/complex128 regardless of the signal dtype.
 """
@@ -139,11 +158,47 @@ def mirror_negative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def order_weights(b: int) -> np.ndarray:
+    """Weight of each order m of a half spectrum in its inner product: 1 for
+    m = 0, 2 for m > 0 (each stands for itself and its mirror)."""
+    w = np.full(b, 2.0)
+    w[0] = 1.0
+    return w
+
+
+def _half_slots(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order m, degree l and packed slot of every (m, l) with 0 <= m <= l < b."""
+    l, m = packed_orders(b)
+    slots = np.flatnonzero(m >= 0)
+    return m[slots], l[slots], slots
+
+
+def to_half(coeffs: np.ndarray) -> np.ndarray:
+    """Packed (..., b*b) coefficients as a half spectrum (b, b, ...): their
+    orders m >= 0, m-major, zero where l < m."""
+    b = math.isqrt(coeffs.shape[-1])
+    m, l, slots = _half_slots(b)
+    out = np.zeros((b, b) + coeffs.shape[:-1], dtype=np.complex128)
+    out[m, l] = np.moveaxis(coeffs[..., slots], -1, 0)
+    return out
+
+
+def to_packed(half: np.ndarray) -> np.ndarray:
+    """The packed (..., b*b) conjugate-symmetric spectrum of a half spectrum
+    (b, b, ...); the inverse of ``to_half`` on spectra of real signals."""
+    b = half.shape[0]
+    m, l, slots = _half_slots(b)
+    out = np.empty(half.shape[2:] + (b * b,), dtype=np.complex128)
+    out[..., slots] = np.moveaxis(half[m, l], 0, -1)
+    return mirror_negative(out)
+
+
 # ---------------------------------------------------------------------------
 # Kernels.  values arrays carry shape (..., 2b, 2b); packed coefficient
-# arrays carry shape (..., b*b).  The analysis kernels compute the orders
-# m >= 0 and mirror the rest, so the conjugation rule holds entry-exactly;
-# the synthesis reads only orders m >= 0.
+# arrays (..., b*b); half spectra (b, b, ...), m-major.  The packed analysis
+# kernels compute the orders m >= 0 and mirror the rest, so the conjugation
+# rule holds entry-exactly; the synthesis reads only orders m >= 0 (and the
+# real part of m = 0).
 # ---------------------------------------------------------------------------
 
 
@@ -151,17 +206,29 @@ def _prefactor(b: int) -> float:
     return np.sqrt(2.0 * np.pi) / (2.0 * b)
 
 
-def _analysis_sepvar_real(
-    values: np.ndarray,
-    table: HarmonicTable,
-    weights: np.ndarray | None = None,
-    prefactor: float | None = None,
+def _analysis_half(
+    values: np.ndarray, table: HarmonicTable, row_scale: np.ndarray | None = None
 ) -> np.ndarray:
+    """Half spectrum (b, b, ...) of real (..., 2b, 2b) values; ``row_scale``
+    replaces the quadrature measure sqrt(2 pi)/(2b) * w_j."""
     b = table.bandwidth
-    w = table.grid.quad_weights if weights is None else weights
-    pref = _prefactor(b) if prefactor is None else prefactor
+    n = 2 * b
+    lead = values.shape[:-2]
+    if row_scale is None:
+        row_scale = _prefactor(b) * table.grid.quad_weights
+    f = np.fft.rfft(values.reshape(-1, n, n), axis=-1)  # (X, j, b+1), bin m = sum_k f e^{-im phi_k}
+    g = np.empty((b, n, f.shape[0]), dtype=np.complex128)  # (m, j, X)
+    np.multiply(f[..., :b].transpose(2, 1, 0), row_scale[:, None], out=g)
+    del f  # lets the matmul output reuse its memory: a lower peak
+    out = table.legendre.transpose(1, 0, 2) @ g.view(np.float64)  # (m, l, 2X)
+    return out.view(np.complex128).reshape((b, b) + lead)
+
+
+def _analysis_sepvar_real(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
+    b = table.bandwidth
     g = np.fft.rfft(values, axis=-1)[..., :b]  # (..., 2b, b), bin m = sum_k f e^{-im phi_k}
-    gw = g * w[:, None]
+    gw = g * table.grid.quad_weights[:, None]
+    pref = _prefactor(b)
     out = np.zeros(values.shape[:-2] + (b * b,), dtype=np.complex128)
     for m in range(b):
         block = pref * (gw[..., :, m] @ table.legendre[m:, m, :].T)  # (..., b-m)
@@ -186,28 +253,39 @@ def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
     return mirror_negative(out)
 
 
-def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Real-arithmetic synthesis using only orders m >= 0 of symmetric coeffs."""
+def _synthesis_half(
+    half: np.ndarray, table: HarmonicTable, row_scale: np.ndarray | None = None
+) -> np.ndarray:
+    """Real (..., 2b, 2b) values of a half spectrum (b, b, ...): the harmonic
+    sum of its conjugate-symmetric extension, row j times ``row_scale[j]``."""
     b = table.bandwidth
     n = 2 * b
-    h = np.zeros(coeffs.shape[:-1] + (n, b + 1), dtype=np.complex128)
-    for m in range(b):
-        ls = np.arange(m, b)
-        h[..., :, m] = coeffs[..., ls * ls + ls + m] @ table.legendre[m:, m, :]
-    return np.fft.irfft(h * n, n=n, axis=-1)
+    scale = n if row_scale is None else n * row_scale[:, None]  # irfft divides by n
+    c = np.ascontiguousarray(half, dtype=np.complex128).reshape(b, b, -1)  # (m, l, X)
+    t = table.legendre.transpose(1, 2, 0) @ c.view(np.float64)  # (m, j, 2X)
+    h = np.zeros((c.shape[-1], n, b + 1), dtype=np.complex128)  # (X, j, m), Nyquist bin 0
+    np.multiply(t.view(np.complex128).transpose(2, 1, 0), scale, out=h[..., :b])
+    del t  # lets the irfft output reuse its memory: a lower peak
+    return np.fft.irfft(h, n=n, axis=-1).reshape(half.shape[2:] + (n, n))
+
+
+def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
+    """Synthesis of packed (..., b*b) coefficients from their orders m >= 0."""
+    return _synthesis_half(to_half(coeffs), table)
 
 
 def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Adjoint of synthesis on real grid values: v_lm = sum_jk u_jk conj(Y_lm)(j, k),
-    i.e. analysis with unit weights and unit prefactor."""
-    return _analysis_sepvar_real(u, table, weights=np.ones(table.grid.n), prefactor=1.0)
+    """Adjoint of ``_synthesis_half`` on real grid values: the half spectrum
+    v_lm = sum_jk u_jk conj(Y_lm)(j, k), i.e. analysis with unit weights and
+    unit prefactor."""
+    return _analysis_half(u, table, row_scale=np.ones(table.grid.n))
 
 
 def _analysis_adjoint(v: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Adjoint of analysis for conjugate-symmetric ``v``: synthesis followed by
-    the quadrature measure sqrt(2 pi)/(2b) * w_j."""
-    w = table.grid.quad_weights
-    return _prefactor(table.bandwidth) * w[:, None] * _synthesis_real(v, table)
+    """Adjoint of ``_analysis_half`` for a half spectrum ``v``: synthesis
+    followed by the quadrature measure sqrt(2 pi)/(2b) * w_j."""
+    row_scale = _prefactor(table.bandwidth) * table.grid.quad_weights
+    return _synthesis_half(v, table, row_scale)
 
 
 def _check_match(obj_b: int, table: HarmonicTable) -> None:
@@ -242,12 +320,16 @@ def isft(
     """Inverse transform: the real part of the full harmonic sum.
 
     That is the synthesis of the conjugate-symmetric part (c + conj_mirror(c)) / 2
-    of the coefficients, which is ``c`` itself, bit for bit, for coefficients
-    of a real signal.
+    of the coefficients.  It is formed as c where c equals its mirror, so it
+    is ``c`` itself, bit for bit, for coefficients of a real signal, and as
+    c/2 + mirror/2 elsewhere, which cannot overflow.  Coefficients so large
+    that their synthesis overflows raise ValueError (a non-finite signal).
     """
     _check_match(coeffs.bandwidth, table)
     c = coeffs.coeffs
-    vals = _synthesis_real(0.5 * (c + conj_mirror(c)), table)
+    mirror = conj_mirror(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _synthesis_real(np.where(c == mirror, c, 0.5 * c + 0.5 * mirror), table)
     return SphericalSignal(table.grid, vals.astype(dtype, copy=False))
 
 

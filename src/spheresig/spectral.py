@@ -13,21 +13,25 @@ spatial locality.
 Each layer operation exists once, as an array-level forward ``*_fwd`` and
 its vector-Jacobian product ``*_vjp``; a forward whose adjoint needs a
 residual (max pooling's winning index, ReLU's mask) returns it beside its
-output.  The network composes these pairs, and the ``SphericalSignal`` /
-``SpectralCoeffs`` functions are typed front ends over the same forwards.
-Arrays follow the sft layout: values (..., 2b, 2b), coefficients (..., b*b).
+output.  The network composes these pairs, and the ``SphericalSignal``
+functions are typed front ends over the same forwards.  Values arrays are
+(..., 2b, 2b); the spectral forwards take half spectra, m-major
+(b, b, channel, ...) with orders m >= 0 (see ``sft``), whose orders m > 0
+count twice wherever they are contracted (``order_weights``).  The
+``SpectralCoeffs`` front ends work on the packed layout directly, exactly
+for any spectrum: convolution scales each degree, spectral pooling keeps a
+prefix, MAG-L sums every order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import SphericalGrid, make_grid
 from .harmonics import HarmonicTable, shared_table
-from .sft import SpectralCoeffs, SphericalSignal, isft, packed_orders
+from .sft import SpectralCoeffs, SphericalSignal, isft, order_weights, packed_orders
 
 
 @dataclass(frozen=True)
@@ -110,36 +114,30 @@ def realize_filter(spec: ZonalFilterSpec) -> np.ndarray:
     return realize_fwd(spec.anchor_values, spec.bandwidth, spec.anchor_degrees)
 
 
-def _as_real(coeffs: np.ndarray) -> np.ndarray:
-    """Float view (..., 2*b*b) of packed coefficients; degree l spans [2l^2, 2(l+1)^2)."""
-    return np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64)
+def _real_rows(half: np.ndarray) -> np.ndarray:
+    """Float view (b, b, C, 2X) of half spectra (b, b, C, ...)."""
+    return np.ascontiguousarray(half).reshape(half.shape[:3] + (-1,)).view(np.float64)
 
 
 def conv_fwd(coeffs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Convolve (..., in, b*b) coefficients with zonal filters of spectra
-    (out, in, b) and sum over inputs: one (out, in) product per degree."""
+    """Convolve half spectra (b, b, in, ...) with zonal filters of spectra
+    (out, in, b) and sum over inputs: one real (out, in) @ (in, 2X) product
+    per (m, l), all in one batched matmul."""
     b = spectra.shape[-1]
-    s = conv_scale(b) * spectra
-    c = _as_real(coeffs)
-    out = np.empty(c.shape[:-2] + (s.shape[0], c.shape[-1]))
-    for l in range(b):
-        seg = slice(2 * l * l, 2 * (l + 1) * (l + 1))
-        out[..., seg] = s[:, :, l] @ c[..., seg]
-    return out.view(np.complex128)
+    s = np.ascontiguousarray((conv_scale(b) * spectra).transpose(2, 0, 1))  # (l, out, in)
+    out = (s @ _real_rows(coeffs)).view(np.complex128)  # (m, l, out, X)
+    return out.reshape((b, b, s.shape[1]) + coeffs.shape[3:])
 
 
 def conv_vjp(
     v: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents in the coefficients (the transposed mix) and the spectra
-    (Re(conj(v) f) summed over batch and orders) for output cotangent ``v``."""
+    (Re(conj(v) f) summed over the trailing axes and the orders, m > 0
+    twice) for output cotangent ``v``."""
     b = spectra.shape[-1]
-    vr = _as_real(v).reshape(-1, v.shape[-2], 2 * b * b)
-    c = _as_real(coeffs).reshape(-1, coeffs.shape[-2], 2 * b * b)
-    dspectra = np.empty(spectra.shape)
-    for l in range(b):
-        seg = slice(2 * l * l, 2 * (l + 1) * (l + 1))
-        dspectra[:, :, l] = np.tensordot(vr[..., seg], c[..., seg], axes=([0, 2], [0, 2]))
+    per_order = _real_rows(v) @ _real_rows(coeffs).swapaxes(-1, -2)  # (m, l, out, in)
+    dspectra = np.tensordot(order_weights(b), per_order, axes=(0, 0)).transpose(1, 2, 0)
     return conv_fwd(v, spectra.transpose(1, 0, 2)), conv_scale(b) * dspectra
 
 
@@ -149,8 +147,8 @@ def conv_spectral(f: SpectralCoeffs, h: ZonalFilterSpec) -> SpectralCoeffs:
         raise ValueError(
             f"bandwidth mismatch: coeffs b={f.bandwidth}, filter b={h.bandwidth}"
         )
-    out = conv_fwd(f.coeffs[:, None], realize_filter(h)[None, None])[:, 0]
-    return SpectralCoeffs(f.bandwidth, out)
+    scale = conv_scale(f.bandwidth) * realize_filter(h)
+    return SpectralCoeffs(f.bandwidth, f.coeffs * scale[packed_orders(f.bandwidth)[0]])
 
 
 def filter_to_signal(spec: ZonalFilterSpec, table: HarmonicTable | None = None) -> SphericalSignal:
@@ -175,14 +173,16 @@ def _halved(b: int) -> int:
 
 
 def sp_fwd(coeffs: np.ndarray, b_out: int) -> np.ndarray:
-    """Spectral pooling: keep degrees below ``b_out``."""
-    return coeffs[..., : b_out * b_out]
+    """Spectral pooling of a half spectrum: keep degrees (and so orders)
+    below ``b_out``."""
+    return coeffs[:b_out, :b_out]
 
 
 def sp_vjp(dcoeffs: np.ndarray, b: int) -> np.ndarray:
     """Zero-pad a pooled cotangent back to bandwidth ``b``."""
-    out = np.zeros(dcoeffs.shape[:-1] + (b * b,), dtype=np.complex128)
-    out[..., : dcoeffs.shape[-1]] = dcoeffs
+    out = np.zeros((b, b) + dcoeffs.shape[2:], dtype=np.complex128)
+    h = dcoeffs.shape[0]
+    out[:h, :h] = dcoeffs
     return out
 
 
@@ -193,7 +193,7 @@ def spectral_pool(f: SpectralCoeffs, presmooth: bool = False) -> SpectralCoeffs:
     degrees first, trading ringing for attenuation (off by default).
     """
     half = _halved(f.bandwidth)
-    out = np.array(sp_fwd(f.coeffs, half))
+    out = f.coeffs[:, : half * half].copy()
     if presmooth:
         ls = packed_orders(half)[0]
         out *= np.cos(0.5 * np.pi * ls / half) ** 2
@@ -214,13 +214,19 @@ def _wap_rows(grid: SphericalGrid) -> np.ndarray:
 
 def wap_fwd(values: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     """Area-weighted 2x2 average; the zero-weight pole row contributes nothing."""
-    return _blocks(values * _wap_rows(grid)[:, None]).sum(axis=(-2, -1))
+    w = _wap_rows(grid)[:, None]
+    rows = values[..., 0::2, :] * w[0::2] + values[..., 1::2, :] * w[1::2]
+    return rows[..., 0::2] + rows[..., 1::2]
 
 
 def wap_vjp(dy: np.ndarray, grid: SphericalGrid) -> np.ndarray:
+    w = _wap_rows(grid)[:, None]
     dx = np.empty(dy.shape[:-2] + (grid.n, grid.n))
-    _blocks(dx)[...] = dy[..., None, None]
-    return dx * _wap_rows(grid)[:, None]
+    for r in (0, 1):
+        rows = dy * w[r::2]
+        dx[..., r::2, 0::2] = rows
+        dx[..., r::2, 1::2] = rows
+    return dx
 
 
 def max_fwd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,16 +285,16 @@ def wgap_vjp(ddesc: np.ndarray, grid: SphericalGrid) -> np.ndarray:
 
 
 def magl_fwd(coeffs: np.ndarray) -> np.ndarray:
-    """Per-degree norms of packed coefficients: (..., b*b) -> (..., b)."""
-    starts = np.arange(math.isqrt(coeffs.shape[-1])) ** 2
-    return np.sqrt(np.add.reduceat(coeffs.real**2 + coeffs.imag**2, starts, axis=-1))
+    """Per-degree norms of half spectra, orders m > 0 twice: (b, b, ...) -> (..., b)."""
+    power = coeffs.real**2 + coeffs.imag**2
+    return np.sqrt(np.moveaxis(np.tensordot(order_weights(len(coeffs)), power, axes=(0, 0)), 0, -1))
 
 
 def magl_vjp(dnorms: np.ndarray, coeffs: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Cotangent in the coefficients; a zero norm passes no gradient."""
+    """Cotangent in the half spectra; a zero norm passes no gradient."""
     safe = norms > 0
     scale = np.where(safe, dnorms / np.where(safe, norms, 1.0), 0.0)
-    return scale[..., packed_orders(norms.shape[-1])[0]] * coeffs
+    return np.moveaxis(scale, -1, 0) * coeffs
 
 
 def wgap(signal: SphericalSignal) -> InvariantDescriptor:
@@ -297,8 +303,13 @@ def wgap(signal: SphericalSignal) -> InvariantDescriptor:
 
 
 def magl(coeffs: SpectralCoeffs) -> InvariantDescriptor:
-    """Per-degree coefficient norms, invariant to rotation by unitarity."""
-    return InvariantDescriptor(kind="magl", values=magl_fwd(coeffs.coeffs))
+    """Per-degree coefficient norms over all orders, invariant to rotation by
+    unitarity; equal to ``magl_fwd`` of the half spectrum of a real signal."""
+    c = coeffs.coeffs
+    starts = np.arange(coeffs.bandwidth) ** 2
+    return InvariantDescriptor(
+        kind="magl", values=np.sqrt(np.add.reduceat(c.real**2 + c.imag**2, starts, axis=-1))
+    )
 
 
 def relu_fwd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

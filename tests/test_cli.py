@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,3 +343,41 @@ class TestJsonEdges:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_filter_that_overflows(self, tmp_path, bandlimited_sph, capsys):
+        """A finite but huge filter overflows the convolution: exit 2, no
+        all-inf spectrum written, no numpy warning."""
+        spec = tmp_path / "x.spec"
+        assert main(["sft", bandlimited_sph[0], "-o", str(spec)]) == 0
+        filt = tmp_path / "f.json"
+        filt.write_text(json.dumps(dict(mode="full", bandwidth=8, coeffs=[1e308] * 8)))
+        out = tmp_path / "y.spec"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["conv", str(spec), "--filter", str(filt), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            (dict(samples=5), "'samples' must be a list"),
+            (dict(samples=[dict(file="a.sph", label=None)]), "integer 'label'"),
+            (dict(samples=[dict(file=3, label=0)]), "string 'file'"),
+            (dict(samples=["a.sph"]), "sample 0 is not an object"),
+        ],
+        ids=["samples-int", "label-null", "file-int", "sample-string"],
+    )
+    def test_dataset_meta(self, tmp_path, capsys, meta, message):
+        data = tmp_path / "ds"
+        data.mkdir()
+        (data / "meta.json").write_text(json.dumps(meta))
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(self.NET))
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(cfg), "--data", str(data), "-o", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "meta.json" in err and message in err and "Traceback" not in err
+        assert not ckpt.exists()

@@ -134,6 +134,22 @@ class TestSpec1:
         with pytest.raises(FormatError, match="storage"):
             read_spec1(str(path))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf)])
+    def test_nonfinite_coefficients_rejected(self, tmp_path, bad):
+        c = random_coeffs(4, 1, np.random.default_rng(12))
+        c.coeffs[0, 5] = bad
+        path = tmp_path / "x.spec"
+        with pytest.raises(FormatError, match="non-finite"):
+            write_spec1(str(path), c)
+        assert not path.exists()
+        # The reader rejects the same value patched into a valid file.
+        write_spec1(str(path), random_coeffs(4, 1, np.random.default_rng(12)))
+        data = bytearray(path.read_bytes())
+        data[13 + 16 * 3 : 13 + 16 * 4] = np.array([bad], "<c16").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_spec1(str(path))
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_bytes(b"SPH1" + b"\0" * 16)

@@ -26,7 +26,15 @@ from spheresig.network import (
     two_branch_config,
 )
 from spheresig.rotation import random_rotations, rotate_signal
-from spheresig.sft import SpectralCoeffs, SphericalSignal, isft, random_coeffs, sft_sepvar
+from spheresig.sft import (
+    SpectralCoeffs,
+    SphericalSignal,
+    isft,
+    random_coeffs,
+    sft_sepvar,
+    to_half,
+    to_packed,
+)
 from spheresig.spectral import (
     ZonalFilterSpec,
     anchor_layout,
@@ -129,7 +137,8 @@ def test_pooled_tap_matches_public_chain(pool):
          for f in row]
         for row in filt
     ])
-    mixed = SpectralCoeffs(b, conv_fwd(sft_sepvar(sig, shared_table(b)).coeffs, spectra))
+    half = to_half(sft_sepvar(sig, shared_table(b)).coeffs)
+    mixed = SpectralCoeffs(b, to_packed(conv_fwd(half, spectra)))
     if pool == "sp":
         mixed = spectral_pool(mixed)
     y = isft(mixed, shared_table(mixed.bandwidth))

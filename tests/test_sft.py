@@ -1,5 +1,7 @@
 """Forward/inverse transform contracts: round trips, symmetry, Parseval."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from spheresig.sft import (
     SpectralCoeffs,
     SphericalSignal,
     _analysis_direct,
+    _analysis_half,
     _analysis_sepvar_real,
     _prefactor,
+    _synthesis_half,
+    _synthesis_real,
     bandlimit,
     coeff_index,
     conj_mirror,
@@ -21,6 +26,8 @@ from spheresig.sft import (
     random_coeffs,
     sft_direct,
     sft_sepvar,
+    to_half,
+    to_packed,
 )
 
 
@@ -290,6 +297,79 @@ class TestParity:
             np.testing.assert_array_equal(
                 _analysis_direct(x, table), loop_analysis(x, table, direct=True)
             )
+
+
+class TestHalfLayout:
+    """The m-major half-spectrum kernels against the packed references, at the
+    direct/separated tolerance."""
+
+    BANDWIDTHS = (2, 5, 8, 16, 64)
+    LEADS = ((1, 1), (2, 3), (8, 16))
+
+    def test_analysis_matches_sepvar(self):
+        for b in self.BANDWIDTHS:
+            table = table_for(b)
+            for lead in self.LEADS:
+                x = np.random.default_rng(b).standard_normal(lead + (2 * b, 2 * b))
+                got = _analysis_half(x, table)
+                assert got.shape == (b, b) + lead
+                want = _analysis_sepvar_real(x, table)
+                assert np.abs(to_packed(got) - want).max() < 1e-9, (b, lead)
+                m, l = np.meshgrid(np.arange(b), np.arange(b), indexing="ij")
+                assert np.all(got[l < m] == 0)
+
+    def test_synthesis_matches_complex_sum(self):
+        for b in self.BANDWIDTHS:
+            table = table_for(b)
+            for lead in self.LEADS:
+                rng = np.random.default_rng(b + 1)
+                c = random_coeffs(b, int(np.prod(lead)), rng).coeffs.reshape(lead + (b * b,))
+                got = _synthesis_half(to_half(c), table)
+                assert got.shape == lead + (2 * b, 2 * b)
+                want = _synthesis_complex(c, table).real
+                assert np.abs(got - want).max() < 1e-9, (b, lead)
+                np.testing.assert_array_equal(_synthesis_real(c, table), got)
+
+    def test_packed_round_trip_is_exact_for_real_signals(self):
+        for b in (1, 2, 7, 16):
+            c = random_coeffs(b, 3, np.random.default_rng(b)).coeffs.reshape(3, 1, b * b)
+            half = to_half(c)
+            assert half.shape == (b, b, 3, 1)
+            np.testing.assert_array_equal(to_packed(half), c)
+            for l in range(b):
+                for m in range(l + 1):
+                    assert half[m, l, 0, 0] == c[0, 0, coeff_index(l, m)]
+
+    def test_synthesis_ignores_what_a_real_signal_lacks(self):
+        """Entries with l < m and imaginary parts at m = 0 do not exist in the
+        spectrum of a real signal; the synthesis reads neither."""
+        b = 6
+        table = table_for(b)
+        half = to_half(random_coeffs(b, 2, np.random.default_rng(3)).coeffs)
+        noisy = half + np.tril(np.ones((b, b)), -1)[..., None] * (1 + 2j)  # l < m
+        noisy[0] += 5j
+        np.testing.assert_array_equal(
+            _synthesis_half(noisy, table), _synthesis_half(half, table)
+        )
+
+
+class TestIsftSymmetricPart:
+    def test_bit_identical_on_symmetric_spectra(self):
+        table = table_for(8)
+        for scale in (1.0, 1e-310, 1e300):  # 1e-310: subnormal coefficients
+            c = random_coeffs(8, 2, np.random.default_rng(4), scale=scale)
+            np.testing.assert_array_equal(
+                isft(c, table).values, _synthesis_real(c.coeffs, table)
+            )
+
+    def test_overflowing_synthesis_is_a_value_error(self):
+        """At 1e308, c + mirror(c) would overflow before the synthesis does;
+        neither may warn, the non-finite signal is the error."""
+        c = random_coeffs(4, 1, np.random.default_rng(5), scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                isft(c, table_for(4))
 
 
 class TestSignalValidation:

@@ -11,12 +11,14 @@ from spheresig.sft import (
     SpectralCoeffs,
     SphericalSignal,
     _analysis_adjoint,
-    _analysis_sepvar_real,
+    _analysis_half,
     _synthesis_adjoint,
-    _synthesis_real,
+    _synthesis_half,
     coeff_index,
     isft,
+    order_weights,
     random_coeffs,
+    to_half,
 )
 from spheresig.spectral import (
     ZonalFilterSpec,
@@ -291,33 +293,41 @@ class TestNonlinearity:
 
 
 def _adjoint_case(name: str, rng: np.random.Generator):
-    """(x, J x, y, J^T y) for one forward/vjp pair at bandwidth 8."""
+    """(x, J x, y, J^T y) for one forward/vjp pair at bandwidth 8.  Spectral
+    arrays are half spectra (m, l, channel, batch): x from random real-signal
+    spectra, cotangents y random over every entry."""
     b = 8
     grid = make_grid(b)
     vals = rng.standard_normal((2, 3, 2 * b, 2 * b))
     pooled = rng.standard_normal((2, 3, b, b))
-    coeffs = random_coeffs(b, 6, rng).coeffs.reshape(2, 3, b * b)
+    coeffs = to_half(random_coeffs(b, 6, rng).coeffs.reshape(2, 3, b * b))
+
+    def cotangent(bw, *lead):
+        shape = (bw, bw) + lead
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
     if name == "analysis":
-        v = random_coeffs(b, 6, rng).coeffs.reshape(2, 3, b * b)
+        v = cotangent(b, 2, 3)
         table = shared_table(b)
-        return vals, _analysis_sepvar_real(vals, table), v, _analysis_adjoint(v, table)
+        return vals, _analysis_half(vals, table), v, _analysis_adjoint(v, table)
     if name == "synthesis":
         table = shared_table(b)
-        return coeffs, _synthesis_real(coeffs, table), vals, _synthesis_adjoint(vals, table)
+        return coeffs, _synthesis_half(coeffs, table), vals, _synthesis_adjoint(vals, table)
     if name == "realize":
         anchors = spectral.anchor_layout(b, 4)
         x, y = rng.standard_normal((4, 3, 4)), rng.standard_normal((4, 3, b))
         return x, spectral.realize_fwd(x, b, anchors), y, spectral.realize_vjp(y, b, anchors)
     if name in ("conv_coeffs", "conv_spectra"):
+        coeffs = coeffs.swapaxes(2, 3)  # 3 input channels, batch 2
         spectra = rng.standard_normal((4, 3, b))
-        v = rng.standard_normal((2, 4, b * b)) + 1j * rng.standard_normal((2, 4, b * b))
+        v = cotangent(b, 4, 2)
         dcoeffs, dspectra = spectral.conv_vjp(v, coeffs, spectra)
         out = spectral.conv_fwd(coeffs, spectra)  # bilinear: J x = out for either x
         if name == "conv_coeffs":
             return coeffs, out, v, dcoeffs
         return spectra, out, v, dspectra
     if name == "sp":
-        v = random_coeffs(b // 2, 6, rng).coeffs.reshape(2, 3, -1)
+        v = cotangent(b // 2, 2, 3)
         return coeffs, spectral.sp_fwd(coeffs, b // 2), v, spectral.sp_vjp(v, b)
     if name == "wap":
         return vals, spectral.wap_fwd(vals, grid), pooled, spectral.wap_vjp(pooled, grid)
@@ -341,16 +351,25 @@ def _adjoint_case(name: str, rng: np.random.Generator):
     raise KeyError(name)
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re(sum conj(a) b); complex arrays are half spectra, whose orders m > 0
+    stand for their mirrored twins too and count twice."""
+    if np.iscomplexobj(a):
+        a = order_weights(len(a)).reshape((-1,) + (1,) * (a.ndim - 1)) * a
+    return np.vdot(a, b).real
+
+
 @pytest.mark.parametrize(
     "name",
     ["analysis", "synthesis", "realize", "conv_coeffs", "conv_spectra", "sp", "wap",
      "max", "relu", "wgap", "magl"],
 )
 def test_vjp_is_adjoint_of_forward(name):
-    """<J x, y> = <x, J^T y> under the real inner product Re(sum conj(a) b)."""
+    """<J x, y> = <x, J^T y> under the real inner product Re(sum conj(a) b),
+    orders m > 0 of half spectra counted twice."""
     x, jx, y, jty = _adjoint_case(name, np.random.default_rng(30))
     assert jx.shape == y.shape and jty.shape == x.shape
-    lhs = np.vdot(jx, y).real
-    rhs = np.vdot(x, jty).real
+    lhs = _inner(jx, y)
+    rhs = _inner(x, jty)
     scale = np.linalg.norm(jx) * np.linalg.norm(y)
     assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs)
