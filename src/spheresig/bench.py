@@ -1,9 +1,10 @@
-"""Timing harness comparing the two forward-transform implementations.
+"""Timing harness comparing the production forward transform with its reference.
 
-The direct path contracts the whole grid per order (O(b^4)); separation of
-variables runs a row FFT followed by dense per-order Legendre transforms
-(O(b^3)).  Separation of variables wins from b = 32 upward; medians over
-repeated runs keep scheduler noise out of the comparison.
+``sft_direct`` runs the reference analysis, which contracts the whole grid per
+order (O(b^4)).  ``sft_sepvar`` runs the production analysis by separation of
+variables: a row FFT, then one batched Legendre matmul over all orders
+(O(b^3)).  Medians over repeated runs keep scheduler noise out of the
+comparison.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,6 +29,35 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
+
+
+def _checked(parse, ok, rule: str):
+    """argparse type: ``parse(text)``, a usage error unless ``ok`` accepts it."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return check
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be an integer of at least 1")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "must be finite and greater than 0")
+_GRID = _checked(
+    lambda t: tuple(int(x) for x in t.split(",")),
+    lambda v: len(v) == 3 and min(v) >= 1,
+    "must be three positive integers, comma-separated",
+)
+_ANGLES = _checked(
+    lambda t: tuple(float(x) for x in t.split(",")),
+    lambda v: len(v) == 3 and all(map(math.isfinite, v)),
+    "must be three finite numbers, comma-separated",
+)
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -237,9 +267,22 @@ def _cmd_pool(args) -> int:
 
 def _cmd_synth(args) -> int:
     from .formats import write_sph1
-    from .synth import make_dataset
+    from .synth import (
+        BLOB_CLASSES,
+        HARMONIC_DEGREE_SETS,
+        make_blob_dataset,
+        make_harmonic_dataset,
+    )
 
-    ds = make_dataset(args.kind, args.bandwidth, args.count, args.seed, args.classes)
+    if args.kind == "blobs":
+        make, kinds = make_blob_dataset, BLOB_CLASSES
+    else:
+        make, kinds = make_harmonic_dataset, HARMONIC_DEGREE_SETS
+    if not 1 <= args.classes <= len(kinds):
+        raise UsageError(
+            f"--classes must be between 1 and {len(kinds)} for {args.kind}, got {args.classes}"
+        )
+    ds = make(args.bandwidth, args.count, args.seed, kinds[: args.classes])
     os.makedirs(args.output, exist_ok=True)
     samples = []
     for i, (sig, label) in enumerate(zip(ds.signals, ds.labels)):
@@ -317,10 +360,7 @@ def _cmd_align(args) -> int:
             raise UsageError("--net requires --config")
         net = _load_json(args.config, _network_from_json)
         params = _load_checkpoint(args.net, net)
-    truth = None
-    if args.truth:
-        a, b, g = (float(t) for t in args.truth.split(","))
-        truth = RotationZYZ(a, b, g)
+    truth = None if args.truth is None else RotationZYZ(*args.truth)
     result = align_shapes(
         load_mesh(args.mesh_a),
         load_mesh(args.mesh_b),
@@ -328,7 +368,7 @@ def _cmd_align(args) -> int:
         net=net,
         params=params,
         layer=args.layer,
-        grid_size=tuple(int(x) for x in args.grid.split(",")),
+        grid_size=args.grid,
         truth=truth,
     )
     doc = dict(
@@ -446,8 +486,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     s.add_argument("--kind", choices=("blobs", "harmonics"), default="blobs")
-    s.add_argument("--classes", type=int, default=3)
-    s.add_argument("--count", type=int, required=True, help="samples per class")
+    s.add_argument("--classes", type=int, default=3, help="blobs: 1-3, harmonics: 1-5")
+    s.add_argument("--count", type=_AT_LEAST_1, required=True, help="samples per class")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("-b", "--bandwidth", type=int, default=8)
     s.add_argument("-o", "--output", required=True, metavar="DIR")
@@ -457,9 +497,9 @@ def build_parser() -> _Parser:
     s.add_argument("--config", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--epochs", type=int, default=48)
-    s.add_argument("--lr", type=float, default=1e-3)
-    s.add_argument("--batch-size", type=int, default=16)
+    s.add_argument("--epochs", type=_AT_LEAST_1, default=48)
+    s.add_argument("--lr", type=_POSITIVE, default=1e-3)
+    s.add_argument("--batch-size", type=_AT_LEAST_1, default=16)
     s.add_argument("--augment-z", action="store_true")
     s.add_argument("-o", "--output", required=True, metavar="CKPT")
     s.add_argument("--report", default=None, metavar="JSON")
@@ -480,23 +520,23 @@ def build_parser() -> _Parser:
     s.add_argument("--layer", default="input")
     s.add_argument("--net", default=None, metavar="CKPT")
     s.add_argument("--config", default=None, metavar="JSON")
-    s.add_argument("--grid", default="16,16,16")
-    s.add_argument("--truth", default=None, metavar="A,B,G")
+    s.add_argument("--grid", type=_GRID, default="16,16,16")
+    s.add_argument("--truth", type=_ANGLES, default=None, metavar="A,B,G")
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(fn=_cmd_align)
 
     s = sub.add_parser("equiv-report", help="per-layer equivariance error report")
     s.add_argument("--config", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--count", type=int, default=6)
-    s.add_argument("--rotations", type=int, default=1)
+    s.add_argument("--count", type=_AT_LEAST_1, default=6)
+    s.add_argument("--rotations", type=_AT_LEAST_1, default=1)
     s.add_argument("--bandlimited", action="store_true")
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(fn=_cmd_equiv_report)
 
     s = sub.add_parser("bench-sft", help="time direct vs separated transforms")
     s.add_argument("--bandwidths", default="8,16,32,64")
-    s.add_argument("--reps", type=int, default=10)
+    s.add_argument("--reps", type=_AT_LEAST_1, default=10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(fn=_cmd_bench_sft)

@@ -32,7 +32,7 @@ import numpy as np
 from .harmonics import shared_table
 from .network import NetworkConfig, ParameterStore, _forward_batch
 from .rotation import random_rotations, rotate_packed
-from .sft import SphericalSignal, _analysis_sepvar_real, _synthesis_real
+from .sft import SphericalSignal, _analysis_half, _synthesis_real, to_packed
 
 
 @dataclass
@@ -116,7 +116,7 @@ def measure(
             else:
                 live.append((li, ref_norm))
             if ref_norm != 0.0 or li == 0:
-                specs.append(_analysis_sepvar_real(ref, shared_table(b_layer)))
+                specs.append(to_packed(_analysis_half(ref, shared_table(b_layer))))
         for r in rots[si * rotations : (si + 1) * rotations]:
             rotated = rotate_packed(specs, r)
             y64 = _synthesis_real(rotated[0], shared_table(b_in))

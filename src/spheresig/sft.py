@@ -21,13 +21,14 @@ Kernels:
 
 * ``_analysis_half``: row-wise rfft over longitude, one transpose to
   (m, j, ...), then ``legendre[:, m, :] @ G_m`` for all m in one batched real
-  matmul; weights and prefactor go on the data side.  The network's analysis.
+  matmul; weights and prefactor go on the data side.  The only production
+  analysis: the network calls it directly, ``sft_sepvar`` and
+  ``equivariance.measure`` through ``to_packed``.
 * ``_synthesis_half``: ``legendre[:, m, :].T @ C_m`` in one batched real
   matmul, one transpose into the padded irfft input.  The only synthesis;
   ``_synthesis_real`` is its packed entry point (a gather, then the kernel).
-* ``_analysis_sepvar_real`` (per-order dense Legendre transform, behind
-  ``sft_sepvar``) and ``_analysis_direct`` (full-grid contraction per order,
-  O(b^4)) are the packed references, agreeing to ~1e-12.
+* ``_analysis_direct`` (full-grid contraction per order, O(b^4), behind
+  ``sft_direct``) is the packed reference; the two analyses agree to ~1e-12.
 
 The adjoints backpropagation needs reuse them (Driscoll & Healy 1994): the
 adjoint of analysis is synthesis times the quadrature measure, that of
@@ -38,8 +39,8 @@ need no extra factor, and whoever contracts half spectra (a filter gradient,
 a per-degree norm) applies the weights.
 
 The spectrum of a real function obeys c_{-m}^l = (-1)^m conj(c_m^l).
-``conj_mirror`` states that rule once; the packed analysis kernels, random
-spectra, ``to_packed`` and the SPEC1 reader fill their negative orders
+``conj_mirror`` states that rule once; ``to_packed``, the reference
+analysis, random spectra and the SPEC1 reader fill their negative orders
 through ``mirror_negative``.  ``isft`` returns the real part of the full
 harmonic sum of any coefficients: it synthesizes their conjugate-symmetric
 part, which equals the coefficients bit for bit when they came from a real
@@ -195,10 +196,11 @@ def to_packed(half: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Kernels.  values arrays carry shape (..., 2b, 2b); packed coefficient
-# arrays (..., b*b); half spectra (b, b, ...), m-major.  The packed analysis
-# kernels compute the orders m >= 0 and mirror the rest, so the conjugation
-# rule holds entry-exactly; the synthesis reads only orders m >= 0 (and the
-# real part of m = 0).
+# arrays (..., b*b); half spectra (b, b, ...), m-major.  Analysis computes the
+# orders m >= 0 only; the packed layout gets the rest from the mirror (in
+# ``to_packed``, or in the reference), so the conjugation rule holds
+# entry-exactly.  Synthesis reads only orders m >= 0 (and the real part of
+# m = 0).
 # ---------------------------------------------------------------------------
 
 
@@ -222,19 +224,6 @@ def _analysis_half(
     del f  # lets the matmul output reuse its memory: a lower peak
     out = table.legendre.transpose(1, 0, 2) @ g.view(np.float64)  # (m, l, 2X)
     return out.view(np.complex128).reshape((b, b) + lead)
-
-
-def _analysis_sepvar_real(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    b = table.bandwidth
-    g = np.fft.rfft(values, axis=-1)[..., :b]  # (..., 2b, b), bin m = sum_k f e^{-im phi_k}
-    gw = g * table.grid.quad_weights[:, None]
-    pref = _prefactor(b)
-    out = np.zeros(values.shape[:-2] + (b * b,), dtype=np.complex128)
-    for m in range(b):
-        block = pref * (gw[..., :, m] @ table.legendre[m:, m, :].T)  # (..., b-m)
-        ls = np.arange(m, b)
-        out[..., ls * ls + ls + m] = block
-    return mirror_negative(out)
 
 
 def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
@@ -308,10 +297,11 @@ def sft_direct(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
 
 
 def sft_sepvar(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
-    """Forward transform via row-wise FFT + dense Legendre transform per order."""
+    """Forward transform via row-wise FFT + one batched Legendre transform
+    over all orders (separation of variables)."""
     _check_match(signal.bandwidth, table)
     vals = np.asarray(signal.values, dtype=np.float64)
-    return SpectralCoeffs(table.bandwidth, _analysis_sepvar_real(vals, table))
+    return SpectralCoeffs(table.bandwidth, to_packed(_analysis_half(vals, table)))
 
 
 def isft(

@@ -135,7 +135,7 @@ class SignalDataset:
     labels: np.ndarray = field(repr=False)
 
 
-_BLOB_CLASSES = [  # (number of bumps, sharpness): distinct invariant signatures
+BLOB_CLASSES = [  # (number of bumps, sharpness): distinct invariant signatures
     (2, 3.0),
     (5, 8.0),
     (9, 18.0),
@@ -171,7 +171,7 @@ def make_blob_dataset(
     (plus jitter), so orientation diversity must come from augmentation;
     without it, constellations are drawn fresh per sample.
     """
-    classes = _BLOB_CLASSES if classes is None else classes
+    classes = BLOB_CLASSES if classes is None else classes
     table = shared_table(b)
     rng = np.random.default_rng(seed)
     canon = []
@@ -190,12 +190,15 @@ def make_blob_dataset(
     return SignalDataset(b, names, signals, np.array(labels))
 
 
+HARMONIC_DEGREE_SETS = [[1, 2], [3, 4], [5, 6], [7, 8], [2, 5]]
+
+
 def make_harmonic_dataset(
     b: int, count_per_class: int, seed: int, degree_sets: list[list[int]] | None = None
 ) -> SignalDataset:
     """Classes with energy confined to distinct harmonic degree sets."""
     if degree_sets is None:
-        degree_sets = [[1, 2], [3, 4], [5, 6]]
+        degree_sets = HARMONIC_DEGREE_SETS[:3]
     table = shared_table(b)
     rng = np.random.default_rng(seed)
     signals, labels = [], []
@@ -210,12 +213,3 @@ def make_harmonic_dataset(
             labels.append(ci)
     names = ["deg" + "_".join(map(str, d)) for d in degree_sets]
     return SignalDataset(b, names, signals, np.array(labels))
-
-
-def make_dataset(kind: str, b: int, count_per_class: int, seed: int, classes: int = 3) -> SignalDataset:
-    if kind == "blobs":
-        return make_blob_dataset(b, count_per_class, seed, _BLOB_CLASSES[:classes])
-    if kind == "harmonics":
-        sets = [[1, 2], [3, 4], [5, 6], [7, 8], [2, 5]][:classes]
-        return make_harmonic_dataset(b, count_per_class, seed, sets)
-    raise ValueError(f"unknown dataset kind {kind!r}")

@@ -14,9 +14,9 @@ import pytest
 from spheresig.cli import main
 from spheresig.formats import read_spec1, read_sph1, write_ckpt1, write_sph1
 from spheresig.grid import make_grid
-from spheresig.harmonics import build_table
+from spheresig.harmonics import build_table, shared_table
 from spheresig.network import LayerConfig, NetworkConfig, init_parameters
-from spheresig.sft import isft, random_coeffs
+from spheresig.sft import isft, random_coeffs, sft_direct, sft_sepvar
 from spheresig.synth import star_mesh
 
 
@@ -57,6 +57,23 @@ def test_sft_methods_agree(tmp_path, bandlimited_sph):
     assert main(["sft", path, "-o", a, "--method", "sepvar"]) == 0
     assert main(["sft", path, "-o", d, "--method", "direct"]) == 0
     assert np.abs(read_spec1(a).coeffs - read_spec1(d).coeffs).max() < 1e-9
+
+
+@pytest.mark.parametrize("method, analysis", [("sepvar", sft_sepvar), ("direct", sft_direct)])
+def test_sft_writes_half_storage(tmp_path, star_off, capsys, method, analysis):
+    """A projected mesh's spectrum is conjugate-symmetric entry for entry, so
+    SPEC1 stores its orders m >= 0 only (storage byte 1) and reads back the
+    analysis's coefficients bit for bit."""
+    sph = str(tmp_path / "m.sph")
+    spec = tmp_path / "m.spec"
+    assert main(["mesh2sphere", star_off, "-b", "8", "-o", sph]) == 0
+    assert main(["sft", sph, "-o", str(spec), "--method", method]) == 0
+    capsys.readouterr()
+    assert spec.read_bytes()[12] == 1
+    sig = read_sph1(sph)
+    np.testing.assert_array_equal(
+        read_spec1(str(spec)).coeffs, analysis(sig, shared_table(8)).coeffs
+    )
 
 
 def test_mesh2sphere_and_align(tmp_path, star_off, capsys):
@@ -215,6 +232,61 @@ class TestExitCodes:
         assert main(["align", str(nan), star_off, "-b", "8"]) == 2
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+
+
+class TestFlagChecks:
+    """Numeric flags out of range are usage errors, caught before any work."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, star_off, capsys):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(dict(
+            input_bandwidth=8, num_classes=3, in_channels=1, layers=[dict(out_channels=2)],
+        )))
+        data = str(tmp_path / "ds")
+        assert main(["synth", "--count", "1", "-b", "8", "-o", data]) == 0
+        capsys.readouterr()
+        return dict(cfg=str(cfg), data=data, mesh=star_off)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv-report", "--config", "{cfg}", "--rotations", "0"],
+            ["equiv-report", "--config", "{cfg}", "--rotations", "-2"],
+            ["equiv-report", "--config", "{cfg}", "--count", "0"],
+            ["bench-sft", "--bandwidths", "8", "--reps", "0"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--batch-size", "-1"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--batch-size", "0"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--epochs", "-1"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--lr", "nan"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--lr", "inf"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--lr", "0"],
+            ["align", "{mesh}", "{mesh}", "-b", "8", "--grid", "0,4,4"],
+            ["align", "{mesh}", "{mesh}", "-b", "8", "--grid", "4,4"],
+            ["align", "{mesh}", "{mesh}", "-b", "8", "--truth", "1,2"],
+            ["align", "{mesh}", "{mesh}", "-b", "8", "--truth", "0,nan,0"],
+            ["synth", "--count", "0", "-b", "8"],
+            ["synth", "--classes", "9", "--count", "1", "-b", "8"],
+            ["synth", "--classes", "0", "--count", "1", "-b", "8"],
+            ["synth", "--kind", "harmonics", "--classes", "6", "--count", "1", "-b", "8"],
+        ],
+        ids=lambda argv: " ".join(a.strip("{}") for a in argv),
+    )
+    def test_out_of_range(self, tmp_path, inputs, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(**inputs) for a in argv] + ["-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_classes_in_range(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        assert main(["synth", "--kind", "harmonics", "--classes", "5", "--count", "1",
+                     "-b", "8", "-o", str(data)]) == 0
+        meta = json.loads((data / "meta.json").read_text())
+        assert sorted(s["label"] for s in meta["samples"]) == [0, 1, 2, 3, 4]
+        capsys.readouterr()
 
 
 def test_cli_import_leaves_numpy_unloaded():
