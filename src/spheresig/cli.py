@@ -46,7 +46,16 @@ def _checked(parse, ok, rule: str):
     return check
 
 
+_MAX_BANDWIDTH = 512  # grid.DEFAULT_MAX_BANDWIDTH; importing grid here would load numpy
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be an integer of at least 1")
+_BANDWIDTH = _checked(
+    int, lambda v: 2 <= v <= _MAX_BANDWIDTH, f"must be an integer in [2, {_MAX_BANDWIDTH}]"
+)
+_BANDWIDTHS = _checked(
+    lambda t: [int(x) for x in t.split(",")],
+    lambda v: all(2 <= x <= _MAX_BANDWIDTH for x in v),
+    f"must be integers in [2, {_MAX_BANDWIDTH}], comma-separated",
+)
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "must be finite and greater than 0")
 _GRID = _checked(
     lambda t: tuple(int(x) for x in t.split(",")),
@@ -282,7 +291,10 @@ def _cmd_synth(args) -> int:
         raise UsageError(
             f"--classes must be between 1 and {len(kinds)} for {args.kind}, got {args.classes}"
         )
-    ds = make(args.bandwidth, args.count, args.seed, kinds[: args.classes])
+    try:
+        ds = make(args.bandwidth, args.count, args.seed, kinds[: args.classes])
+    except ValueError as exc:  # a class degree the bandwidth cannot hold
+        raise UsageError(f"-b/--bandwidth: {exc}") from None
     os.makedirs(args.output, exist_ok=True)
     samples = []
     for i, (sig, label) in enumerate(zip(ds.signals, ds.labels)):
@@ -429,8 +441,7 @@ def _cmd_equiv_report(args) -> int:
 def _cmd_bench_sft(args) -> int:
     from .bench import benchmark_sft
 
-    bandwidths = [int(b) for b in args.bandwidths.split(",")]
-    results = benchmark_sft(bandwidths, reps=args.reps, seed=args.seed)
+    results = benchmark_sft(args.bandwidths, reps=args.reps, seed=args.seed)
     doc = {
         str(b): dict(r, sepvar_faster=r["sepvar_median_s"] < r["direct_median_s"])
         for b, r in results.items()
@@ -451,7 +462,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("mesh2sphere", help="project a mesh to a 2-channel signal")
     s.add_argument("mesh")
-    s.add_argument("-b", "--bandwidth", type=int, required=True)
+    s.add_argument("-b", "--bandwidth", type=_BANDWIDTH, required=True)
     s.add_argument("-o", "--output", required=True)
     s.add_argument("--jitter", type=float, default=0.0)
     s.add_argument("--rotate", type=int, default=None, metavar="SEED")
@@ -489,7 +500,7 @@ def build_parser() -> _Parser:
     s.add_argument("--classes", type=int, default=3, help="blobs: 1-3, harmonics: 1-5")
     s.add_argument("--count", type=_AT_LEAST_1, required=True, help="samples per class")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("-b", "--bandwidth", type=int, default=8)
+    s.add_argument("-b", "--bandwidth", type=_BANDWIDTH, default=8)
     s.add_argument("-o", "--output", required=True, metavar="DIR")
     s.set_defaults(fn=_cmd_synth)
 
@@ -516,7 +527,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("align", help="estimate the rotation aligning two meshes")
     s.add_argument("mesh_a")
     s.add_argument("mesh_b")
-    s.add_argument("-b", "--bandwidth", type=int, default=32)
+    s.add_argument("-b", "--bandwidth", type=_BANDWIDTH, default=32)
     s.add_argument("--layer", default="input")
     s.add_argument("--net", default=None, metavar="CKPT")
     s.add_argument("--config", default=None, metavar="JSON")
@@ -535,7 +546,7 @@ def build_parser() -> _Parser:
     s.set_defaults(fn=_cmd_equiv_report)
 
     s = sub.add_parser("bench-sft", help="time direct vs separated transforms")
-    s.add_argument("--bandwidths", default="8,16,32,64")
+    s.add_argument("--bandwidths", type=_BANDWIDTHS, default="8,16,32,64")
     s.add_argument("--reps", type=_AT_LEAST_1, default=10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("-o", "--output", default=None)

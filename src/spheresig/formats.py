@@ -9,8 +9,8 @@ SPEC1: magic ``SPEC`` | u32 bandwidth | u32 channels | u8 storage
        | packed complex float64 pairs in (l, m) lexicographic order, with m
        running -l..l (storage 0), or 0..l (storage 1: only m >= 0, written
        whenever the coefficients are exactly conjugate-symmetric; the reader
-       mirrors the negative orders back through ``sft.mirror_negative``, so
-       every round trip is bit-exact).
+       fills the negative orders back through ``sft.to_packed``, so every
+       round trip is bit-exact).
 
 CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
        utf-8 name, u8 rank, u32 dims, float32 payload.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import FormatError
 from .grid import DEFAULT_MAX_BANDWIDTH, make_grid
-from .sft import SpectralCoeffs, SphericalSignal, half_index, mirror_negative
+from .sft import SpectralCoeffs, SphericalSignal, half_slots, to_half, to_packed
 
 _SPH_MAGIC = b"SPH1"
 _SPEC_MAGIC = b"SPEC"
@@ -88,11 +88,11 @@ def write_spec1(path: str, coeffs: SpectralCoeffs) -> None:
     b, c = coeffs.bandwidth, coeffs.coeffs
     if not np.isfinite(c).all():
         raise FormatError(f"{path}: refusing to write non-finite coefficients")
-    half = mirror_negative(c.copy()).tobytes() == c.tobytes()
+    half = to_packed(to_half(c)).tobytes() == c.tobytes()
     with open(path, "wb") as fh:
         fh.write(_SPEC_MAGIC)
         fh.write(struct.pack("<IIB", b, coeffs.channels, int(half)))
-        data = c[:, half_index(b)] if half else c
+        data = c[:, half_slots(b)[2]] if half else c
         fh.write(np.ascontiguousarray(data, dtype="<c16").tobytes())
 
 
@@ -113,9 +113,10 @@ def read_spec1(path: str) -> SpectralCoeffs:
         raise FormatError(f"{path}: coefficients hold non-finite values")
     if not half:
         return SpectralCoeffs(b, data.copy())
-    full = np.zeros((channels, b * b), dtype=np.complex128)
-    full[:, half_index(b)] = data
-    return SpectralCoeffs(b, mirror_negative(full))
+    m, l, _ = half_slots(b)
+    spectrum = np.zeros((b, b, channels), dtype=np.complex128)
+    spectrum[m, l] = data.T
+    return SpectralCoeffs(b, to_packed(spectrum))
 
 
 def write_ckpt1(path: str, tensors: dict[str, np.ndarray]) -> None:

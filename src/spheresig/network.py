@@ -282,11 +282,8 @@ def _forward_batch(
         b = bws[i]
         table = shared_table(b)
         anchors = _anchors(lay, b)
-        new_outs: dict[int, np.ndarray] = {}
-        # Branch 1 is cached first so that the reversed backward pass visits
-        # branch 0 of a layer (which stashes the concat cotangent) before
-        # branch 1 of the same layer consumes it.
-        for br in reversed(range(config.branches)):
+        new_outs: list[np.ndarray] = []
+        for br in range(config.branches):
             xin = outs[br]
             if config.branches == 2 and br == 0 and i in config.concat_layers:
                 xin = np.concatenate([xin, outs[1]], axis=0)
@@ -309,7 +306,7 @@ def _forward_batch(
             mask = None
             if lay.nonlinearity == "relu":
                 y, mask = spectral.relu_fwd(y)
-            new_outs[br] = y
+            new_outs.append(y)
             if want_cache:
                 cache["layers"].append(
                     dict(
@@ -324,7 +321,7 @@ def _forward_batch(
                     )
                 )
             taps[f"{prefix}conv{i + 1}"] = y.swapaxes(0, 1)
-        outs = [new_outs[br] for br in range(config.branches)]
+        outs = new_outs
     feat = np.concatenate(outs, axis=0)
     b_last = config.layer_bandwidths()[-1]
     table = shared_table(b_last)
@@ -419,11 +416,6 @@ def backward(
 
     dbranch = np.split(dfeat, config.branches, axis=0)
 
-    # Reversed cache order visits branch 0 of a layer before branch 1, so a
-    # concat contribution (a cotangent on branch 1's previous-layer output)
-    # is stashed by branch 0 and added once branch 1's backward pass for the
-    # same layer has produced its own previous-layer cotangent.
-    pending_concat: np.ndarray | None = None
     for entry in reversed(cache["layers"]):
         i, br = entry["layer"], entry["branch"]
         lay = config.layers[i]
@@ -446,13 +438,9 @@ def backward(
         dfilt = spectral.realize_vjp(dspectra, b, entry["anchors"])
         grads[f"{prefix}conv{i + 1}/filters"] += dfilt
         dx = _analysis_adjoint(dcoeffs, table)
-        if br == 1 and pending_concat is not None:
-            dx = dx + pending_concat
-            pending_concat = None
         if config.branches == 2 and br == 0 and i in config.concat_layers:
-            own = lay.in_channels
-            pending_concat = dx[own:]
-            dx = dx[:own]
+            dbranch[1] = dbranch[1] + dx[lay.in_channels :]
+            dx = dx[: lay.in_channels]
         dbranch[br] = dx
     return loss, grads
 

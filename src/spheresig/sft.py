@@ -28,7 +28,8 @@ Kernels:
   matmul, one transpose into the padded irfft input.  The only synthesis;
   ``_synthesis_real`` is its packed entry point (a gather, then the kernel).
 * ``_analysis_direct`` (full-grid contraction per order, O(b^4), behind
-  ``sft_direct``) is the packed reference; the two analyses agree to ~1e-12.
+  ``sft_direct``) is the reference; it returns a half spectrum too, and the
+  two analyses agree to ~1e-12.
 
 The adjoints backpropagation needs reuse them (Driscoll & Healy 1994): the
 adjoint of analysis is synthesis times the quadrature measure, that of
@@ -39,9 +40,10 @@ need no extra factor, and whoever contracts half spectra (a filter gradient,
 a per-degree norm) applies the weights.
 
 The spectrum of a real function obeys c_{-m}^l = (-1)^m conj(c_m^l).
-``conj_mirror`` states that rule once; ``to_packed``, the reference
-analysis, random spectra and the SPEC1 reader fill their negative orders
-through ``mirror_negative``.  ``isft`` returns the real part of the full
+Every producer of a real spectrum (the analyses, random spectra, the SPEC1
+reader) builds its half spectrum, and ``to_packed`` is the one place that
+fills the negative orders by that rule; ``conj_mirror`` applies it to a
+whole packed spectrum.  ``isft`` returns the real part of the full
 harmonic sum of any coefficients: it synthesizes their conjugate-symmetric
 part, which equals the coefficients bit for bit when they came from a real
 signal.
@@ -132,31 +134,17 @@ def packed_orders(b: int) -> tuple[np.ndarray, np.ndarray]:
     return l, np.arange(b * b) - l * l - l
 
 
-def half_index(b: int) -> np.ndarray:
-    """Packed slots of the orders m >= 0, in (l, m) lexicographic order."""
-    return np.flatnonzero(packed_orders(b)[1] >= 0)
-
-
-def conj_mirror(coeffs: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
-    """(-1)^m conj(c_{-m}^l) at the packed ``slots`` (l, m) of (..., b*b)
-    coefficients, every slot by default.
+def conj_mirror(coeffs: np.ndarray) -> np.ndarray:
+    """(-1)^m conj(c_{-m}^l) at every packed slot (l, m) of (..., b*b)
+    coefficients.
 
     The spectrum of a real function equals its mirror (Driscoll & Healy 1994);
     the mirror is an involution, exact in floating point.
     """
-    slots = np.arange(coeffs.shape[-1]) if slots is None else slots
-    m = packed_orders(math.isqrt(coeffs.shape[-1]))[1][slots]
-    out = np.conj(coeffs[..., slots - 2 * m])
+    m = packed_orders(math.isqrt(coeffs.shape[-1]))[1]
+    out = np.conj(coeffs[..., np.arange(m.size) - 2 * m])
     np.negative(out, out=out, where=m % 2 == 1)
     return out
-
-
-def mirror_negative(coeffs: np.ndarray) -> np.ndarray:
-    """Overwrite the negative orders of ``coeffs`` with the mirror of the
-    positive ones, in place; returns ``coeffs``."""
-    neg = np.flatnonzero(packed_orders(math.isqrt(coeffs.shape[-1]))[1] < 0)
-    coeffs[..., neg] = conj_mirror(coeffs, neg)
-    return coeffs
 
 
 def order_weights(b: int) -> np.ndarray:
@@ -167,8 +155,9 @@ def order_weights(b: int) -> np.ndarray:
     return w
 
 
-def _half_slots(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order m, degree l and packed slot of every (m, l) with 0 <= m <= l < b."""
+def half_slots(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order m, degree l and packed slot of every (l, m) with 0 <= m <= l < b,
+    in (l, m) lexicographic order (SPEC1's half storage)."""
     l, m = packed_orders(b)
     slots = np.flatnonzero(m >= 0)
     return m[slots], l[slots], slots
@@ -178,7 +167,7 @@ def to_half(coeffs: np.ndarray) -> np.ndarray:
     """Packed (..., b*b) coefficients as a half spectrum (b, b, ...): their
     orders m >= 0, m-major, zero where l < m."""
     b = math.isqrt(coeffs.shape[-1])
-    m, l, slots = _half_slots(b)
+    m, l, slots = half_slots(b)
     out = np.zeros((b, b) + coeffs.shape[:-1], dtype=np.complex128)
     out[m, l] = np.moveaxis(coeffs[..., slots], -1, 0)
     return out
@@ -186,21 +175,25 @@ def to_half(coeffs: np.ndarray) -> np.ndarray:
 
 def to_packed(half: np.ndarray) -> np.ndarray:
     """The packed (..., b*b) conjugate-symmetric spectrum of a half spectrum
-    (b, b, ...); the inverse of ``to_half`` on spectra of real signals."""
+    (b, b, ...); the inverse of ``to_half`` on spectra of real signals.  The
+    negative orders are c_{-m}^l = (-1)^m conj(c_m^l)."""
     b = half.shape[0]
-    m, l, slots = _half_slots(b)
+    m, l, slots = half_slots(b)
     out = np.empty(half.shape[2:] + (b * b,), dtype=np.complex128)
     out[..., slots] = np.moveaxis(half[m, l], 0, -1)
-    return mirror_negative(out)
+    m, slots = m[m > 0], slots[m > 0]
+    mirror = np.conj(out[..., slots])
+    np.negative(mirror, out=mirror, where=m % 2 == 1)
+    out[..., slots - 2 * m] = mirror
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Kernels.  values arrays carry shape (..., 2b, 2b); packed coefficient
 # arrays (..., b*b); half spectra (b, b, ...), m-major.  Analysis computes the
-# orders m >= 0 only; the packed layout gets the rest from the mirror (in
-# ``to_packed``, or in the reference), so the conjugation rule holds
-# entry-exactly.  Synthesis reads only orders m >= 0 (and the real part of
-# m = 0).
+# orders m >= 0 only; the packed layout gets the rest from the mirror in
+# ``to_packed``, so the conjugation rule holds entry-exactly.  Synthesis reads
+# only orders m >= 0 (and the real part of m = 0).
 # ---------------------------------------------------------------------------
 
 
@@ -227,19 +220,19 @@ def _analysis_half(
 
 
 def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Full-grid contraction per order: no factorization over longitude."""
+    """Half spectrum (b, b, ...) of real (..., 2b, 2b) values by full-grid
+    contraction per order: no factorization over longitude."""
     b = table.bandwidth
     w = table.grid.quad_weights
     pref = _prefactor(b)
     wf = values * w[:, None]
-    out = np.zeros(values.shape[:-2] + (b * b,), dtype=np.complex128)
+    out = np.zeros((b, b) + values.shape[:-2], dtype=np.complex128)
     for m in range(b):
         # conj(Y_m^l) sampled over the whole grid, one (l, j, k) block.
         ybar = table.legendre[m:, m, :, None] * table.fourier_phases[m, None, None, :]
         block = pref * np.tensordot(wf, ybar, axes=([-2, -1], [1, 2]))
-        ls = np.arange(m, b)
-        out[..., ls * ls + ls + m] = block
-    return mirror_negative(out)
+        out[m, m:] = np.moveaxis(block, -1, 0)
+    return out
 
 
 def _synthesis_half(
@@ -293,7 +286,7 @@ def sft_direct(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
     """Forward transform by direct quadrature over the full grid."""
     _check_match(signal.bandwidth, table)
     vals = np.asarray(signal.values, dtype=np.float64)
-    return SpectralCoeffs(table.bandwidth, _analysis_direct(vals, table))
+    return SpectralCoeffs(table.bandwidth, to_packed(_analysis_direct(vals, table)))
 
 
 def sft_sepvar(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
@@ -336,15 +329,15 @@ def random_coeffs(
     rng = np.random.default_rng() if rng is None else rng
     # Draw k of degree l (row l*l + k): k = 0 is the order 0, then the real
     # and imaginary parts of the orders 1 .. l in turn.
-    z = rng.standard_normal((b * b, channels)).T
-    c = np.zeros((channels, b * b), dtype=np.complex128)
+    z = rng.standard_normal((b * b, channels))
+    half = np.zeros((b, b, channels), dtype=np.complex128)
     ls = np.arange(b)
-    c[:, ls * ls + ls] = scale * z[:, ls * ls]
-    l, m = packed_orders(b)
-    l, m = l[m > 0], m[m > 0]
+    half[0, ls] = scale * z[ls * ls]
+    m, l, _ = half_slots(b)
+    m, l = m[m > 0], l[m > 0]
     re = l * l + 2 * m - 1
-    c[:, l * l + l + m] = scale * (z[:, re] + 1j * z[:, re + 1]) / np.sqrt(2.0)
-    return SpectralCoeffs(b, mirror_negative(c))
+    half[m, l] = scale * (z[re] + 1j * z[re + 1]) / np.sqrt(2.0)
+    return SpectralCoeffs(b, to_packed(half))
 
 
 def random_bandlimited_signal(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .grid import SphericalGrid, make_grid
 from .harmonics import HarmonicTable, shared_table
-from .sft import SpectralCoeffs, SphericalSignal, isft, order_weights, packed_orders
+from .sft import SpectralCoeffs, SphericalSignal, _synthesis_half, order_weights, packed_orders
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,9 @@ def filter_to_signal(spec: ZonalFilterSpec, table: HarmonicTable | None = None) 
     """Spatial realization of a zonal filter (order-zero synthesis)."""
     b = spec.bandwidth
     table = shared_table(b) if table is None else table
-    c = np.zeros((1, b * b), dtype=np.complex128)
-    ls = np.arange(b)
-    c[0, ls * ls + ls] = realize_filter(spec)
-    return isft(SpectralCoeffs(b, c), table)
+    half = np.zeros((b, b, 1), dtype=np.complex128)
+    half[0, :, 0] = realize_filter(spec)
+    return SphericalSignal(table.grid, _synthesis_half(half, table))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,20 @@ class TestFlagChecks:
             ["synth", "--classes", "9", "--count", "1", "-b", "8"],
             ["synth", "--classes", "0", "--count", "1", "-b", "8"],
             ["synth", "--kind", "harmonics", "--classes", "6", "--count", "1", "-b", "8"],
+            ["synth", "--kind", "harmonics", "--classes", "5", "--count", "1", "-b", "8"],
+            ["synth", "--kind", "harmonics", "--classes", "3", "--count", "1", "-b", "4"],
+            ["synth", "--count", "1", "-b", "0"],
+            ["synth", "--count", "1", "-b", "1"],
+            ["synth", "--count", "1", "-b", "513"],
+            ["mesh2sphere", "{mesh}", "-b", "0"],
+            ["mesh2sphere", "{mesh}", "-b", "1"],
+            ["mesh2sphere", "{mesh}", "-b", "513"],
+            ["align", "{mesh}", "{mesh}", "-b", "0"],
+            ["align", "{mesh}", "{mesh}", "-b", "1"],
+            ["align", "{mesh}", "{mesh}", "-b", "513"],
+            ["bench-sft", "--bandwidths", "0", "--reps", "1"],
+            ["bench-sft", "--bandwidths", "8,x", "--reps", "1"],
+            ["bench-sft", "--bandwidths", "1024", "--reps", "1"],
         ],
         ids=lambda argv: " ".join(a.strip("{}") for a in argv),
     )
@@ -283,10 +297,18 @@ class TestFlagChecks:
     def test_classes_in_range(self, tmp_path, capsys):
         data = tmp_path / "ds"
         assert main(["synth", "--kind", "harmonics", "--classes", "5", "--count", "1",
-                     "-b", "8", "-o", str(data)]) == 0
+                     "-b", "9", "-o", str(data)]) == 0
         meta = json.loads((data / "meta.json").read_text())
         assert sorted(s["label"] for s in meta["samples"]) == [0, 1, 2, 3, 4]
         capsys.readouterr()
+
+
+def test_max_bandwidth_matches_grid():
+    """The parser's bandwidth bound is a literal, since importing ``grid``
+    would load numpy before ``--threads`` is applied."""
+    from spheresig import cli, grid
+
+    assert cli._MAX_BANDWIDTH == grid.DEFAULT_MAX_BANDWIDTH
 
 
 def test_cli_import_leaves_numpy_unloaded():

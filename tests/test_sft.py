@@ -19,9 +19,8 @@ from spheresig.sft import (
     coeff_index,
     conj_mirror,
     evaluate_coeffs_at,
-    half_index,
+    half_slots,
     isft,
-    mirror_negative,
     random_coeffs,
     sft_direct,
     sft_sepvar,
@@ -253,10 +252,10 @@ class TestPointwiseSynthesis:
 
 
 class TestConjugationRule:
-    def test_half_index_is_lexicographic_nonnegative_orders(self):
+    def test_half_slots_are_lexicographic_nonnegative_orders(self):
         for b in (1, 2, 7):
             want = [l * l + l + m for l in range(b) for m in range(l + 1)]
-            np.testing.assert_array_equal(half_index(b), want)
+            np.testing.assert_array_equal(half_slots(b)[2], want)
 
     def test_mirror_is_an_exact_involution(self):
         c = nonsymmetric(6, 3, 9)
@@ -266,10 +265,10 @@ class TestConjugationRule:
                 want = (-1) ** m * np.conj(c[:, coeff_index(l, -m)])
                 np.testing.assert_array_equal(conj_mirror(c)[:, coeff_index(l, m)], want)
 
-    def test_mirror_negative_keeps_nonnegative_orders(self):
+    def test_to_packed_keeps_nonnegative_orders(self):
         c = nonsymmetric(5, 2, 10)
-        got = mirror_negative(c.copy())
-        keep = half_index(5)
+        got = to_packed(to_half(c))
+        keep = half_slots(5)[2]
         np.testing.assert_array_equal(got[:, keep], c[:, keep])
         neg = np.setdiff1d(np.arange(25), keep)
         np.testing.assert_array_equal(got[:, neg], conj_mirror(got)[:, neg])
@@ -292,7 +291,7 @@ class TestParity:
             table = table_for(b)
             x = np.random.default_rng(b).standard_normal((2, 3, 2 * b, 2 * b))
             np.testing.assert_array_equal(
-                _analysis_direct(x, table), loop_analysis(x, table, direct=True)
+                to_packed(_analysis_direct(x, table)), loop_analysis(x, table, direct=True)
             )
 
 
