@@ -9,10 +9,12 @@ with T[m', m] = sum_l d^l_{m'm}(beta) a^l_m conj(b^l_{m'}), the score at
 a two-dimensional Fourier sum per beta row, which this module evaluates
 directly for arbitrary angle lists.
 
-The returned rotation maximizes the score over a coarse lattice followed by
-one local refinement pass on a three-times-finer lattice around the best
-cell.  Ties, scores within 1e-12 (relative) of the maximum, break toward the
-lexicographically smallest (alpha, beta, gamma).
+The per-degree cross-powers sum_c a^l_c (x) conj(b^l_c) are built once per
+search.  The returned rotation maximizes the score over a coarse lattice,
+then over a three-times-finer lattice spanning one coarse cell around the
+best point, both scored from those cross-powers.  Ties, scores within
+1e-12 (relative) of the maximum, break toward the lexicographically
+smallest (alpha, beta, gamma).
 """
 
 from __future__ import annotations
@@ -39,30 +41,16 @@ class AlignmentResult:
 
 
 def _score_lattice(
-    a_list: list[SpectralCoeffs],
-    b_list: list[SpectralCoeffs],
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    gammas: np.ndarray,
+    cross: list[np.ndarray], alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray
 ) -> np.ndarray:
-    """Correlation scores on the outer-product rotation lattice (A, B, G)."""
-    bw = a_list[0].bandwidth
+    """Scores on the outer-product rotation lattice (A, B, G) from the cross-powers."""
+    bw = len(cross)
     ms = np.arange(-(bw - 1), bw)
-    # T[beta, m', m] accumulated over degrees, channels, and list entries.
+    # T[beta, m', m] accumulated over degrees.
     t = np.zeros((len(betas), 2 * bw - 1, 2 * bw - 1), dtype=np.complex128)
-    for l in range(bw):
-        d = _small_d_many(l, betas)  # (B, 2l+1, 2l+1)
+    for l, outer in enumerate(cross):
         sl = slice(bw - 1 - l, bw + l)
-        outer = np.zeros((2 * l + 1, 2 * l + 1), dtype=np.complex128)
-        for a_c, b_c in zip(a_list, b_list):
-            if a_c.bandwidth != bw or b_c.bandwidth != bw:
-                raise ValueError("all coefficient sets must share one bandwidth")
-            if a_c.channels != b_c.channels:
-                raise ValueError("channel count mismatch between the two sides")
-            seg_a = a_c.coeffs[:, l * l : (l + 1) * (l + 1)]
-            seg_b = b_c.coeffs[:, l * l : (l + 1) * (l + 1)]
-            outer += np.einsum("cm,cp->pm", seg_a, np.conj(seg_b))
-        t[:, sl, sl] += d * outer
+        t[:, sl, sl] += _small_d_many(l, betas) * outer
     ea = np.exp(-1j * np.outer(alphas, ms))  # (A, M')
     eg = np.exp(-1j * np.outer(gammas, ms))  # (G, M)
     scores = (ea @ t) @ eg.T  # (B, A, G)
@@ -81,21 +69,6 @@ def _first_max(scores: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.unravel_index(first, scores.shape))
 
 
-def _refine(
-    a_list, b_list, best: tuple[float, float, float], steps: tuple[float, float, float]
-) -> tuple[RotationZYZ, float]:
-    """One pass on a 3x finer local lattice spanning one coarse cell around the best."""
-    a0, b0, g0 = best
-    da, db, dg = steps
-    offs = np.arange(-3, 4) / 3.0
-    alphas = a0 + offs * da
-    betas = np.clip(b0 + offs * db, 0.0, np.pi)
-    gammas = g0 + offs * dg
-    scores = _score_lattice(a_list, b_list, alphas, betas, gammas)
-    i, j, k = _first_max(scores)
-    return RotationZYZ(alphas[i], betas[j], gammas[k]), float(scores[i, j, k])
-
-
 def so3_correlate(
     a: list[SpectralCoeffs] | SpectralCoeffs,
     b: list[SpectralCoeffs] | SpectralCoeffs,
@@ -106,13 +79,23 @@ def so3_correlate(
     """Rotation maximizing the summed feature-map correlation of ``a`` against ``b``."""
     a_list = [a] if isinstance(a, SpectralCoeffs) else list(a)
     b_list = [b] if isinstance(b, SpectralCoeffs) else list(b)
-    if len(a_list) != len(b_list):
-        raise ValueError("feature lists must have equal length")
+    if not a_list or len(a_list) != len(b_list):
+        raise ValueError("feature lists must be non-empty and of equal length")
+    bw = a_list[0].bandwidth
+    for a_c, b_c in zip(a_list, b_list):
+        if {a_c.bandwidth, b_c.bandwidth} != {bw} or a_c.channels != b_c.channels:
+            raise ValueError("coefficient sets need one bandwidth and equal channels per pair")
+    # cross[l]: sum over entries and channels of a^l (x) conj(b^l), indexed [m', m].
+    cross = [np.zeros((2 * l + 1, 2 * l + 1), dtype=np.complex128) for l in range(bw)]
+    for a_c, b_c in zip(a_list, b_list):
+        for l, outer in enumerate(cross):
+            seg = slice(l * l, (l + 1) * (l + 1))
+            outer += np.einsum("cm,cp->pm", a_c.coeffs[:, seg], np.conj(b_c.coeffs[:, seg]))
     na, nb, ng = grid_size
     alphas = 2 * np.pi * np.arange(na) / na
     betas = np.pi * np.arange(nb) / nb
     gammas = 2 * np.pi * np.arange(ng) / ng
-    scores = _score_lattice(a_list, b_list, alphas, betas, gammas)
+    scores = _score_lattice(cross, alphas, betas, gammas)
     i, j, k = _first_max(scores)
     best_rot = RotationZYZ(alphas[i], betas[j], gammas[k])
     best_score = float(scores[i, j, k])
@@ -120,13 +103,14 @@ def so3_correlate(
     median = float(np.median(scores))
     degenerate = bool(spread <= 0 or (scores.max() - median) / spread < DEGENERATE_SPREAD)
     if refine and not degenerate:
-        best_rot, refined = _refine(
-            a_list,
-            b_list,
-            (alphas[i], betas[j], gammas[k]),
-            (2 * np.pi / na, np.pi / nb, 2 * np.pi / ng),
-        )
-        best_score = max(best_score, refined)
+        offs = np.arange(-3, 4) / 3.0
+        fine_a = alphas[i] + offs * (2 * np.pi / na)
+        fine_b = np.clip(betas[j] + offs * (np.pi / nb), 0.0, np.pi)
+        fine_g = gammas[k] + offs * (2 * np.pi / ng)
+        fine = _score_lattice(cross, fine_a, fine_b, fine_g)
+        fi, fj, fk = _first_max(fine)
+        best_rot = RotationZYZ(fine_a[fi], fine_b[fj], fine_g[fk])
+        best_score = max(best_score, float(fine[fi, fj, fk]))
     return AlignmentResult(
         rotation=best_rot,
         score=best_score,

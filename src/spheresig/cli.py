@@ -48,6 +48,8 @@ def _checked(parse, ok, rule: str):
 
 _MAX_BANDWIDTH = 512  # grid.DEFAULT_MAX_BANDWIDTH; importing grid here would load numpy
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be an integer of at least 1")
+_SEED = _checked(int, lambda v: v >= 0, "must be an integer of at least 0")
+_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "must be a number in [0, 1]")
 _BANDWIDTH = _checked(
     int, lambda v: 2 <= v <= _MAX_BANDWIDTH, f"must be an integer in [2, {_MAX_BANDWIDTH}]"
 )
@@ -279,6 +281,7 @@ def _cmd_synth(args) -> int:
     from .synth import (
         BLOB_CLASSES,
         HARMONIC_DEGREE_SETS,
+        check_degree_sets,
         make_blob_dataset,
         make_harmonic_dataset,
     )
@@ -291,10 +294,12 @@ def _cmd_synth(args) -> int:
         raise UsageError(
             f"--classes must be between 1 and {len(kinds)} for {args.kind}, got {args.classes}"
         )
-    try:
-        ds = make(args.bandwidth, args.count, args.seed, kinds[: args.classes])
-    except ValueError as exc:  # a class degree the bandwidth cannot hold
-        raise UsageError(f"-b/--bandwidth: {exc}") from None
+    if args.kind == "harmonics":
+        try:
+            check_degree_sets(kinds[: args.classes], args.bandwidth)
+        except ValueError as exc:
+            raise UsageError(f"-b/--bandwidth: {exc}") from None
+    ds = make(args.bandwidth, args.count, args.seed, kinds[: args.classes])
     os.makedirs(args.output, exist_ok=True)
     samples = []
     for i, (sig, label) in enumerate(zip(ds.signals, ds.labels)):
@@ -367,6 +372,8 @@ def _cmd_align(args) -> int:
     from .rotation import RotationZYZ
 
     net = params = None
+    if not args.net and (args.config or args.layer != "input"):
+        raise UsageError("--config and --layer (other than input) require --net")
     if args.net:
         if not args.config:
             raise UsageError("--net requires --config")
@@ -457,16 +464,16 @@ def _cmd_bench_sft(args) -> int:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="spheresig", description=__doc__)
-    p.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP threads")
+    p.add_argument("--threads", type=_AT_LEAST_1, default=None, help="cap BLAS/OpenMP threads")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("mesh2sphere", help="project a mesh to a 2-channel signal")
     s.add_argument("mesh")
     s.add_argument("-b", "--bandwidth", type=_BANDWIDTH, required=True)
     s.add_argument("-o", "--output", required=True)
-    s.add_argument("--jitter", type=float, default=0.0)
-    s.add_argument("--rotate", type=int, default=None, metavar="SEED")
-    s.add_argument("--seed", type=int, default=0, help="rng seed when --rotate is absent")
+    s.add_argument("--jitter", type=_FRACTION, default=0.0, help="fraction of the radius")
+    s.add_argument("--rotate", type=_SEED, default=None, metavar="SEED")
+    s.add_argument("--seed", type=_SEED, default=0, help="rng seed when --rotate is absent")
     s.add_argument("--dtype", choices=("f32", "f64"), default="f64")
     s.set_defaults(fn=_cmd_mesh2sphere)
 
@@ -499,7 +506,7 @@ def build_parser() -> _Parser:
     s.add_argument("--kind", choices=("blobs", "harmonics"), default="blobs")
     s.add_argument("--classes", type=int, default=3, help="blobs: 1-3, harmonics: 1-5")
     s.add_argument("--count", type=_AT_LEAST_1, required=True, help="samples per class")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("-b", "--bandwidth", type=_BANDWIDTH, default=8)
     s.add_argument("-o", "--output", required=True, metavar="DIR")
     s.set_defaults(fn=_cmd_synth)
@@ -507,7 +514,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("train", help="train a classifier on a dataset directory")
     s.add_argument("--config", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--epochs", type=_AT_LEAST_1, default=48)
     s.add_argument("--lr", type=_POSITIVE, default=1e-3)
     s.add_argument("--batch-size", type=_AT_LEAST_1, default=16)
@@ -538,7 +545,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("equiv-report", help="per-layer equivariance error report")
     s.add_argument("--config", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--count", type=_AT_LEAST_1, default=6)
     s.add_argument("--rotations", type=_AT_LEAST_1, default=1)
     s.add_argument("--bandlimited", action="store_true")
@@ -548,7 +555,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("bench-sft", help="time direct vs separated transforms")
     s.add_argument("--bandwidths", type=_BANDWIDTHS, default="8,16,32,64")
     s.add_argument("--reps", type=_AT_LEAST_1, default=10)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(fn=_cmd_bench_sft)
     return p

@@ -24,6 +24,7 @@ filter gradient and the MAG-L norms.  Inputs arrive and taps leave as
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -525,7 +526,7 @@ def train(
             total += loss
         history.append(total / n)
         if schedule.log:
-            print(f"epoch {epoch:3d}  lr {lr:.2e}  loss {history[-1]:.4f}")
+            print(f"epoch {epoch:3d}  lr {lr:.2e}  loss {history[-1]:.4f}", file=sys.stderr)
     return params, history
 
 

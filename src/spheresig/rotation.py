@@ -6,15 +6,14 @@ degree-l coefficient block transforms by the unitary matrix
     D^l(alpha, beta, gamma) = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz)
 
 acting on column vectors indexed m = -l .. l, which realizes the signal map
-f -> f o R^{-1} under this package's harmonic convention.  The middle factor
-(the real small-d matrix) is computed from the eigendecomposition of the
-angular-momentum generator Jy, which is stable at any degree; blocks are
-unitary to ~1e-13.
-
-``rotate_packed`` is the one rotation kernel: it rotates any number of
-packed spectra of mixed bandwidths by one rotation, building each degree's
-block once.  ``rotate_spectrum``, ``rotate_signal`` and the equivariance
-harness all go through it.
+f -> f o R^{-1} under this package's harmonic convention.  With the
+eigendecomposition Jy = V diag(w) V^H (stable at any degree; the eigenvalues
+are the integers -l .. l) the block factors into two diagonal phases around
+V diag(exp(-i beta w)) V^H, and ``rotate_packed`` applies those factors to
+coefficient rows in turn, at (2l+1)^2 work per row, without forming the
+block.  It is the one rotation map: ``wigner_d`` is that map applied to the
+identity, and ``rotate_spectrum``, ``rotate_signal`` and the equivariance
+harness all go through it.  At beta = 0 the map is one exact phase.
 
 Eigendecompositions are cached per degree; cached entries are immutable and
 safe for concurrent readers.
@@ -130,14 +129,6 @@ def _jy_eig(l: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _small_d(l: int, beta: float) -> np.ndarray:
-    """Real small-d matrix exp(-i beta Jy) of degree l."""
-    if beta == 0.0:
-        return np.eye(2 * l + 1)
-    w, v = _jy_eig(l)
-    return ((v * np.exp(-1j * beta * w)) @ v.conj().T).real
-
-
 def _small_d_many(l: int, betas: np.ndarray) -> np.ndarray:
     """Stack of small-d matrices for several beta values, shape (B, 2l+1, 2l+1)."""
     w, v = _jy_eig(l)
@@ -145,26 +136,37 @@ def _small_d_many(l: int, betas: np.ndarray) -> np.ndarray:
     return ((v * phase[:, None, :]) @ v.conj().T).real
 
 
+def _degree_factors(l: int, r: RotationZYZ) -> list[np.ndarray]:
+    """Factors of x -> x @ D^l(r).T on rows x of degree-l coefficients, in
+    order: 1-D ones are diagonals, 2-D ones right matrix products."""
+    m = np.arange(-l, l + 1)
+    if r.beta == 0.0:
+        return [np.exp(-1j * m * (r.alpha + r.gamma))]
+    w, v = _jy_eig(l)
+    ea, eg = np.exp(-1j * m * r.alpha), np.exp(-1j * m * r.gamma)
+    return [eg, v.conj(), np.exp(-1j * r.beta * w), v.T, ea]
+
+
+def _apply_factors(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    for f in factors:
+        x = x * f if f.ndim == 1 else x @ f
+    return x
+
+
 def wigner_d(l: int, r: RotationZYZ) -> np.ndarray:
     """Unitary (2l+1, 2l+1) representation matrix of ``r`` on degree-l coefficients."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    m = np.arange(-l, l + 1)
-    if r.beta == 0.0:
-        return np.diag(np.exp(-1j * m * (r.alpha + r.gamma)))
-    return (
-        np.exp(-1j * m * r.alpha)[:, None]
-        * _small_d(l, r.beta)
-        * np.exp(-1j * m * r.gamma)[None, :]
-    )
+    return _apply_factors(np.eye(2 * l + 1, dtype=np.complex128), _degree_factors(l, r)).T
 
 
 def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
     """Apply ``r`` to packed coefficient arrays (..., b*b) of any bandwidths.
 
-    Degree by degree, the block is built once and applied to every array
-    whose bandwidth exceeds that degree, then dropped; only one block is held
-    at a time.  Exact for bandlimited content.
+    Degree by degree, the factors of the block are built once and applied to
+    every array whose bandwidth exceeds that degree at (2l+1)^2 work per row;
+    no block is formed.  Arrays are never stacked, so each result is the same
+    bits whatever else is rotated with it.  Exact for bandlimited content.
     """
     bws = []
     for a in arrays:
@@ -174,11 +176,11 @@ def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
         bws.append(b)
     outs = [np.empty_like(a) for a in arrays]
     for l in range(max(bws, default=0)):
-        block_t = wigner_d(l, r).T
+        factors = _degree_factors(l, r)
         seg = slice(l * l, (l + 1) * (l + 1))
         for a, out, b in zip(arrays, outs, bws):
             if b > l:
-                out[..., seg] = a[..., seg] @ block_t
+                out[..., seg] = _apply_factors(a[..., seg], factors)
     return outs
 
 

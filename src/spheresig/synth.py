@@ -193,6 +193,13 @@ def make_blob_dataset(
 HARMONIC_DEGREE_SETS = [[1, 2], [3, 4], [5, 6], [7, 8], [2, 5]]
 
 
+def check_degree_sets(degree_sets: list[list[int]], b: int) -> None:
+    """ValueError unless every degree of ``degree_sets`` is below the bandwidth ``b``."""
+    top = max((l for degs in degree_sets for l in degs), default=0)
+    if top >= b:
+        raise ValueError(f"degree {top} needs a bandwidth of at least {top + 1}, got {b}")
+
+
 def make_harmonic_dataset(
     b: int, count_per_class: int, seed: int, degree_sets: list[list[int]] | None = None
 ) -> SignalDataset:
@@ -200,9 +207,7 @@ def make_harmonic_dataset(
     degree must be below the bandwidth ``b``."""
     if degree_sets is None:
         degree_sets = HARMONIC_DEGREE_SETS[:3]
-    top = max((l for degs in degree_sets for l in degs), default=0)
-    if top >= b:
-        raise ValueError(f"degree {top} needs a bandwidth of at least {top + 1}, got {b}")
+    check_degree_sets(degree_sets, b)
     table = shared_table(b)
     rng = np.random.default_rng(seed)
     signals, labels = [], []

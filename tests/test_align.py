@@ -1,7 +1,9 @@
 """Correlation alignment: planted rotations, score identities, degeneracy."""
 
 import numpy as np
+import pytest
 
+from spheresig import align
 from spheresig.align import _first_max, _score_lattice, align_shapes, so3_correlate
 from spheresig.rotation import (
     RotationZYZ,
@@ -87,6 +89,35 @@ class TestCorrelation:
         assert res.per_rotation_scores.shape == (64,)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "a_list, b_list",
+        [
+            ([], []),
+            ([random_coeffs(4, 1, np.random.default_rng(0))], []),
+            ([random_coeffs(4, 1, np.random.default_rng(0))] * 2,
+             [random_coeffs(4, 1, np.random.default_rng(1))]),
+            ([random_coeffs(4, 1, np.random.default_rng(0)),
+              random_coeffs(8, 1, np.random.default_rng(1))],
+             [random_coeffs(4, 1, np.random.default_rng(2)),
+              random_coeffs(8, 1, np.random.default_rng(3))]),
+            ([random_coeffs(4, 1, np.random.default_rng(0))],
+             [random_coeffs(8, 1, np.random.default_rng(1))]),
+            ([random_coeffs(4, 2, np.random.default_rng(0))],
+             [random_coeffs(4, 1, np.random.default_rng(1))]),
+        ],
+        ids=["empty", "one-empty", "unequal-length", "mixed-bandwidths",
+             "bandwidth-mismatch", "channel-mismatch"],
+    )
+    def test_rejected_before_scoring(self, monkeypatch, a_list, b_list):
+        def no_scoring(*args):
+            raise AssertionError("scored before the inputs were checked")
+
+        monkeypatch.setattr(align, "_score_lattice", no_scoring)
+        with pytest.raises(ValueError):
+            so3_correlate(a_list, b_list, grid_size=(4, 4, 4))
+
+
 class TestLatticeKernel:
     def test_scores_match_rotated_inner_products(self):
         rng = np.random.default_rng(12)
@@ -95,7 +126,8 @@ class TestLatticeKernel:
         alphas = 2 * np.pi * np.arange(6) / 6
         betas = np.pi * np.arange(5) / 5
         gammas = 2 * np.pi * np.arange(7) / 7
-        scores = _score_lattice([a], [b], alphas, betas, gammas)
+        cross = [np.einsum("cm,cp->pm", a.degree(l), np.conj(b.degree(l))) for l in range(8)]
+        scores = _score_lattice(cross, alphas, betas, gammas)
         assert scores.shape == (6, 5, 7)
         scale = np.linalg.norm(a.coeffs) * np.linalg.norm(b.coeffs)  # bounds |score|
         for i, j, k in [(0, 0, 0), (0, 0, 3), (1, 2, 5), (5, 4, 6), (3, 1, 0), (2, 3, 4)]:

@@ -140,6 +140,22 @@ def test_synth_train_infer(tmp_path, capsys):
     assert len(out["logits"]) == 3 and 0 <= out["prediction"] < 3
 
 
+def test_train_verbose_keeps_stdout_json(tmp_path, capsys):
+    data = str(tmp_path / "ds")
+    assert main(["synth", "--count", "2", "-b", "8", "-o", data]) == 0
+    cfgfile = tmp_path / "net.json"
+    cfgfile.write_text(json.dumps(dict(
+        input_bandwidth=8, num_classes=3, in_channels=1, layers=[dict(out_channels=2)],
+    )))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfgfile), "--data", data, "--epochs", "3",
+                 "-o", str(tmp_path / "m.ckpt"), "-v"]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)["loss_per_epoch"]) == 3
+    lines = captured.err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("epoch") for line in lines)
+
+
 def test_synth_reproducible(tmp_path):
     da, db = str(tmp_path / "a"), str(tmp_path / "b")
     for d in (da, db):
@@ -283,6 +299,20 @@ class TestFlagChecks:
             ["bench-sft", "--bandwidths", "0", "--reps", "1"],
             ["bench-sft", "--bandwidths", "8,x", "--reps", "1"],
             ["bench-sft", "--bandwidths", "1024", "--reps", "1"],
+            ["mesh2sphere", "{mesh}", "-b", "8", "--seed", "-1"],
+            ["mesh2sphere", "{mesh}", "-b", "8", "--rotate", "-1"],
+            ["synth", "--count", "1", "-b", "8", "--seed", "-1"],
+            ["train", "--config", "{cfg}", "--data", "{data}", "--seed", "-1"],
+            ["equiv-report", "--config", "{cfg}", "--seed", "-1"],
+            ["bench-sft", "--bandwidths", "8", "--reps", "1", "--seed", "-1"],
+            ["--threads", "0", "synth", "--count", "1", "-b", "8"],
+            ["--threads", "-2", "synth", "--count", "1", "-b", "8"],
+            ["mesh2sphere", "{mesh}", "-b", "8", "--jitter", "inf"],
+            ["mesh2sphere", "{mesh}", "-b", "8", "--jitter", "1e300"],
+            ["mesh2sphere", "{mesh}", "-b", "8", "--jitter", "nan"],
+            ["mesh2sphere", "{mesh}", "-b", "8", "--jitter", "-5"],
+            ["align", "{mesh}", "{mesh}", "-b", "8", "--layer", "conv1"],
+            ["align", "{mesh}", "{mesh}", "-b", "8", "--config", "{cfg}"],
         ],
         ids=lambda argv: " ".join(a.strip("{}") for a in argv),
     )
@@ -293,6 +323,10 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_synth_seed_names_the_seed(self, tmp_path, capsys):
+        assert main(["synth", "--count", "1", "--seed", "-1", "-o", str(tmp_path / "d")]) == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_classes_in_range(self, tmp_path, capsys):
         data = tmp_path / "ds"

@@ -9,7 +9,7 @@ from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
 from spheresig.rotation import (
     RotationZYZ,
-    _small_d,
+    _jy_eig,
     _small_d_many,
     geodesic_distance,
     random_rotations,
@@ -45,6 +45,23 @@ def small_d_reference(l: int, mp: int, m: int, beta: float) -> float:
             * np.sin(beta / 2) ** (mp - m + 2 * k)
         )
     return total
+
+
+def small_d(l: int, beta: float) -> np.ndarray:
+    """Real small-d matrix exp(-i beta Jy) of degree l, formed explicitly."""
+    if beta == 0.0:
+        return np.eye(2 * l + 1)
+    w, v = _jy_eig(l)
+    return ((v * np.exp(-1j * beta * w)) @ v.conj().T).real
+
+
+def explicit_block(l: int, r: RotationZYZ) -> np.ndarray:
+    m = np.arange(-l, l + 1)
+    return (
+        np.exp(-1j * m * r.alpha)[:, None]
+        * small_d(l, r.beta)
+        * np.exp(-1j * m * r.gamma)[None, :]
+    )
 
 
 class TestWignerBlocks:
@@ -83,7 +100,18 @@ class TestWignerBlocks:
         for l in (0, 1, 2, 7, 16, 31):
             stack = _small_d_many(l, betas)
             for beta, d in zip(betas, stack):
-                np.testing.assert_allclose(d, _small_d(l, float(beta)), rtol=0, atol=1e-14)
+                np.testing.assert_allclose(d, small_d(l, float(beta)), rtol=0, atol=1e-14)
+
+    def test_factored_map_matches_explicit_block(self):
+        rots = random_rotations(3, seed=14) + [
+            RotationZYZ(0.4, 0.0, 2.2),
+            RotationZYZ(1.3, np.pi, 0.6),
+        ]
+        for r in rots:
+            for l in range(64):
+                np.testing.assert_allclose(
+                    wigner_d(l, r), explicit_block(l, r), rtol=0, atol=1e-13
+                )
 
 
 class TestRotateSpectrum:

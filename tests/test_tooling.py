@@ -35,3 +35,12 @@ def test_trace_target_resolves(mod_name, attr):
 def test_table_counter_fields_exist():
     table = shared_table(2)
     assert table.legendre.nbytes > 0 and table.fourier_phases.nbytes > 0
+
+
+def test_every_export_resolves():
+    """The package resolves its exports lazily, so a broken entry in
+    ``__all__`` would otherwise surface only at its first use."""
+    import spheresig
+
+    for name in spheresig.__all__:
+        assert getattr(spheresig, name) is not None, name
