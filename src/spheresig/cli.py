@@ -99,39 +99,48 @@ def _load_json(path: str, parse=None):
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer: not a boolean, a string or a fraction."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _network_from_json(doc: dict):
     from .network import LayerConfig, NetworkConfig, two_branch_config
 
     if doc.get("preset") == "two_branch":
         return two_branch_config(
-            input_bandwidth=int(doc.get("input_bandwidth", 32)),
-            num_classes=int(doc.get("num_classes", 40)),
+            input_bandwidth=_json_int(doc.get("input_bandwidth", 32), "input_bandwidth"),
+            num_classes=_json_int(doc.get("num_classes", 40), "num_classes"),
             pool=doc.get("pool", "wap"),
             filter_mode=doc.get("filter_mode", "anchored"),
-            anchors=int(doc.get("anchors", 8)),
+            anchors=_json_int(doc.get("anchors", 8), "anchors"),
             head=doc.get("head", "wgap"),
         )
     layers = []
-    prev = int(doc.get("in_channels", 1))
+    prev = _json_int(doc.get("in_channels", 1), "in_channels")
     for spec in doc["layers"]:
         layers.append(
             LayerConfig(
                 in_channels=prev,
-                out_channels=int(spec["out_channels"]),
+                out_channels=_json_int(spec["out_channels"], "out_channels"),
                 filter_mode=spec.get("filter", "anchored"),
-                anchors=int(spec.get("anchors", 4)),
+                anchors=_json_int(spec.get("anchors", 4), "anchors"),
                 pool=spec.get("pool", "none"),
                 nonlinearity=spec.get("nonlinearity", "relu"),
             )
         )
-        prev = int(spec["out_channels"])
+        prev = layers[-1].out_channels
     return NetworkConfig(
-        input_bandwidth=int(doc["input_bandwidth"]),
+        input_bandwidth=_json_int(doc["input_bandwidth"], "input_bandwidth"),
         layers=tuple(layers),
-        num_classes=int(doc["num_classes"]),
+        num_classes=_json_int(doc["num_classes"], "num_classes"),
         head=doc.get("head", "wgap"),
-        branches=int(doc.get("branches", 1)),
-        concat_layers=tuple(doc.get("concat_layers", ())),
+        branches=_json_int(doc.get("branches", 1), "branches"),
+        concat_layers=tuple(
+            _json_int(i, "each concat_layers entry") for i in doc.get("concat_layers", ())
+        ),
     )
 
 
@@ -420,10 +429,12 @@ def _cmd_equiv_report(args) -> int:
         ]
         kind = "bandlimited"
     else:
-        per = max(1, args.count // 3)
+        q, r = divmod(args.count, 3)  # each class keeps q signals, the first r one more
+        per = q + (r > 0)
         ds = make_blob_dataset(b, per, seed=args.seed, canonical_pose=False)
         signals = [
-            SphericalSignal(s.grid, s.values - s.values.mean()) for s in ds.signals
+            SphericalSignal(s.grid, s.values - s.values.mean())
+            for s in (ds.signals[c * per + k] for c in range(3) for k in range(q + (c < r)))
         ]
         kind = "blobs-centered"
     params = init_parameters(config, seed=args.seed)

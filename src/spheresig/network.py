@@ -7,19 +7,23 @@ spatial domain between blocks, so each block costs one analysis/synthesis
 pair.  The head is a rotation-invariant descriptor (area-weighted global
 average or per-degree coefficient norms) followed by a linear projection.
 
-The network owns no layer arithmetic: the forward pass composes the ``sft``
-transforms with the ``spectral`` forward of each operation (filter
-realization, per-degree channel mixing, pooling, ReLU, head); the backward
-pass applies their vector-Jacobian products and the ``sft`` transform
-adjoints in reverse, checked against central finite differences in tests.
+The network owns no layer arithmetic, and reverse mode runs on a tape.
+``_block`` runs one branch of one layer through the ``sft`` transforms and
+the ``spectral`` forward of each operation (filter realization, per-degree
+channel mixing, pooling, ReLU) and returns, beside its output, a closure
+that applies the matching ``spectral`` vector-Jacobian products and ``sft``
+transform adjoints in reverse; ``_head`` does the same for the descriptor.
+``_forward_batch`` records these closures in the order the blocks run, and
+``backward`` replays them backwards, routing only the cotangents of the
+concatenated cross-branch inputs.  Gradients are checked against central
+finite differences in tests.
 
-Inside ``_forward_batch`` and ``backward`` every array is channel-major:
-feature maps are (channel, batch, 2b, 2b) and spectra are half spectra
-(m, l, channel, batch) from ``sft._analysis_half``, so channel mixing is one
-batched matmul and ``sp`` pooling a slice.  No packed spectrum and no
-conjugate mirror appears on this path; the orders m > 0 count twice in the
-filter gradient and the MAG-L norms.  Inputs arrive and taps leave as
-(batch, channel, 2b, 2b) views.
+Every array on this path is channel-major: feature maps are (channel,
+batch, 2b, 2b) and spectra are half spectra (m, l, channel, batch) from
+``sft._analysis_half``, so channel mixing is one batched matmul and ``sp``
+pooling a slice.  No packed spectrum and no conjugate mirror appears; the
+orders m > 0 count twice in the filter gradient and the MAG-L norms.
+Inputs arrive and taps leave as (batch, channel, 2b, 2b) views.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ class NetworkConfig:
                     f"layer {i}: in_channels {lay.in_channels} != previous out {prev}"
                 )
             prev = lay.out_channels
+        if self.concat_layers and self.branches != 2:
+            raise ValueError(f"concat_layers need branches 2, got branches {self.branches}")
         if any(i < 1 or i >= len(layers) for i in self.concat_layers):
             raise ValueError("concat layers must reference layers after the first")
         b = self.input_bandwidth
@@ -120,7 +126,7 @@ class NetworkConfig:
 
     def layer_in_channels(self, branch: int, i: int) -> int:
         base = self.layers[i].in_channels
-        if self.branches == 2 and branch == 0 and i in self.concat_layers:
+        if branch == 0 and i in self.concat_layers:
             base += self.layers[i - 1].out_channels
         return base
 
@@ -214,9 +220,6 @@ class ParameterStore:
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     adam_step: int = 0
 
-    def zeros_like_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
     def count(self) -> int:
         return int(sum(v.size for v in self.tensors.values()))
 
@@ -268,89 +271,92 @@ def init_parameters(config: NetworkConfig, seed: int = 0) -> ParameterStore:
 # ---------------------------------------------------------------------------
 
 
-def _forward_batch(
-    config: NetworkConfig,
-    params: ParameterStore,
-    x: np.ndarray,
-    want_cache: bool = False,
-):
-    """Run the network on (B, C, n, n) values; returns logits, taps, cache."""
+def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
+    """One branch of one layer on (C, B, 2b, 2b) maps: its output and the
+    closure ``vjp(dy) -> (dx, dfilters, dbias)``, which replays the adjoints
+    of the steps taken here in reverse."""
+    table = shared_table(b)
+    anchors = _anchors(lay, b)
+    spectra = spectral.realize_fwd(filters, b, anchors)  # (out, in, b)
+    coeffs = _analysis_half(x, table)  # (b, b, in, B)
+    yhat = spectral.conv_fwd(coeffs, spectra)
+    out_table = shared_table(b // 2) if lay.pool == "sp" else table
+    y = _synthesis_half(spectral.sp_fwd(yhat, out_table.bandwidth), out_table)
+    y += bias[:, None, None, None]
+    steps = []  # adjoints of the pointwise steps after the bias, in forward order
+    if lay.pool == "wap":
+        y = spectral.wap_fwd(y, table.grid)
+        steps.append(lambda d: spectral.wap_vjp(d, table.grid))
+    elif lay.pool == "max":
+        y, argmax = spectral.max_fwd(y)
+        steps.append(lambda d: spectral.max_vjp(d, argmax))
+    if lay.nonlinearity == "relu":
+        y, mask = spectral.relu_fwd(y)
+        steps.append(lambda d: spectral.relu_vjp(d, mask))
+
+    def vjp(dy):
+        for step in reversed(steps):
+            dy = step(dy)
+        vhat = _synthesis_adjoint(dy, out_table)
+        if out_table is not table:
+            vhat = spectral.sp_vjp(vhat, b)
+        dcoeffs, dspectra = spectral.conv_vjp(vhat, coeffs, spectra)
+        dfilters = spectral.realize_vjp(dspectra, b, anchors)
+        return _analysis_adjoint(dcoeffs, table), dfilters, dy.sum(axis=(1, 2, 3))
+
+    return y, vjp
+
+
+def _head(kind: str, feat: np.ndarray, b: int):
+    """Invariant descriptors (B, D) of (C, B, 2b, 2b) features and the
+    closure ``vjp(ddesc) -> dfeat``."""
+    table = shared_table(b)
+    if kind == "wgap":
+        desc = spectral.wgap_fwd(feat, table.grid).T
+        return desc, lambda ddesc: spectral.wgap_vjp(ddesc.T, table.grid)
+    coeffs = _analysis_half(feat, table)
+    norms = spectral.magl_fwd(coeffs)  # (C, B, b)
+
+    def vjp(ddesc):
+        dnorms = ddesc.reshape(norms.shape[1], norms.shape[0], -1).swapaxes(0, 1)
+        return _analysis_adjoint(spectral.magl_vjp(dnorms, coeffs, norms), table)
+
+    return norms.swapaxes(0, 1).reshape(feat.shape[1], -1), vjp
+
+
+def _forward_batch(config: NetworkConfig, params: ParameterStore, x: np.ndarray):
+    """Run the network on (B, C, n, n) values; returns the logits, the taps
+    and the tape ``(desc, head_vjp, blocks)``, with ``blocks`` the
+    ``(name, layer, branch, vjp)`` of every block in the order they ran."""
+    c, n = 2 if config.branches == 2 else config.layers[0].in_channels, 2 * config.input_bandwidth
+    if x.ndim != 4 or x.shape[1:] != (c, n, n):
+        raise ValueError(f"input has shape {x.shape}; the config expects (batch, {c}, {n}, {n})")
     bws = [config.input_bandwidth] + config.layer_bandwidths()[:-1]
     outs = np.split(x.swapaxes(0, 1), config.branches, axis=0)
     taps: dict[str, np.ndarray] = {}
-    cache: dict = {"layers": []}
+    blocks = []
     for i, lay in enumerate(config.layers):
-        b = bws[i]
-        table = shared_table(b)
-        anchors = _anchors(lay, b)
         new_outs: list[np.ndarray] = []
         for br in range(config.branches):
+            name = f"conv{i + 1}" if br == 0 else f"branch1/conv{i + 1}"
             xin = outs[br]
-            if config.branches == 2 and br == 0 and i in config.concat_layers:
+            if br == 0 and i in config.concat_layers:
                 xin = np.concatenate([xin, outs[1]], axis=0)
-            prefix = "" if br == 0 else "branch1/"
-            filt = params.tensors[f"{prefix}conv{i + 1}/filters"]
-            bias = params.tensors[f"{prefix}conv{i + 1}/bias"]
-            spectra = spectral.realize_fwd(filt, b, anchors)  # (out, in, b)
-            coeffs = _analysis_half(xin, table)  # (b, b, in, B)
-            yhat = spectral.conv_fwd(coeffs, spectra)
-            if lay.pool == "sp":
-                y = _synthesis_half(spectral.sp_fwd(yhat, b // 2), shared_table(b // 2))
-            else:
-                y = _synthesis_half(yhat, table)
-            y += bias[:, None, None, None]
-            argmax = None
-            if lay.pool == "wap":
-                y = spectral.wap_fwd(y, table.grid)
-            elif lay.pool == "max":
-                y, argmax = spectral.max_fwd(y)
-            mask = None
-            if lay.nonlinearity == "relu":
-                y, mask = spectral.relu_fwd(y)
+            filters, bias = (params.tensors[f"{name}/{k}"] for k in ("filters", "bias"))
+            y, vjp = _block(lay, bws[i], xin, filters, bias)
+            blocks.append((name, i, br, vjp))
             new_outs.append(y)
-            if want_cache:
-                cache["layers"].append(
-                    dict(
-                        layer=i,
-                        branch=br,
-                        b=b,
-                        anchors=anchors,
-                        coeffs=coeffs,
-                        spectra=spectra,
-                        argmax=argmax,
-                        mask=mask,
-                    )
-                )
-            taps[f"{prefix}conv{i + 1}"] = y.swapaxes(0, 1)
+            taps[name] = y.swapaxes(0, 1)
         outs = new_outs
-    feat = np.concatenate(outs, axis=0)
-    b_last = config.layer_bandwidths()[-1]
-    table = shared_table(b_last)
-    if config.head == "wgap":
-        desc = spectral.wgap_fwd(feat, table.grid).T
-        head_cache = None
-    else:
-        coeffs = _analysis_half(feat, table)
-        norms = spectral.magl_fwd(coeffs)  # (C, B, b)
-        desc = norms.swapaxes(0, 1).reshape(feat.shape[1], -1)
-        head_cache = (coeffs, norms)
-    w = params.tensors["head/weight"]
-    logits = desc @ w.T + params.tensors["head/bias"]
-    cache.update(desc=desc, head=head_cache, b_last=b_last)
-    return logits, taps, cache
+    desc, head_vjp = _head(config.head, np.concatenate(outs, axis=0), config.layer_bandwidths()[-1])
+    logits = desc @ params.tensors["head/weight"].T + params.tensors["head/bias"]
+    return logits, taps, (desc, head_vjp, blocks)
 
 
 def forward(
     config: NetworkConfig, params: ParameterStore, signal: SphericalSignal
 ) -> tuple[np.ndarray, dict[str, SphericalSignal]]:
     """Deterministic inference for one signal; returns logits and per-layer taps."""
-    if signal.bandwidth != config.input_bandwidth:
-        raise ValueError(
-            f"signal bandwidth {signal.bandwidth} != config {config.input_bandwidth}"
-        )
-    expected = 2 if config.branches == 2 else config.layers[0].in_channels
-    if signal.channels != expected:
-        raise ValueError(f"signal has {signal.channels} channels, expected {expected}")
     logits, taps, _ = _forward_batch(
         config, params, np.asarray(signal.values, dtype=np.float64)[None]
     )
@@ -380,8 +386,8 @@ def descriptors(
     config: NetworkConfig, params: ParameterStore, signals: np.ndarray
 ) -> np.ndarray:
     """Invariant descriptor vectors (the head input) for a batch of signals."""
-    _, _, cache = _forward_batch(config, params, np.asarray(signals, dtype=np.float64))
-    return cache["desc"]
+    _, _, (desc, _, _) = _forward_batch(config, params, np.asarray(signals, dtype=np.float64))
+    return desc
 
 
 def backward(
@@ -396,52 +402,18 @@ def backward(
     twice.  Raises DivergenceError on a non-finite loss.
     """
     x = np.asarray(signals, dtype=np.float64)
-    logits, _, cache = _forward_batch(config, params, x, want_cache=True)
+    logits, _, (desc, head_vjp, blocks) = _forward_batch(config, params, x)
     loss, dlogits = softmax_cross_entropy(logits, np.asarray(labels))
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    grads = params.zeros_like_grads()
-
-    desc = cache["desc"]
-    grads["head/weight"] = dlogits.T @ desc
-    grads["head/bias"] = dlogits.sum(axis=0)
-    ddesc = dlogits @ params.tensors["head/weight"]
-
-    table = shared_table(cache["b_last"])
-    if config.head == "wgap":
-        dfeat = spectral.wgap_vjp(ddesc.T, table.grid)
-    else:
-        coeffs, norms = cache["head"]
-        dnorms = ddesc.reshape(norms.shape[1], norms.shape[0], -1).swapaxes(0, 1)
-        dfeat = _analysis_adjoint(spectral.magl_vjp(dnorms, coeffs, norms), table)
-
-    dbranch = np.split(dfeat, config.branches, axis=0)
-
-    for entry in reversed(cache["layers"]):
-        i, br = entry["layer"], entry["branch"]
-        lay = config.layers[i]
-        b = entry["b"]
-        table = shared_table(b)
-        prefix = "" if br == 0 else "branch1/"
-        dy = dbranch[br]
-        if entry["mask"] is not None:
-            dy = spectral.relu_vjp(dy, entry["mask"])
-        if lay.pool == "wap":
-            dy = spectral.wap_vjp(dy, table.grid)
-        elif lay.pool == "max":
-            dy = spectral.max_vjp(dy, entry["argmax"])
-        grads[f"{prefix}conv{i + 1}/bias"] += dy.sum(axis=(1, 2, 3))
-        if lay.pool == "sp":
-            vhat = spectral.sp_vjp(_synthesis_adjoint(dy, shared_table(b // 2)), b)
-        else:
-            vhat = _synthesis_adjoint(dy, table)
-        dcoeffs, dspectra = spectral.conv_vjp(vhat, entry["coeffs"], entry["spectra"])
-        dfilt = spectral.realize_vjp(dspectra, b, entry["anchors"])
-        grads[f"{prefix}conv{i + 1}/filters"] += dfilt
-        dx = _analysis_adjoint(dcoeffs, table)
-        if config.branches == 2 and br == 0 and i in config.concat_layers:
-            dbranch[1] = dbranch[1] + dx[lay.in_channels :]
-            dx = dx[: lay.in_channels]
+    grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
+    dbranch = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
+    for name, i, br, vjp in reversed(blocks):
+        dx, grads[f"{name}/filters"], grads[f"{name}/bias"] = vjp(dbranch[br])
+        if br == 0 and i in config.concat_layers:  # hand branch 1 its share of the input
+            split = config.layers[i].in_channels
+            dbranch[1] = dbranch[1] + dx[split:]
+            dx = dx[:split]
         dbranch[br] = dx
     return loss, grads
 

@@ -181,6 +181,17 @@ def test_equiv_report_zero_row(tmp_path, capsys):
     assert max(doc["per_layer_error"]) < 1e-6
 
 
+@pytest.mark.parametrize("count", [1, 4, 7])
+def test_equiv_report_count(tmp_path, capsys, count):
+    """``--count N`` measures exactly N blob signals, not 3 * (N // 3)."""
+    cfgfile = tmp_path / "net.json"
+    cfgfile.write_text(json.dumps(dict(
+        input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2)],
+    )))
+    assert main(["equiv-report", "--config", str(cfgfile), "--count", str(count)]) == 0
+    assert json.loads(capsys.readouterr().out)["rotations_used"] == count
+
+
 def test_bench_output_shape(capsys):
     assert main(["bench-sft", "--bandwidths", "8", "--reps", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -425,6 +436,54 @@ class TestCheckpointAgainstConfig:
         assert "'conv1/bias' appears twice" in capsys.readouterr().err
 
 
+class TestInputShape:
+    """Signals that do not fit the config's (channels, 2b, 2b) exit 2 with
+    both shapes named, a message and no traceback, and nothing is written."""
+
+    TWO_BRANCH = dict(preset="two_branch", input_bandwidth=16, num_classes=3)
+    ONE_LAYER = dict(num_classes=3, layers=[dict(out_channels=2)])
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            (TWO_BRANCH, "(batch, 2, 32, 32)"),
+            (dict(ONE_LAYER, input_bandwidth=16), "(batch, 1, 32, 32)"),
+        ],
+        ids=["two-branch", "bandwidth-16"],
+    )
+    def test_train(self, tmp_path, capsys, doc, expected):
+        data = str(tmp_path / "ds")
+        assert main(["synth", "--count", "1", "-b", "8", "-o", data]) == 0
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(doc))
+        ckpt, report = tmp_path / "m.ckpt", tmp_path / "train.json"
+        capsys.readouterr()
+        argv = ["train", "--config", str(cfg), "--data", data, "--epochs", "1",
+                "-o", str(ckpt), "--report", str(report)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "(3, 1, 16, 16)" in err and expected in err and "Traceback" not in err
+        assert not ckpt.exists() and not report.exists()
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            (TWO_BRANCH, "(1, 1, 32, 32); the config expects (batch, 2, 32, 32)"),
+            (dict(ONE_LAYER, input_bandwidth=8, in_channels=2),
+             "(1, 1, 16, 16); the config expects (batch, 2, 16, 16)"),
+        ],
+        ids=["two-branch", "in-channels-2"],
+    )
+    def test_equiv_report(self, tmp_path, capsys, doc, expected):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["equiv-report", "--config", str(cfg), "--count", "1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert expected in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestJsonEdges:
     """Config and filter JSON of the wrong shape exit 2 with a message, never a traceback."""
 
@@ -437,8 +496,28 @@ class TestJsonEdges:
             (dict(NET, layers="ab"), "net.json: string indices must be integers"),
             (dict(NET, layers=[]), "at least one layer"),
             (dict(NET, layers=[dict(out_channels=0)]), "channel counts must be at least 1"),
+            (dict(NET, concat_layers=[1]), "concat_layers need branches 2, got branches 1"),
+            (dict(NET, num_classes=3.7), "num_classes must be an integer, got 3.7"),
+            (dict(NET, input_bandwidth="8"), "input_bandwidth must be an integer, got '8'"),
+            (dict(NET, in_channels=True), "in_channels must be an integer, got True"),
+            (dict(NET, branches=2.0), "branches must be an integer, got 2.0"),
+            (dict(NET, layers=[dict(out_channels=2.5)]), "out_channels must be an integer"),
+            (dict(NET, layers=[dict(out_channels=2, anchors="4")]), "anchors must be an integer"),
+            (
+                dict(NET, branches=2, concat_layers=[1.0]),
+                "each concat_layers entry must be an integer, got 1.0",
+            ),
+            (
+                dict(preset="two_branch", input_bandwidth=16, num_classes=3.7),
+                "num_classes must be an integer, got 3.7",
+            ),
         ],
-        ids=["top-level-list", "layers-string", "layers-empty", "out-channels-0"],
+        ids=[
+            "top-level-list", "layers-string", "layers-empty", "out-channels-0",
+            "concat-one-branch", "num-classes-fraction", "bandwidth-string",
+            "in-channels-bool", "branches-fraction", "out-channels-fraction",
+            "anchors-string", "concat-entry-fraction", "preset-num-classes-fraction",
+        ],
     )
     def test_network_config(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "net.json"

@@ -1,6 +1,8 @@
-"""The benchmark's tracer reaches into ``spheresig`` by name; a rename must
-fail here rather than silently zero a per-layer row."""
+"""The benchmark's tracer and workloads reach into ``spheresig`` by name; a
+rename must fail here rather than silently zero a per-layer row or fail
+benchmark ops."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from spheresig.harmonics import shared_table
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 # Retargeted to the half-spectrum analysis by a later benchmark change; this
 # test neither requires it nor asserts that it is gone.
@@ -30,6 +33,34 @@ def load_targets():
 )
 def test_trace_target_resolves(mod_name, attr):
     assert callable(getattr(importlib.import_module(mod_name), attr))
+
+
+def workload_reads():
+    """(module, attribute) of every ``module.attr`` that ``workloads.py`` reads
+    from a module it imports with ``from spheresig import ...``."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {
+        alias.asname or alias.name: f"spheresig.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "spheresig"
+        for alias in node.names
+    }
+    return sorted({
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    })
+
+
+def test_workload_reads_found():
+    assert ("spheresig.network", "_forward_batch") in workload_reads()
+
+
+@pytest.mark.parametrize("mod_name, attr", workload_reads(), ids=lambda v: v)
+def test_workload_read_resolves(mod_name, attr):
+    assert hasattr(importlib.import_module(mod_name), attr)
 
 
 def test_table_counter_fields_exist():
