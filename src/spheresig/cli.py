@@ -147,11 +147,12 @@ def _network_from_json(doc: dict):
 def _filter_from_json(doc: dict):
     from .spectral import ZonalFilterSpec
 
+    b = _json_int(doc["bandwidth"], "bandwidth")
     if doc["mode"] == "full":
-        return ZonalFilterSpec("full", int(doc["bandwidth"]), full_coeffs=doc["coeffs"])
+        return ZonalFilterSpec("full", b, full_coeffs=doc["coeffs"])
     return ZonalFilterSpec(
         "anchored",
-        int(doc["bandwidth"]),
+        b,
         anchor_degrees=doc["degrees"],
         anchor_values=doc["values"],
     )

@@ -15,10 +15,12 @@ for bandlimited inputs by construction.  Samples whose feature norm
 vanishes at some layer are excluded from that layer's mean with a warning.
 
 Work is shared where the result allows it.  Once per sample: the reference
-forward, the analysis of the input and of every tap, and their norms.  Once
-per rotation: each degree's Wigner block (``rotation.rotate_packed`` applies
-it to all of that sample's spectra together), one synthesis of the rotated
-input and one per rotated tap, and one forward on the rotated input.
+forward, the half-spectrum analysis of the input and of every tap, and their
+norms.  Once per rotation: ``rotation._rotate_half`` on each of those half
+spectra in turn, one synthesis of the rotated input and one per rotated tap,
+and one forward on the rotated input.  No spectrum passes through the packed
+layout, and arrays are never stacked, so every rotated tap is the same bits
+as ``rotate_signal`` gives it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from .harmonics import shared_table
 from .network import NetworkConfig, ParameterStore, _forward_batch
-from .rotation import random_rotations, rotate_packed
-from .sft import SphericalSignal, _analysis_half, _synthesis_real, to_packed
+from .rotation import _rotate_half, random_rotations
+from .sft import SphericalSignal, _analysis_half, _synthesis_half
 
 
 @dataclass
@@ -81,15 +83,16 @@ def measure(
 ) -> EquivarianceReport:
     """Per-layer equivariance errors of ``config`` on a signal dataset.
 
-    Once per sample: one reference forward, then the spectra of the input
-    and of each branch-0 tap (at that tap's bandwidth) and their weighted
-    norms.  A layer whose reference norm is zero is excluded for that sample
-    with a warning.  Once per rotation: all those spectra are rotated
-    together, each degree's Wigner block built once; the rotated input is
-    synthesized once in float64 (``y64``) and cast to the signal's dtype to
-    give the network input ``x_rot``; one forward runs on ``x_rot``; each
-    rotated reference tap is synthesized and compared with the matching tap
-    of that forward.  The input layer scores ``||x_rot - y64|| / ||x||``.
+    Once per sample: one reference forward, then the half spectra of the
+    input and of each branch-0 tap (at that tap's bandwidth) and their
+    weighted norms.  A layer whose reference norm is zero is excluded for
+    that sample with a warning.  Once per rotation: each of those half
+    spectra is rotated on its own by ``_rotate_half``; the rotated input is
+    synthesized once in float64 (``y64``) by ``_synthesis_half`` and cast to
+    the signal's dtype to give the network input ``x_rot``; one forward runs
+    on ``x_rot``; each rotated reference tap is synthesized and compared with
+    the matching tap of that forward.  The input layer scores
+    ``||x_rot - y64|| / ||x||``.
     """
     if not signals:
         raise ValueError("need at least one signal")
@@ -105,7 +108,7 @@ def measure(
         _, taps_ref, _ = _forward_batch(config, params, x[None])
         refs = [x] + [taps_ref[name][0] for name in names[1:]]
         # live: (layer, reference norm) of every layer this sample scores;
-        # specs: the input's spectrum (it also makes x_rot), then the live taps'.
+        # specs: the input's half spectrum (it also makes x_rot), then the live taps'.
         live, specs = [], []
         for li, (ref, b_layer) in enumerate(zip(refs, bws)):
             ref_norm = _weighted_norm(ref, b_layer)
@@ -116,10 +119,10 @@ def measure(
             else:
                 live.append((li, ref_norm))
             if ref_norm != 0.0 or li == 0:
-                specs.append(to_packed(_analysis_half(ref, shared_table(b_layer))))
+                specs.append(_analysis_half(ref, shared_table(b_layer)))
         for r in rots[si * rotations : (si + 1) * rotations]:
-            rotated = rotate_packed(specs, r)
-            y64 = _synthesis_real(rotated[0], shared_table(b_in))
+            rotated = [_rotate_half(spec, r) for spec in specs]
+            y64 = _synthesis_half(rotated[0], shared_table(b_in))
             x_rot = y64.astype(sig.values.dtype, copy=False)
             _, taps_rot, _ = _forward_batch(config, params, x_rot[None])
             rotated_taps = iter(rotated[1:])
@@ -127,7 +130,7 @@ def measure(
                 if li == 0:
                     diff = x_rot - y64
                 else:
-                    y = _synthesis_real(next(rotated_taps), shared_table(bws[li]))
+                    y = _synthesis_half(next(rotated_taps), shared_table(bws[li]))
                     diff = taps_rot[names[li]][0] - y
                 sums[li] += _weighted_norm(diff, bws[li]) / ref_norm
                 counts[li] += 1

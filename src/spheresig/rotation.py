@@ -1,30 +1,30 @@
-"""Rotation of spherical spectra and signals via per-degree unitary blocks.
+"""Rotation of spherical spectra and signals, in real arithmetic on half spectra.
 
-Rotations use ZYZ Euler angles: R = Rz(alpha) @ Ry(beta) @ Rz(gamma).  The
-degree-l coefficient block transforms by the unitary matrix
-
-    D^l(alpha, beta, gamma) = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz)
-
-acting on column vectors indexed m = -l .. l, which realizes the signal map
-f -> f o R^{-1} under this package's harmonic convention.  With the
-eigendecomposition Jy = V diag(w) V^H (stable at any degree; the eigenvalues
-are the integers -l .. l) the block factors into two diagonal phases around
-V diag(exp(-i beta w)) V^H, and ``rotate_packed`` applies those factors to
-coefficient rows in turn, at (2l+1)^2 work per row, without forming the
-block.  It is the one rotation map: ``wigner_d`` is that map applied to the
-identity, and ``rotate_spectrum``, ``rotate_signal`` and the equivariance
-harness all go through it.  At beta = 0 the map is one exact phase.
-
-Eigendecompositions are cached per degree; cached entries are immutable and
-safe for concurrent readers.
+Rotations use ZYZ Euler angles, R = Rz(alpha) Ry(beta) Rz(gamma).  Degree l's
+coefficients c_m (m = -l .. l) transform by exp(-i alpha Jz) exp(-i beta Jy)
+exp(-i gamma Jz), realizing f -> f o R^{-1}.  A real signal's degree l is 2l+1
+real slots, Re and Im of s_m = i^m sqrt(2) c_m for m = 0 .. l (s_0 = c_0, real).
+There the block is Z(alpha) K^T Z(beta) K Z(gamma) (Pinchon & Hoggan, "Rotation
+matrices for real spherical harmonics", J. Phys. A 40, 2007): Z(t) multiplies
+s_m by exp(-i m t), and K^l, the block of the rotation (-pi/2, pi/2, pi/2), is
+real orthogonal and maps Re slots to Re slots, Im to Im.  ``_rotate_half``
+applies this to a half spectrum, K to _BAND degrees at a time in one batched
+real matmul; at beta = 0 it is one exact phase.  ``rotate_packed`` is the packed
+entry (input that is not conjugate-symmetric goes as its parts s1 + i s2), and
+``wigner_d`` is that map applied to the identity.  Each array is rotated on its
+own, so its result does not depend on what else is rotated.  Caches are immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sft import SpectralCoeffs, SphericalSignal, _synthesis_real, conj_mirror, sft_sepvar
+from .sft import packed_orders, to_half, to_packed
 
 _TWO_PI = 2.0 * np.pi
 
@@ -64,11 +64,8 @@ class RotationZYZ:
         return rotation_from_matrix(self.matrix() @ other.matrix())
 
     def is_identity(self, tol: float = 0.0) -> bool:
-        return (
-            min(self.alpha, _TWO_PI - self.alpha) <= tol
-            and self.beta <= tol
-            and min(self.gamma, _TWO_PI - self.gamma) <= tol
-        )
+        a, g = min(self.alpha, _TWO_PI - self.alpha), min(self.gamma, _TWO_PI - self.gamma)
+        return max(a, self.beta, g) <= tol
 
 
 def _rz(t: float) -> np.ndarray:
@@ -84,8 +81,7 @@ def _ry(t: float) -> np.ndarray:
 def rotation_from_matrix(r: np.ndarray) -> RotationZYZ:
     """ZYZ angles of a rotation matrix (beta in [0, pi]; gamma = 0 when degenerate)."""
     r = np.asarray(r, dtype=np.float64)
-    cb = float(np.clip(r[2, 2], -1.0, 1.0))
-    beta = float(np.arccos(cb))
+    beta = float(np.arccos(np.clip(r[2, 2], -1.0, 1.0)))
     if min(beta, np.pi - beta) < 1e-12:
         # Pure z-rotation (or z-rotation composed with Ry(pi)); alpha absorbs it.
         if beta < 1e-12:
@@ -107,25 +103,15 @@ def geodesic_distance(r1: RotationZYZ, r2: RotationZYZ, degrees: bool = False) -
 # Wigner blocks.
 # ---------------------------------------------------------------------------
 
-_JY_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _jy_eig(l: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (snapped to the exact integers -l..l) and eigenvectors of Jy."""
-    cached = _JY_CACHE.get(l)
-    if cached is not None:
-        return cached
     m = np.arange(-l, l + 1, dtype=np.float64)
     cp = np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] + 1.0))  # raising coefficients
-    jy = np.zeros((2 * l + 1, 2 * l + 1), dtype=np.complex128)
-    idx = np.arange(2 * l)
-    jy[idx + 1, idx] = -0.5j * cp
-    jy[idx, idx + 1] = 0.5j * cp
-    w, v = np.linalg.eigh(jy)
+    w, v = np.linalg.eigh(np.diag(-0.5j * cp, -1) + np.diag(0.5j * cp, 1))
     w = np.round(w)
     w.setflags(write=False)
     v.setflags(write=False)
-    _JY_CACHE[l] = (w, v)
     return w, v
 
 
@@ -136,71 +122,97 @@ def _small_d_many(l: int, betas: np.ndarray) -> np.ndarray:
     return ((v * phase[:, None, :]) @ v.conj().T).real
 
 
-def _degree_factors(l: int, r: RotationZYZ) -> list[np.ndarray]:
-    """Factors of x -> x @ D^l(r).T on rows x of degree-l coefficients, in
-    order: 1-D ones are diagonals, 2-D ones right matrix products."""
-    m = np.arange(-l, l + 1)
-    if r.beta == 0.0:
-        return [np.exp(-1j * m * (r.alpha + r.gamma))]
+_BAND = 8  # degrees per batched product with K
+_I_POW = np.array([1, 1j, -1, -1j])  # i^m, indexed by m % 4
+
+
+def _real_k(l: int) -> np.ndarray:
+    """K^l on degree l's real slots, ordered Re m = 0 .. l, then Im m = 1 .. l."""
     w, v = _jy_eig(l)
-    ea, eg = np.exp(-1j * m * r.alpha), np.exp(-1j * m * r.gamma)
-    return [eg, v.conj(), np.exp(-1j * r.beta * w), v.T, ea]
+    m = np.arange(l + 1)
+    p, q = (-1.0) ** m[:, None] * v[l + m], v[l - m]
+    a = np.concatenate([p + q, -1j * (p[1:] - q[1:])]) / np.sqrt(2.0)  # U diag(i^m) V
+    a[0] = v[l]
+    return ((a * np.exp(-0.5j * np.pi * w)) @ a.conj().T).real
 
 
-def _apply_factors(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    for f in factors:
-        x = x * f if f.ndim == 1 else x @ f
-    return x
+@functools.cache
+def _k_band(j: int) -> np.ndarray:
+    """Re and Im blocks of K^l for the l of band j, zero-padded: (_BAND, 2, n, n)."""
+    n = (j + 1) * _BAND
+    kb = np.zeros((_BAND, 2, n, n))
+    for l in range(j * _BAND, n):
+        k = _real_k(l)
+        kb[l % _BAND, 0, : l + 1, : l + 1] = k[: l + 1, : l + 1]
+        kb[l % _BAND, 1, 1 : l + 1, 1 : l + 1] = k[l + 1 :, l + 1 :]
+    kb.setflags(write=False)
+    return kb
+
+
+def _rotate_half(half: np.ndarray, r: RotationZYZ) -> np.ndarray:
+    """Apply ``r`` to a half spectrum (b, b, ...) of real signals."""
+    b = half.shape[0]
+    ns, m = (b, b, int(np.prod(half.shape[2:])), 2), np.arange(b)[:, None, None]
+    h = half.reshape(ns[:3])
+    if r.beta == 0.0:
+        return (h * np.exp(-1j * m * (r.alpha + r.gamma))).reshape(half.shape)
+    to_slots = _I_POW[m % 4] * np.where(m > 0, np.sqrt(2.0), 1.0)
+    h = h * (to_slots * np.exp(-1j * m * r.gamma))
+    nb = -(-b // _BAND) * _BAND  # b rounded up to whole bands of degrees
+    x = np.zeros((nb // _BAND, _BAND, 2, nb, ns[2]))  # [band, l, Re or Im, m, X]
+    slots = x.reshape(nb, 2, nb, ns[2])[:b, :, :b]
+    slots[:] = h.view(np.float64).reshape(ns).transpose(1, 3, 0, 2)
+    y = np.zeros_like(x)
+    bands = [(_k_band(j), x[j, :, :, :n], y[j, :, :, :n])
+             for j, n in enumerate(range(_BAND, nb + 1, _BAND))]
+    for k, xv, yv in bands:
+        np.matmul(k, xv, out=yv)
+    t = r.beta * np.arange(nb)[:, None]  # Z(beta) turns (Re, Im) of order m by m beta
+    np.multiply(y[:, :, 1], np.sin(t), out=x[:, :, 0])
+    np.multiply(y[:, :, 0], -np.sin(t), out=x[:, :, 1])
+    y *= np.cos(t)
+    y += x
+    for k, xv, yv in bands:
+        np.matmul(k.transpose(0, 1, 3, 2), yv, out=xv)
+    out = np.empty_like(h)
+    out.view(np.float64).reshape(ns).transpose(1, 3, 0, 2)[:] = slots
+    out *= np.exp(-1j * m * r.alpha) / to_slots
+    return out.reshape(half.shape)
 
 
 def wigner_d(l: int, r: RotationZYZ) -> np.ndarray:
     """Unitary (2l+1, 2l+1) representation matrix of ``r`` on degree-l coefficients."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    return _apply_factors(np.eye(2 * l + 1, dtype=np.complex128), _degree_factors(l, r)).T
+    eye = np.eye(2 * l + 1, (l + 1) ** 2, l * l, dtype=np.complex128)  # degree l's identity
+    return rotate_packed([eye], r)[0][:, l * l :].T
 
 
 def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
-    """Apply ``r`` to packed coefficient arrays (..., b*b) of any bandwidths.
-
-    Degree by degree, the factors of the block are built once and applied to
-    every array whose bandwidth exceeds that degree at (2l+1)^2 work per row;
-    no block is formed.  Arrays are never stacked, so each result is the same
-    bits whatever else is rotated with it.  Exact for bandlimited content.
-    """
-    bws = []
+    """Apply ``r`` to packed coefficient arrays (..., b*b) of any bandwidths, exactly for
+    bandlimited content; one not conjugate-symmetric goes as its parts s1 + i s2."""
+    outs = []
     for a in arrays:
-        b = math.isqrt(a.shape[-1])
-        if b * b != a.shape[-1]:
+        if math.isqrt(a.shape[-1]) ** 2 != a.shape[-1]:
             raise ValueError(f"packed length {a.shape[-1]} is not a square")
-        bws.append(b)
-    outs = [np.empty_like(a) for a in arrays]
-    for l in range(max(bws, default=0)):
-        factors = _degree_factors(l, r)
-        seg = slice(l * l, (l + 1) * (l + 1))
-        for a, out, b in zip(arrays, outs, bws):
-            if b > l:
-                out[..., seg] = _apply_factors(a[..., seg], factors)
+        mirror = conj_mirror(a)
+        if np.array_equal(a, mirror):
+            outs.append(to_packed(_rotate_half(to_half(a), r)))
+        else:
+            s = to_packed(_rotate_half(to_half(np.stack([a + mirror, -1j * (a - mirror)])), r))
+            outs.append(0.5 * (s[0] + 1j * s[1]))
     return outs
 
 
 def rotate_spectrum(coeffs, r: RotationZYZ):
     """Apply ``r`` per degree block; exact for bandlimited content."""
-    from .sft import SpectralCoeffs
-
     (out,) = rotate_packed([coeffs.coeffs], r)
     return SpectralCoeffs(coeffs.bandwidth, out)
 
 
 def rotate_signal(signal, r: RotationZYZ, table):
-    """Rotate a sampled signal: SFT, per-degree block action, ISFT.
-
-    Exact for bandlimited signals; signals with unresolved content are
-    implicitly bandlimited by the analysis step.  The rotated spectrum is
-    synthesized from its orders m >= 0, as the rotation of a real signal.
-    """
-    from .sft import SphericalSignal, _synthesis_real, sft_sepvar
-
+    """Rotate a sampled signal: analysis, ``rotate_spectrum``, synthesis of the
+    orders m >= 0; exact for bandlimited signals, which analysis makes of any."""
     spec = rotate_spectrum(sft_sepvar(signal, table), r)
     vals = _synthesis_real(spec.coeffs, table)
     return SphericalSignal(table.grid, vals.astype(signal.values.dtype, copy=False))
@@ -213,37 +225,25 @@ def rotate_signal(signal, r: RotationZYZ, table):
 
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def random_rotations(count: int, seed: int | None = None) -> list[RotationZYZ]:
     """Haar-uniform rotations via normalized 4D Gaussian quaternions."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        q = rng.standard_normal(4)
-        q /= np.linalg.norm(q)
-        out.append(rotation_from_matrix(quaternion_to_matrix(q)))
-    return out
+    qs = np.random.default_rng(seed).standard_normal((count, 4))
+    return [rotation_from_matrix(quaternion_to_matrix(q / np.linalg.norm(q))) for q in qs]
 
 
 def rotation_grid(n_alpha: int, n_beta: int, n_gamma: int) -> list[RotationZYZ]:
-    """ZYZ lattice: alpha, gamma uniform over [0, 2pi), beta uniform over [0, pi).
-
-    Enumeration is lexicographic in (alpha, beta, gamma); (1, 1, 1) yields
-    the identity alone.
-    """
+    """ZYZ lattice: alpha, gamma uniform over [0, 2pi), beta over [0, pi), in
+    lexicographic (alpha, beta, gamma) order; (1, 1, 1) is the identity alone."""
     if min(n_alpha, n_beta, n_gamma) < 1:
         raise ValueError("grid counts must be positive")
     alphas = _TWO_PI * np.arange(n_alpha) / n_alpha
     betas = np.pi * np.arange(n_beta) / n_beta
     gammas = _TWO_PI * np.arange(n_gamma) / n_gamma
-    return [
-        RotationZYZ(a, b, g) for a in alphas for b in betas for g in gammas
-    ]
+    return [RotationZYZ(a, b, g) for a in alphas for b in betas for g in gammas]

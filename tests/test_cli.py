@@ -537,8 +537,19 @@ class TestJsonEdges:
                 dict(mode="anchored", bandwidth=8, degrees=[0, 1.5, 7], values=[1, 2, 3]),
                 "anchor degrees must be integers",
             ),
+            (
+                dict(mode="anchored", bandwidth=8.9, degrees=[0, 3, 7], values=[1, 2, 3]),
+                "bandwidth must be an integer, got 8.9",
+            ),
+            (
+                dict(mode="full", bandwidth=True, coeffs=[1.0]),
+                "bandwidth must be an integer, got True",
+            ),
         ],
-        ids=["top-level-list", "null-coefficient", "fractional-degree"],
+        ids=[
+            "top-level-list", "null-coefficient", "fractional-degree", "bandwidth-fraction",
+            "bandwidth-bool",
+        ],
     )
     def test_filter(self, tmp_path, bandlimited_sph, capsys, doc, message):
         spec = tmp_path / "x.spec"
