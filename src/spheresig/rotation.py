@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sft import SpectralCoeffs, SphericalSignal, _synthesis_real, conj_mirror, sft_sepvar
-from .sft import packed_orders, to_half, to_packed
+from .sft import to_half, to_packed
 
 _TWO_PI = 2.0 * np.pi
 
@@ -102,6 +102,7 @@ def geodesic_distance(r1: RotationZYZ, r2: RotationZYZ, degrees: bool = False) -
 # ---------------------------------------------------------------------------
 # Wigner blocks.
 # ---------------------------------------------------------------------------
+
 
 @functools.cache
 def _jy_eig(l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +207,7 @@ def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
 
 def rotate_spectrum(coeffs, r: RotationZYZ):
     """Apply ``r`` per degree block; exact for bandlimited content."""
-    (out,) = rotate_packed([coeffs.coeffs], r)
-    return SpectralCoeffs(coeffs.bandwidth, out)
+    return SpectralCoeffs(coeffs.bandwidth, rotate_packed([coeffs.coeffs], r)[0])
 
 
 def rotate_signal(signal, r: RotationZYZ, table):

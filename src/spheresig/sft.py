@@ -9,21 +9,22 @@ with ``w_j`` the grid's quadrature weights; synthesis is the plain harmonic
 sum.
 
 Two coefficient layouts exist.  The public one (``SpectralCoeffs``, SPEC1,
-``rotation``, ``equivariance``) is packed per channel: degree l occupies the
-slice [l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds
-exactly b*b complex entries.  The network's layout is the half spectrum: the
-orders m >= 0 only, stored m-major as (m, l, ...) complex with zeros where
-l < m, so both transforms are one batched real matmul against views of the
-one (l, m, j) Legendre table.  ``to_half`` and ``to_packed`` convert between
-the two at the public boundaries.
+the public ``rotation`` functions) is packed per channel: degree l occupies
+the slice [l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds
+exactly b*b complex entries.  The network, the rotation kernel and
+``equivariance`` use the half spectrum: the orders m >= 0 only, stored
+m-major as (m, l, ...) complex with zeros where l < m, so both transforms are
+one batched real matmul against views of the one (l, m, j) Legendre table.
+``to_half`` and ``to_packed`` convert between the two at the public
+boundaries.
 
 Kernels:
 
 * ``_analysis_half``: row-wise rfft over longitude, one transpose to
   (m, j, ...), then ``legendre[:, m, :] @ G_m`` for all m in one batched real
   matmul; weights and prefactor go on the data side.  The only production
-  analysis: the network calls it directly, ``sft_sepvar`` and
-  ``equivariance.measure`` through ``to_packed``.
+  analysis: the network and ``equivariance.measure`` call it directly,
+  ``sft_sepvar`` through ``to_packed``.
 * ``_synthesis_half``: ``legendre[:, m, :].T @ C_m`` in one batched real
   matmul, one transpose into the padded irfft input.  The only synthesis;
   ``_synthesis_real`` is its packed entry point (a gather, then the kernel).

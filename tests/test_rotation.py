@@ -8,8 +8,12 @@ import pytest
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
 from spheresig.rotation import (
+    _BAND,
     RotationZYZ,
     _jy_eig,
+    _k_band,
+    _real_k,
+    _rotate_half,
     _small_d_many,
     geodesic_distance,
     random_rotations,
@@ -27,6 +31,8 @@ from spheresig.sft import (
     isft,
     random_coeffs,
     sft_sepvar,
+    to_half,
+    to_packed,
 )
 
 
@@ -112,6 +118,115 @@ class TestWignerBlocks:
                 np.testing.assert_allclose(
                     wigner_d(l, r), explicit_block(l, r), rtol=0, atol=1e-13
                 )
+
+
+def to_real_slots(a: np.ndarray, l: int) -> np.ndarray:
+    """U a U^H, with U the unitary map from degree l's coefficients (m = -l .. l)
+    of a real function to its real slots: Re, then Im, of s_m = i^m sqrt(2) c_m
+    (s_0 = c_0)."""
+    m = np.arange(1, l + 1)
+    ph = (1j**m / np.sqrt(2.0))[:, None]
+
+    def rows(x):  # U x
+        plus, minus = x[l + m] + x[l - m], x[l + m] - x[l - m]
+        return np.concatenate([x[l : l + 1], ph * plus, -1j * ph * minus])
+
+    return rows(rows(a).conj().T).conj().T
+
+
+def pair_rotation(l: int, t: float) -> np.ndarray:
+    """Z(t) on degree l's real slots: s_m times exp(-i m t)."""
+    z = np.eye(2 * l + 1)
+    for m in range(1, l + 1):
+        c, s = np.cos(m * t), np.sin(m * t)
+        z[m, m], z[m, l + m], z[l + m, m], z[l + m, l + m] = c, s, -s, c
+    return z
+
+
+KERNEL_ROTATIONS = random_rotations(3, seed=15) + [
+    RotationZYZ(0.4, 0.0, 2.2),
+    RotationZYZ(1.3, np.pi, 0.6),
+]
+
+
+class TestRealK:
+    """K^l, the real-slot block of the rotation (-pi/2, pi/2, pi/2)."""
+
+    R0 = RotationZYZ(-np.pi / 2, np.pi / 2, np.pi / 2)
+
+    def test_orthogonal_and_real_to_degree_127(self):
+        for l in range(128):
+            k = _real_k(l)
+            d = to_real_slots(explicit_block(l, self.R0), l)
+            assert np.abs(k @ k.T - np.eye(2 * l + 1)).max() <= 1e-13, l
+            assert np.abs(d.imag).max() <= 1e-13, l
+            np.testing.assert_allclose(k, d.real, rtol=0, atol=1e-13)
+
+    def test_bands_hold_the_re_and_im_blocks(self):
+        """K^l maps Re slots to Re slots and Im to Im; the cached bands hold
+        those two blocks and zeros elsewhere."""
+        for j in range(4):
+            kb = _k_band(j)
+            for l in range(j * _BAND, (j + 1) * _BAND):
+                k = _real_k(l)
+                assert np.abs(k[: l + 1, l + 1 :]).max(initial=0.0) <= 1e-13
+                assert np.abs(k[l + 1 :, : l + 1]).max(initial=0.0) <= 1e-13
+                blocks = kb[l % _BAND]
+                np.testing.assert_array_equal(blocks[0, : l + 1, : l + 1], k[: l + 1, : l + 1])
+                np.testing.assert_array_equal(blocks[1, 1 : l + 1, 1 : l + 1], k[l + 1 :, l + 1 :])
+                assert not blocks[0, l + 1 :].any() and not blocks[0, :, l + 1 :].any()
+                assert not blocks[1, 0].any() and not blocks[1, :, 0].any()
+
+    def test_pair_rotations_reproduce_wigner_d(self):
+        for r in KERNEL_ROTATIONS:
+            for l in (0, 1, 2, 7, 20, 45):
+                k = _real_k(l)
+                real = (
+                    pair_rotation(l, r.alpha) @ k.T @ pair_rotation(l, r.beta)
+                    @ k @ pair_rotation(l, r.gamma)
+                )
+                np.testing.assert_allclose(
+                    to_real_slots(wigner_d(l, r), l), real, rtol=0, atol=1e-13
+                )
+
+
+class TestHalfKernel:
+    """``_rotate_half`` against the explicit blocks, and its bit independence."""
+
+    @staticmethod
+    def assert_matches_blocks(rotated, coeffs, r):
+        b = int(np.sqrt(coeffs.shape[-1]))
+        for l in range(b):
+            seg = slice(l * l, (l + 1) * (l + 1))
+            np.testing.assert_allclose(
+                rotated[..., seg], coeffs[..., seg] @ explicit_block(l, r).T, rtol=0, atol=1e-13
+            )
+
+    def test_packed_image_matches_explicit_blocks(self):
+        rng = np.random.default_rng(16)
+        specs = [random_coeffs(b, ch, rng).coeffs for b, ch in ((4, 2), (16, 3), (64, 1))]
+        for r in KERNEL_ROTATIONS:
+            for c in specs:
+                self.assert_matches_blocks(to_packed(_rotate_half(to_half(c), r)), c, r)
+
+    def test_non_symmetric_packed_input_matches_explicit_blocks(self):
+        """Through ``rotate_packed``, a complex array that is not conjugate-
+        symmetric goes as its parts s1 + i s2: the path ``wigner_d`` takes."""
+        rng = np.random.default_rng(17)
+        for b in (4, 16, 64):
+            c = rng.standard_normal((2, b * b)) + 1j * rng.standard_normal((2, b * b))
+            for r in KERNEL_ROTATIONS:
+                (out,) = rotate_packed([c], r)
+                self.assert_matches_blocks(out, c, r)
+
+    def test_each_array_same_bits_alone_or_in_a_list(self):
+        rng = np.random.default_rng(18)
+        arrays = [random_coeffs(b, ch, rng).coeffs for b, ch in ((64, 1), (16, 4), (4, 2))]
+        arrays.append(rng.standard_normal((3, 16 * 16)) + 0j)
+        for r in KERNEL_ROTATIONS:
+            together = rotate_packed(arrays, r)
+            for a, got in zip(arrays, together):
+                np.testing.assert_array_equal(got, rotate_packed([a], r)[0])
 
 
 class TestRotateSpectrum:
