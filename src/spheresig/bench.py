@@ -2,8 +2,8 @@
 
 ``sft_direct`` runs the reference analysis, which contracts the whole grid per
 order (O(b^4)).  ``sft_sepvar`` runs the production analysis by separation of
-variables: a row FFT, then one batched Legendre matmul over all orders
-(O(b^3)).  Medians over repeated runs keep scheduler noise out of the
+variables: a longitude DFT (one real GEMM for b <= 32, an FFT along longitude
+above), then one batched Legendre matmul over all orders (O(b^3)).  Medians over repeated runs keep scheduler noise out of the
 comparison.
 """
 

@@ -102,12 +102,17 @@ class HarmonicTable:
 
     legendre[l, m, j] = q_m^l P_m^l(cos theta_j) for m <= l < b, zero above
     the diagonal.  fourier_phases[m, k] = exp(-i m phi_k) for 0 <= m < b;
-    negative orders follow by conjugation.
+    negative orders follow by conjugation.  The real (2b, 2b) longitude DFTs
+    stack Re over Im by orders: longitude_dft rows are cos(m phi_k), then
+    -sin(m phi_k); longitude_idft is its transpose with the orders m > 0
+    doubled and the Im column of m = 0 zero.
     """
 
     grid: SphericalGrid
     legendre: np.ndarray = field(repr=False)
     fourier_phases: np.ndarray = field(repr=False)
+    longitude_dft: np.ndarray = field(repr=False)
+    longitude_idft: np.ndarray = field(repr=False)
 
     @property
     def bandwidth(self) -> int:
@@ -128,9 +133,13 @@ def build_table(
     leg = normalized_legendre(b - 1, np.cos(grid.thetas))
     m = np.arange(b)
     phases = np.exp(-1j * m[:, None] * grid.phis[None, :])
-    leg.setflags(write=False)
-    phases.setflags(write=False)
-    return HarmonicTable(grid=grid, legendre=leg, fourier_phases=phases)
+    angle = (np.pi / b) * (np.outer(m, np.arange(2 * b)) % (2 * b))  # m phi_k reduced exactly
+    dft = np.concatenate([np.cos(angle), -np.sin(angle)])
+    dft[b] = 0.0
+    idft = dft.T * np.concatenate([[1.0], np.full(2 * b - 1, 2.0)])
+    for arr in (leg, phases, dft, idft):
+        arr.setflags(write=False)
+    return HarmonicTable(grid, leg, phases, dft, idft)
 
 
 _TABLE_CACHE: dict[int, HarmonicTable] = {}

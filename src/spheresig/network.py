@@ -18,12 +18,18 @@ transform adjoints in reverse; ``_head`` does the same for the descriptor.
 concatenated cross-branch inputs.  Gradients are checked against central
 finite differences in tests.
 
-Every array on this path is channel-major: feature maps are (channel,
-batch, 2b, 2b) and spectra are half spectra (m, l, channel, batch) from
-``sft._analysis_half``, so channel mixing is one batched matmul and ``sp``
-pooling a slice.  No packed spectrum and no conjugate mirror appears; the
-orders m > 0 count twice in the filter gradient and the MAG-L norms.
-Inputs arrive and taps leave as (batch, channel, 2b, 2b) views.
+Feature maps on this path have the logical shape (channel, batch, 2b, 2b)
+and are stored longitude-major, as ``sft._synthesis_half`` returns them:
+(k, j, channel, batch) is C-contiguous, so the next analysis reads them in
+place.  Pooling, ReLU, concatenation and their adjoints keep that order.
+Spectra are half spectra (m, l, channel, batch), so channel mixing is one
+batched matmul and ``sp`` pooling a slice.  No packed spectrum and no
+conjugate mirror appears; the orders m > 0 count twice in the filter
+gradient and the MAG-L norms.  A layer's bias is folded into the Y_0^0
+coefficient before synthesis (a constant c is sqrt(4 pi) c Y_0^0), and its
+gradient is read back from that coefficient of the synthesis adjoint; a
+per-pixel add over longitude-major maps would run inner loops only a batch
+long.  Inputs arrive and taps leave as (batch, channel, 2b, 2b) views.
 """
 
 from __future__ import annotations
@@ -270,6 +276,8 @@ def init_parameters(config: NetworkConfig, seed: int = 0) -> ParameterStore:
 # Forward / backward.
 # ---------------------------------------------------------------------------
 
+_SQRT_4PI = np.sqrt(4.0 * np.pi)  # a constant c is the coefficient sqrt(4 pi) c of Y_0^0
+
 
 def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
     """One branch of one layer on (C, B, 2b, 2b) maps: its output and the
@@ -279,10 +287,10 @@ def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: n
     anchors = _anchors(lay, b)
     spectra = spectral.realize_fwd(filters, b, anchors)  # (out, in, b)
     coeffs = _analysis_half(x, table)  # (b, b, in, B)
-    yhat = spectral.conv_fwd(coeffs, spectra)
     out_table = shared_table(b // 2) if lay.pool == "sp" else table
-    y = _synthesis_half(spectral.sp_fwd(yhat, out_table.bandwidth), out_table)
-    y += bias[:, None, None, None]
+    yhat = spectral.sp_fwd(spectral.conv_fwd(coeffs, spectra), out_table.bandwidth)
+    yhat[0, 0] += _SQRT_4PI * bias[:, None]  # the bias is its Y_0^0 coefficient
+    y = _synthesis_half(yhat, out_table)
     steps = []  # adjoints of the pointwise steps after the bias, in forward order
     if lay.pool == "wap":
         y = spectral.wap_fwd(y, table.grid)
@@ -298,11 +306,12 @@ def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: n
         for step in reversed(steps):
             dy = step(dy)
         vhat = _synthesis_adjoint(dy, out_table)
+        dbias = _SQRT_4PI * vhat[0, 0].real.sum(axis=-1)
         if out_table is not table:
             vhat = spectral.sp_vjp(vhat, b)
         dcoeffs, dspectra = spectral.conv_vjp(vhat, coeffs, spectra)
         dfilters = spectral.realize_vjp(dspectra, b, anchors)
-        return _analysis_adjoint(dcoeffs, table), dfilters, dy.sum(axis=(1, 2, 3))
+        return _analysis_adjoint(dcoeffs, table), dfilters, dbias
 
     return y, vjp
 

@@ -10,9 +10,10 @@ s_m by exp(-i m t), and K^l, the block of the rotation (-pi/2, pi/2, pi/2), is
 real orthogonal and maps Re slots to Re slots, Im to Im.  ``_rotate_half``
 applies this to a half spectrum, K to _BAND degrees at a time in one batched
 real matmul; at beta = 0 it is one exact phase.  ``rotate_packed`` is the packed
-entry (input that is not conjugate-symmetric goes as its parts s1 + i s2), and
-``wigner_d`` is that map applied to the identity.  Each array is rotated on its
-own, so its result does not depend on what else is rotated.  Caches are immutable.
+entry (input that is not conjugate-symmetric goes as its parts s1 + i s2).
+``wigner_d`` forms one degree's block from K^l alone, in the coefficient basis.
+Each array is rotated on its own, so its result does not depend on what else is
+rotated.  Caches are immutable.
 """
 
 from __future__ import annotations
@@ -181,12 +182,32 @@ def _rotate_half(half: np.ndarray, r: RotationZYZ) -> np.ndarray:
     return out.reshape(half.shape)
 
 
+@functools.cache
+def _complex_k(l: int) -> np.ndarray:
+    """K^l on degree l's coefficients (m = -l .. l): A^H K^l A, with A the unitary
+    map from the coefficients of a real function to its real slots."""
+    k = np.arange(1, l + 1)
+    p = _I_POW[k % 4] / np.sqrt(2.0)
+    a = np.zeros((2 * l + 1, 2 * l + 1), dtype=np.complex128)
+    a[0, l] = 1.0
+    a[k, l + k] = a[k, l - k] = p  # Re s_m = i^m (c_m + c_-m) / sqrt(2)
+    a[l + k, l + k], a[l + k, l - k] = -1j * p, 1j * p  # Im s_m = -i i^m (c_m - c_-m) / sqrt(2)
+    kc = a.conj().T @ _real_k(l) @ a
+    kc.setflags(write=False)
+    return kc
+
+
 def wigner_d(l: int, r: RotationZYZ) -> np.ndarray:
-    """Unitary (2l+1, 2l+1) representation matrix of ``r`` on degree-l coefficients."""
+    """Unitary (2l+1, 2l+1) representation matrix of ``r`` on degree-l coefficients:
+    P(alpha) Kc^H P(beta) Kc P(gamma), P(t) = diag(exp(-i m t)), Kc = ``_complex_k(l)``."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    eye = np.eye(2 * l + 1, (l + 1) ** 2, l * l, dtype=np.complex128)  # degree l's identity
-    return rotate_packed([eye], r)[0][:, l * l :].T
+    m = np.arange(-l, l + 1)
+    if r.beta == 0.0:
+        return np.diag(np.exp(-1j * m * (r.alpha + r.gamma)))
+    kc = _complex_k(l)
+    pa, pb, pg = (np.exp(-1j * m * t) for t in (r.alpha, r.beta, r.gamma))
+    return (pa[:, None] * kc.conj().T * pb) @ (kc * pg)
 
 
 def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:

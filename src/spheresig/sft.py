@@ -18,19 +18,35 @@ one batched real matmul against views of the one (l, m, j) Legendre table.
 ``to_half`` and ``to_packed`` convert between the two at the public
 boundaries.
 
-Kernels:
+Kernels.  Grid values keep their logical shape (..., 2b, 2b), but inside the
+library they are stored longitude-major: ``np.moveaxis(v, (-1, -2), (0, 1))``,
+that is (k, j, ...), is C-contiguous.  ``_synthesis_half`` returns such views
+and ``_analysis_half`` reads them in place (any other input is copied once), so
+each step of a transform is one BLAS call or one FFT over a contiguous operand
+and no map is ever transposed between them:
 
-* ``_analysis_half``: row-wise rfft over longitude, one transpose to
-  (m, j, ...), then ``legendre[:, m, :] @ G_m`` for all m in one batched real
-  matmul; weights and prefactor go on the data side.  The only production
-  analysis: the network and ``equivariance.measure`` call it directly,
-  ``sft_sepvar`` through ``to_packed``.
-* ``_synthesis_half``: ``legendre[:, m, :].T @ C_m`` in one batched real
-  matmul, one transpose into the padded irfft input.  The only synthesis;
-  ``_synthesis_real`` is its packed entry point (a gather, then the kernel).
+* ``_analysis_half``: for b <= 32, one real GEMM of the (2b, 2b) longitude DFT
+  (``HarmonicTable.longitude_dft``, Re over Im of the orders m < b) against the
+  (k, j X) view, then ``legendre[:, m, :] @ G_m`` batched over (Re/Im, m) with
+  the quadrature measure folded into the Legendre side, then one interleave into
+  the complex (m, l, ...) output.  Above b = 32 numpy's rfft along the leading k
+  axis replaces the GEMM, which loses there (1.2x slower at b = 64 with 16
+  maps, 1.6x at b = 256 with one); its spectra are the same bits as those of
+  an rfft over rows of the map-major layout.  The only production analysis: the network and
+  ``equivariance.measure`` call it directly, ``sft_sepvar`` through
+  ``to_packed``.
+* ``_synthesis_half`` mirrors it: ``legendre[:, m, :].T @ C_m`` on a strided
+  (Re/Im, m, l, X) view of the complex input, then one GEMM with
+  ``longitude_idft`` (orders m > 0 doubled, Im of m = 0 dropped); above b = 32
+  an irfft along k.  The only synthesis; ``_synthesis_real`` is its packed
+  entry point (a gather, then the kernel).
 * ``_analysis_direct`` (full-grid contraction per order, O(b^4), behind
   ``sft_direct``) is the reference; it returns a half spectrum too, and the
   two analyses agree to ~1e-12.
+
+The map-major layout made each transform an FFT over rows plus a transpose
+into (m, j, ...) and back; at b = 32 with 256 maps the transposes cost more
+than the Legendre matmuls and as much as the FFTs.
 
 The adjoints backpropagation needs reuse them (Driscoll & Healy 1994): the
 adjoint of analysis is synthesis times the quadrature measure, that of
@@ -198,8 +214,19 @@ def to_packed(half: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_GEMM_MAX_B = 32  # above it numpy's FFT beats the dense longitude DFT
+
+
 def _prefactor(b: int) -> float:
     return np.sqrt(2.0 * np.pi) / (2.0 * b)
+
+
+def _grid_major(values: np.ndarray) -> np.ndarray:
+    """The (k, j, X) storage of real (..., 2b, 2b) values: a view of
+    longitude-major values, one copy of any others."""
+    d = values.ndim
+    s = values.transpose((d - 1, d - 2) + tuple(range(d - 2)))  # (k, j, ...)
+    return np.ascontiguousarray(s).reshape(s.shape[:2] + (-1,))
 
 
 def _analysis_half(
@@ -212,12 +239,23 @@ def _analysis_half(
     lead = values.shape[:-2]
     if row_scale is None:
         row_scale = _prefactor(b) * table.grid.quad_weights
-    f = np.fft.rfft(values.reshape(-1, n, n), axis=-1)  # (X, j, b+1), bin m = sum_k f e^{-im phi_k}
-    g = np.empty((b, n, f.shape[0]), dtype=np.complex128)  # (m, j, X)
-    np.multiply(f[..., :b].transpose(2, 1, 0), row_scale[:, None], out=g)
-    del f  # lets the matmul output reuse its memory: a lower peak
-    out = table.legendre.transpose(1, 0, 2) @ g.view(np.float64)  # (m, l, 2X)
-    return out.view(np.complex128).reshape((b, b) + lead)
+    s = _grid_major(values)  # (k, j, X)
+    leg = table.legendre.transpose(1, 0, 2)  # (m, l, j)
+    if b > _GEMM_MAX_B:
+        f = np.fft.rfft(s, axis=0)  # (b+1, j, X), bin m = sum_k f e^{-im phi_k}
+        g = f[:b] * row_scale[:, None]  # (m, j, X)
+        del f  # lets the matmul output reuse its memory: a lower peak
+        out = (leg @ g.view(np.float64)).view(np.complex128)  # (m, l, X)
+    else:
+        g = (table.longitude_dft @ s.reshape(n, -1)).reshape(2, b, n, -1)  # (Re|Im, m, j, X)
+        if 2 * g.shape[-1] < b:  # the measure goes on the smaller operand
+            g *= row_scale[:, None]
+        else:
+            leg = leg * row_scale
+        re, im = leg @ g  # (m, l, X) each
+        out = np.empty(re.shape, dtype=np.complex128)
+        out.real, out.imag = re, im
+    return out.reshape((b, b) + lead)
 
 
 def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
@@ -239,17 +277,28 @@ def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
 def _synthesis_half(
     half: np.ndarray, table: HarmonicTable, row_scale: np.ndarray | None = None
 ) -> np.ndarray:
-    """Real (..., 2b, 2b) values of a half spectrum (b, b, ...): the harmonic
-    sum of its conjugate-symmetric extension, row j times ``row_scale[j]``."""
+    """Real longitude-major (..., 2b, 2b) values of a half spectrum (b, b, ...):
+    the harmonic sum of its conjugate-symmetric extension, row j times
+    ``row_scale[j]``."""
     b = table.bandwidth
     n = 2 * b
-    scale = n if row_scale is None else n * row_scale[:, None]  # irfft divides by n
     c = np.ascontiguousarray(half, dtype=np.complex128).reshape(b, b, -1)  # (m, l, X)
-    t = table.legendre.transpose(1, 2, 0) @ c.view(np.float64)  # (m, j, 2X)
-    h = np.zeros((c.shape[-1], n, b + 1), dtype=np.complex128)  # (X, j, m), Nyquist bin 0
-    np.multiply(t.view(np.complex128).transpose(2, 1, 0), scale, out=h[..., :b])
-    del t  # lets the irfft output reuse its memory: a lower peak
-    return np.fft.irfft(h, n=n, axis=-1).reshape(half.shape[2:] + (n, n))
+    leg = table.legendre.transpose(1, 2, 0)  # (m, j, l)
+    if b > _GEMM_MAX_B:
+        scale = n if row_scale is None else n * row_scale[:, None]  # irfft divides by n
+        t = leg @ c.view(np.float64)  # (m, j, 2X)
+        h = np.zeros((b + 1, n, c.shape[-1]), dtype=np.complex128)  # (m, j, X), Nyquist bin 0
+        np.multiply(t.view(np.complex128), scale, out=h[:b])
+        del t  # lets the irfft output reuse its memory: a lower peak
+        s = np.fft.irfft(h, n=n, axis=0)  # (k, j, X)
+    else:
+        if row_scale is not None:
+            leg = leg * row_scale[:, None]
+        parts = c.view(np.float64).reshape(b, b, -1, 2).transpose(3, 0, 1, 2)  # (Re|Im, m, l, X)
+        t = np.matmul(leg, parts, out=np.empty((2, b, n, c.shape[-1])))  # (Re|Im, m, j, X)
+        s = table.longitude_idft @ t.reshape(n, -1)  # (k, j X)
+    s = s.reshape((n, n) + half.shape[2:])
+    return s.transpose(tuple(range(2, s.ndim)) + (1, 0))
 
 
 def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:

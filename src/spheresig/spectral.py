@@ -220,7 +220,7 @@ def wap_fwd(values: np.ndarray, grid: SphericalGrid) -> np.ndarray:
 
 def wap_vjp(dy: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     w = _wap_rows(grid)[:, None]
-    dx = np.empty(dy.shape[:-2] + (grid.n, grid.n))
+    dx = np.empty_like(dy, shape=dy.shape[:-2] + (grid.n, grid.n))
     for r in (0, 1):
         rows = dy * w[r::2]
         dx[..., r::2, 0::2] = rows
@@ -238,7 +238,7 @@ def max_fwd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def max_vjp(dy: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Route each block's cotangent to its winning cell."""
     n = 2 * dy.shape[-1]
-    dx = np.empty(dy.shape[:-2] + (n, n))
+    dx = np.empty_like(dy, shape=dy.shape[:-2] + (n, n))
     onehot = np.arange(4) == idx[..., None]
     _blocks(dx)[...] = (onehot * dy[..., None]).reshape(dy.shape + (2, 2))
     return dx
@@ -280,7 +280,9 @@ def wgap_fwd(values: np.ndarray, grid: SphericalGrid) -> np.ndarray:
 
 
 def wgap_vjp(ddesc: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    return ddesc[..., None, None] * np.broadcast_to(_wgap_weights(grid)[:, None], (grid.n,) * 2)
+    """Cotangent maps, longitude-major like the synthesis output."""
+    w = np.broadcast_to(_wgap_weights(grid), (grid.n,) * 2)  # [k, j] = weight of row j
+    return np.moveaxis(np.multiply.outer(w, ddesc), (0, 1), (-1, -2))
 
 
 def magl_fwd(coeffs: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spheresig import network
 from spheresig.errors import DivergenceError
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
@@ -232,6 +233,56 @@ class TestGradients:
         x = np.random.default_rng(12).standard_normal((1, 1, 16, 16))
         with pytest.raises(DivergenceError):
             backward(cfg, params, x, np.array([0]))
+
+
+def is_longitude_major(values):
+    return np.moveaxis(values, (-1, -2), (0, 1)).flags.c_contiguous
+
+
+class TestLongitudeMajorMaps:
+    def test_transforms_receive_longitude_major_maps(self, monkeypatch):
+        """Past the network input, every map the analyses and the synthesis
+        adjoints get is already longitude-major, so none is copied."""
+        cfg = stack_config(8, [2, 4, 4], in_channels=1, num_classes=3, pool="wap", anchors=3)
+        cfg = replace(cfg, branches=2, concat_layers=(1,))
+        params = init_parameters(cfg, seed=21)
+        x = np.random.default_rng(22).standard_normal((3, 2, 16, 16))
+        seen = []
+
+        def spy(kernel):
+            def wrapped(values, *args, **kwargs):
+                if not np.shares_memory(values, x):
+                    seen.append((kernel.__name__, values.shape, is_longitude_major(values)))
+                return kernel(values, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("_analysis_half", "_synthesis_adjoint"):
+            monkeypatch.setattr(network, name, spy(getattr(network, name)))
+        backward(cfg, params, x, np.array([0, 1, 2]))
+        assert len(seen) == 10  # 4 analyses past the input, 6 synthesis adjoints
+        assert all(ok for _, _, ok in seen), seen
+
+    @pytest.mark.parametrize("pool", ["none", "sp"])
+    def test_folded_bias_adds_the_bias(self, pool):
+        lay = LayerConfig(3, 4, pool=pool, nonlinearity="none")
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((3, 2, 16, 16))
+        filters, bias = rng.standard_normal((4, 3, 4)), rng.standard_normal(4)
+        with_bias, _ = network._block(lay, 8, x, filters, bias)
+        without, _ = network._block(lay, 8, x, filters, np.zeros(4))
+        np.testing.assert_allclose(
+            with_bias, without + bias[:, None, None, None], rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("pool", ["none", "sp"])
+    def test_bias_gradient_sums_the_cotangent(self, pool):
+        lay = LayerConfig(3, 4, pool=pool, nonlinearity="none")
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((3, 2, 16, 16))
+        y, vjp = network._block(lay, 8, x, rng.standard_normal((4, 3, 4)), rng.standard_normal(4))
+        dy = rng.standard_normal(y.shape)
+        np.testing.assert_allclose(vjp(dy)[2], dy.sum(axis=(1, 2, 3)), rtol=0, atol=1e-12)
 
 
 class TestSchedule:

@@ -8,10 +8,12 @@ import pytest
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
 from spheresig.sft import (
+    _GEMM_MAX_B,
     SpectralCoeffs,
     SphericalSignal,
     _analysis_direct,
     _analysis_half,
+    _grid_major,
     _prefactor,
     _synthesis_half,
     _synthesis_real,
@@ -347,6 +349,49 @@ class TestHalfLayout:
         np.testing.assert_array_equal(
             _synthesis_half(noisy, table), _synthesis_half(half, table)
         )
+
+
+def longitude_major(values):
+    """A copy of (..., 2b, 2b) values stored as (k, j, ...), C-contiguous."""
+    grid_first = np.ascontiguousarray(np.moveaxis(values, (-1, -2), (0, 1)))
+    return np.moveaxis(grid_first, (0, 1), (-1, -2))
+
+
+def is_longitude_major(values):
+    return np.moveaxis(values, (-1, -2), (0, 1)).flags.c_contiguous
+
+
+class TestLongitudeMajor:
+    """Both sides of the switch from the GEMM longitude DFT to the FFT."""
+
+    BANDWIDTHS = (2, 3, 16, 32, 33, 64)
+
+    def test_switch_sits_inside_the_tested_bandwidths(self):
+        assert 16 <= _GEMM_MAX_B < 33
+
+    def test_analysis_same_bits_on_either_layout(self):
+        for b in self.BANDWIDTHS:
+            table = table_for(b)
+            for maps in (1, 5):
+                x = np.random.default_rng(b + maps).standard_normal((maps, 2 * b, 2 * b))
+                xl = longitude_major(x)
+                assert not is_longitude_major(x) and is_longitude_major(xl)
+                got = _analysis_half(x, table)
+                np.testing.assert_array_equal(_analysis_half(xl, table), got)
+                assert np.abs(got - _analysis_direct(x, table)).max() < 1e-9, (b, maps)
+
+    def test_longitude_major_input_is_read_in_place(self):
+        xl = longitude_major(np.random.default_rng(0).standard_normal((2, 3, 8, 8)))
+        assert np.shares_memory(_grid_major(xl), xl)
+        assert not np.shares_memory(_grid_major(xl.copy()), xl)
+
+    def test_synthesis_output_is_longitude_major(self):
+        for b in self.BANDWIDTHS:
+            table = table_for(b)
+            for maps in (1, 5):
+                c = random_coeffs(b, maps, np.random.default_rng(b)).coeffs
+                got = _synthesis_half(to_half(c), table)
+                assert got.shape == (maps, 2 * b, 2 * b) and is_longitude_major(got), (b, maps)
 
 
 class TestIsftSymmetricPart:

@@ -216,6 +216,24 @@ class TestSpatialPooling:
                 assert out.values[0, j, k] == v[0, 2 * j : 2 * j + 2, 2 * k : 2 * k + 2].max()
 
 
+    def test_max_first_maximum_wins_on_longitude_major_input(self):
+        """A 2x2 block of equal values sends the forward value and the vjp to
+        its first cell in row-major order, whatever the memory order."""
+        def longitude_major(a):
+            return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-1, -2), (0, 1))), (0, 1), (-1, -2))
+
+        v = np.random.default_rng(12).uniform(-1.0, 0.0, (2, 3, 8, 8))
+        v[..., 2:4, 4:6] = 0.5
+        y, idx = spectral.max_fwd(longitude_major(v))
+        np.testing.assert_array_equal(y, spectral.max_fwd(v)[0])
+        assert np.all(y[..., 1, 2] == 0.5) and np.all(idx[..., 1, 2] == 0)
+        dy = np.random.default_rng(13).standard_normal(y.shape)
+        dx = spectral.max_vjp(longitude_major(dy), idx)
+        np.testing.assert_array_equal(dx[..., 2, 4], dy[..., 1, 2])
+        assert not dx[..., 2:4, 4:6].reshape(2, 3, 4)[..., 1:].any()
+        np.testing.assert_array_equal(dx, spectral.max_vjp(dy, spectral.max_fwd(v)[1]))
+
+
 class TestDescriptors:
     def test_wgap_constant(self):
         sig = SphericalSignal(make_grid(4), np.full((2, 8, 8), 1.5))
