@@ -215,12 +215,13 @@ class TestSpatialPooling:
             for k in range(4):
                 assert out.values[0, j, k] == v[0, 2 * j : 2 * j + 2, 2 * k : 2 * k + 2].max()
 
-
     def test_max_first_maximum_wins_on_longitude_major_input(self):
         """A 2x2 block of equal values sends the forward value and the vjp to
         its first cell in row-major order, whatever the memory order."""
-        def longitude_major(a):
-            return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-1, -2), (0, 1))), (0, 1), (-1, -2))
+
+        def longitude_major(a):  # a copy stored as (k, j, ...), C-contiguous
+            grid_first = np.ascontiguousarray(np.moveaxis(a, (-1, -2), (0, 1)))
+            return np.moveaxis(grid_first, (0, 1), (-1, -2))
 
         v = np.random.default_rng(12).uniform(-1.0, 0.0, (2, 3, 8, 8))
         v[..., 2:4, 4:6] = 0.5
