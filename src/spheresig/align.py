@@ -3,18 +3,16 @@
 The correlation score of two coefficient sets at a rotation r is the real
 part of the Hermitian inner product between the rotated first set and the
 second, summed over channels and feature maps; by Parseval this equals the
-spatial quadrature inner product.  For a ZYZ lattice the score factorizes:
-with T[m', m] = sum_l d^l_{m'm}(beta) a^l_m conj(b^l_{m'}), the score at
-(alpha, beta, gamma) is sum_{m'm} exp(-i(m' alpha + m gamma)) T[m', m],
-a two-dimensional Fourier sum per beta row, which this module evaluates
-directly for arbitrary angle lists.
+spatial quadrature inner product.  On real slots r is Z(alpha) K^T Z(beta) K
+Z(gamma) (see ``rotation``); Z(alpha)^T = Z(-alpha) and K is orthogonal, so the
+score is <Z(beta) K Z(gamma) a, K Z(-alpha) b>.  A lattice search applies K
+(``rotation._apply_k``) to a once per gamma and to b once per alpha, forms
+W[m] = V[m]^H U[m] per order m, and sums Re exp(-i m beta) W[m] for each beta.
 
-The per-degree cross-powers sum_c a^l_c (x) conj(b^l_c) are built once per
-search.  The returned rotation maximizes the score over a coarse lattice,
-then over a three-times-finer lattice spanning one coarse cell around the
-best point, both scored from those cross-powers.  Ties, scores within
-1e-12 (relative) of the maximum, break toward the lexicographically
-smallest (alpha, beta, gamma).
+The returned rotation maximizes the score over a coarse lattice, then over a
+three-times-finer lattice spanning one coarse cell around the best point.
+Ties, scores within 1e-12 (relative) of the maximum, break toward the
+lexicographically smallest (alpha, beta, gamma).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .harmonics import shared_table
 from .mesh import TriangleMesh, project_mesh
-from .rotation import RotationZYZ, _small_d_many, geodesic_distance
+from .rotation import RotationZYZ, _apply_k, _real_parts, _slot_factor, geodesic_distance
 from .sft import SpectralCoeffs, sft_sepvar
 
 DEGENERATE_SPREAD = 1e-3
@@ -41,20 +39,20 @@ class AlignmentResult:
 
 
 def _score_lattice(
-    cross: list[np.ndarray], alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray
+    a: np.ndarray, b: np.ndarray, alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray
 ) -> np.ndarray:
-    """Scores on the outer-product rotation lattice (A, B, G) from the cross-powers."""
-    bw = len(cross)
-    ms = np.arange(-(bw - 1), bw)
-    # T[beta, m', m] accumulated over degrees.
-    t = np.zeros((len(betas), 2 * bw - 1, 2 * bw - 1), dtype=np.complex128)
-    for l, outer in enumerate(cross):
-        sl = slice(bw - 1 - l, bw + l)
-        t[:, sl, sl] += _small_d_many(l, betas) * outer
-    ea = np.exp(-1j * np.outer(alphas, ms))  # (A, M')
-    eg = np.exp(-1j * np.outer(gammas, ms))  # (G, M)
-    scores = (ea @ t) @ eg.T  # (B, A, G)
-    return scores.real.transpose(1, 0, 2)
+    """Scores <R a, b> on the outer-product rotation lattice (A, B, G), for half
+    spectra a and b (bw, bw, X) of real signals."""
+    bw, x = a.shape[0], a.shape[2]
+    m = np.arange(bw)
+
+    def k_turned(h, angles):  # K Z(t) h for each t in angles, (M, L X, T)
+        s = (h * _slot_factor(bw))[..., None] * np.exp(-1j * np.outer(m, angles))[:, None, None]
+        return _apply_k(s.reshape(bw, bw, -1)).reshape(bw, bw * x, -1)
+
+    w = k_turned(b, -alphas).conj().transpose(0, 2, 1) @ k_turned(a, gammas)  # (M, A, G)
+    scores = (np.exp(-1j * np.outer(betas, m)) @ w.reshape(bw, -1)).real  # Z(beta)
+    return scores.reshape(len(betas), len(alphas), len(gammas)).transpose(1, 0, 2)
 
 
 def _first_max(scores: np.ndarray) -> tuple[int, ...]:
@@ -85,17 +83,13 @@ def so3_correlate(
     for a_c, b_c in zip(a_list, b_list):
         if {a_c.bandwidth, b_c.bandwidth} != {bw} or a_c.channels != b_c.channels:
             raise ValueError("coefficient sets need one bandwidth and equal channels per pair")
-    # cross[l]: sum over entries and channels of a^l (x) conj(b^l), indexed [m', m].
-    cross = [np.zeros((2 * l + 1, 2 * l + 1), dtype=np.complex128) for l in range(bw)]
-    for a_c, b_c in zip(a_list, b_list):
-        for l, outer in enumerate(cross):
-            seg = slice(l * l, (l + 1) * (l + 1))
-            outer += np.einsum("cm,cp->pm", a_c.coeffs[:, seg], np.conj(b_c.coeffs[:, seg]))
+    halves = [_real_parts(a_c.coeffs, b_c.coeffs) for a_c, b_c in zip(a_list, b_list)]
+    ha, hb = (np.concatenate([h.reshape(bw, bw, -1) for h in hs], axis=2) for hs in zip(*halves))
     na, nb, ng = grid_size
     alphas = 2 * np.pi * np.arange(na) / na
     betas = np.pi * np.arange(nb) / nb
     gammas = 2 * np.pi * np.arange(ng) / ng
-    scores = _score_lattice(cross, alphas, betas, gammas)
+    scores = _score_lattice(ha, hb, alphas, betas, gammas)
     i, j, k = _first_max(scores)
     best_rot = RotationZYZ(alphas[i], betas[j], gammas[k])
     best_score = float(scores[i, j, k])
@@ -107,7 +101,7 @@ def so3_correlate(
         fine_a = alphas[i] + offs * (2 * np.pi / na)
         fine_b = np.clip(betas[j] + offs * (np.pi / nb), 0.0, np.pi)
         fine_g = gammas[k] + offs * (2 * np.pi / ng)
-        fine = _score_lattice(cross, fine_a, fine_b, fine_g)
+        fine = _score_lattice(ha, hb, fine_a, fine_b, fine_g)
         fi, fj, fk = _first_max(fine)
         best_rot = RotationZYZ(fine_a[fi], fine_b[fj], fine_g[fk])
         best_score = max(best_score, float(fine[fi, fj, fk]))

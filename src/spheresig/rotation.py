@@ -7,13 +7,15 @@ real slots, Re and Im of s_m = i^m sqrt(2) c_m for m = 0 .. l (s_0 = c_0, real).
 There the block is Z(alpha) K^T Z(beta) K Z(gamma) (Pinchon & Hoggan, "Rotation
 matrices for real spherical harmonics", J. Phys. A 40, 2007): Z(t) multiplies
 s_m by exp(-i m t), and K^l, the block of the rotation (-pi/2, pi/2, pi/2), is
-real orthogonal and maps Re slots to Re slots, Im to Im.  ``_rotate_half``
-applies this to a half spectrum, K to _BAND degrees at a time in one batched
-real matmul; at beta = 0 it is one exact phase.  ``rotate_packed`` is the packed
-entry (input that is not conjugate-symmetric goes as its parts s1 + i s2).
-``wigner_d`` forms one degree's block from K^l alone, in the coefficient basis.
-Each array is rotated on its own, so its result does not depend on what else is
-rotated.  Caches are immutable.
+real orthogonal and maps Re slots to Re slots, Im to Im.  ``_apply_k`` applies
+K, _BAND degrees at a time in one batched real matmul; ``_rotate_half`` rotates
+a half spectrum with it (at beta = 0 one exact phase), and ``align`` scores its
+rotation lattices with it.  ``rotate_packed`` is the packed entry (input that is
+not conjugate-symmetric goes as its parts c1 + i c2, ``_real_parts``).
+``wigner_d`` forms one degree's block in the coefficient basis from
+``_small_d_many``, the eigendecomposition of Jy: the reference that the K path
+is tested against.  Each array is rotated on its own, so its result does not
+depend on what else is rotated.  Caches are immutable.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sft import SpectralCoeffs, SphericalSignal, _synthesis_real, conj_mirror, sft_sepvar
-from .sft import to_half, to_packed
+from .sft import SpectralCoeffs, SphericalSignal, _analysis_half, _check_match, _synthesis_half
+from .sft import conj_mirror, to_half, to_packed
 
 _TWO_PI = 2.0 * np.pi
 
@@ -151,78 +153,76 @@ def _k_band(j: int) -> np.ndarray:
     return kb
 
 
+def _slot_factor(b: int) -> np.ndarray:
+    """i^m sqrt(2) for the orders m = 1 .. b-1 and 1 at m = 0, shape (b, 1, 1): the
+    factor that takes a half spectrum's c_m to the slot s_m."""
+    m = np.arange(b)
+    return (_I_POW[m % 4] * np.where(m > 0, np.sqrt(2.0), 1.0))[:, None, None]
+
+
+def _apply_k(s: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """K^l, or its transpose, applied to every degree l of slots s (b, b, X),
+    complex s_m stored m-major like a half spectrum: one batched real matmul per
+    band of _BAND degrees, on the Re and Im blocks at once."""
+    b, nx = s.shape[0], s.shape[2]
+    nb = -(-b // _BAND) * _BAND  # b rounded up to whole bands of degrees
+    x = np.zeros((nb // _BAND, _BAND, 2, nb, nx))  # [band, l, Re or Im, m, X]
+    y = np.zeros_like(x)
+    out = np.empty_like(s)
+    s_in, s_out = (v.view(np.float64).reshape(b, b, nx, 2).transpose(1, 3, 0, 2) for v in (s, out))
+    x.reshape(nb, 2, nb, nx)[:b, :, :b] = s_in
+    for j, n in enumerate(range(_BAND, nb + 1, _BAND)):
+        k = _k_band(j)
+        np.matmul(k.transpose(0, 1, 3, 2) if transpose else k, x[j, :, :, :n], out=y[j, :, :, :n])
+    s_out[:] = y.reshape(nb, 2, nb, nx)[:b, :, :b]
+    return out
+
+
 def _rotate_half(half: np.ndarray, r: RotationZYZ) -> np.ndarray:
     """Apply ``r`` to a half spectrum (b, b, ...) of real signals."""
     b = half.shape[0]
-    ns, m = (b, b, int(np.prod(half.shape[2:])), 2), np.arange(b)[:, None, None]
-    h = half.reshape(ns[:3])
+    h, m = half.reshape(b, b, -1), np.arange(b)[:, None, None]
     if r.beta == 0.0:
         return (h * np.exp(-1j * m * (r.alpha + r.gamma))).reshape(half.shape)
-    to_slots = _I_POW[m % 4] * np.where(m > 0, np.sqrt(2.0), 1.0)
-    h = h * (to_slots * np.exp(-1j * m * r.gamma))
-    nb = -(-b // _BAND) * _BAND  # b rounded up to whole bands of degrees
-    x = np.zeros((nb // _BAND, _BAND, 2, nb, ns[2]))  # [band, l, Re or Im, m, X]
-    slots = x.reshape(nb, 2, nb, ns[2])[:b, :, :b]
-    slots[:] = h.view(np.float64).reshape(ns).transpose(1, 3, 0, 2)
-    y = np.zeros_like(x)
-    bands = [(_k_band(j), x[j, :, :, :n], y[j, :, :, :n])
-             for j, n in enumerate(range(_BAND, nb + 1, _BAND))]
-    for k, xv, yv in bands:
-        np.matmul(k, xv, out=yv)
-    t = r.beta * np.arange(nb)[:, None]  # Z(beta) turns (Re, Im) of order m by m beta
-    np.multiply(y[:, :, 1], np.sin(t), out=x[:, :, 0])
-    np.multiply(y[:, :, 0], -np.sin(t), out=x[:, :, 1])
-    y *= np.cos(t)
-    y += x
-    for k, xv, yv in bands:
-        np.matmul(k.transpose(0, 1, 3, 2), yv, out=xv)
-    out = np.empty_like(h)
-    out.view(np.float64).reshape(ns).transpose(1, 3, 0, 2)[:] = slots
-    out *= np.exp(-1j * m * r.alpha) / to_slots
-    return out.reshape(half.shape)
-
-
-@functools.cache
-def _complex_k(l: int) -> np.ndarray:
-    """K^l on degree l's coefficients (m = -l .. l): A^H K^l A, with A the unitary
-    map from the coefficients of a real function to its real slots."""
-    k = np.arange(1, l + 1)
-    p = _I_POW[k % 4] / np.sqrt(2.0)
-    a = np.zeros((2 * l + 1, 2 * l + 1), dtype=np.complex128)
-    a[0, l] = 1.0
-    a[k, l + k] = a[k, l - k] = p  # Re s_m = i^m (c_m + c_-m) / sqrt(2)
-    a[l + k, l + k], a[l + k, l - k] = -1j * p, 1j * p  # Im s_m = -i i^m (c_m - c_-m) / sqrt(2)
-    kc = a.conj().T @ _real_k(l) @ a
-    kc.setflags(write=False)
-    return kc
+    to_slots = _slot_factor(b)
+    s = _apply_k(h * (to_slots * np.exp(-1j * m * r.gamma)))
+    t = m * r.beta  # Z(beta): s e^{-i m beta}, each part rounded as a real plane rotation
+    s = _apply_k(s * np.cos(t) - 1j * s * np.sin(t), transpose=True)
+    s *= np.exp(-1j * m * r.alpha) / to_slots
+    return s.reshape(half.shape)
 
 
 def wigner_d(l: int, r: RotationZYZ) -> np.ndarray:
     """Unitary (2l+1, 2l+1) representation matrix of ``r`` on degree-l coefficients:
-    P(alpha) Kc^H P(beta) Kc P(gamma), P(t) = diag(exp(-i m t)), Kc = ``_complex_k(l)``."""
+    P(alpha) d^l(beta) P(gamma), P(t) = diag(exp(-i m t)), d^l from ``_small_d_many``."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     m = np.arange(-l, l + 1)
     if r.beta == 0.0:
         return np.diag(np.exp(-1j * m * (r.alpha + r.gamma)))
-    kc = _complex_k(l)
-    pa, pb, pg = (np.exp(-1j * m * t) for t in (r.alpha, r.beta, r.gamma))
-    return (pa[:, None] * kc.conj().T * pb) @ (kc * pg)
+    pa, pg = (np.exp(-1j * m * t) for t in (r.alpha, r.gamma))
+    return pa[:, None] * _small_d_many(l, [r.beta])[0] * pg
+
+
+def _real_parts(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Half spectra (b, b, P, ...) of packed arrays (..., b*b): each array itself
+    (P = 1) when all equal their mirrors, else its conjugate-symmetric parts c1
+    and c2 with c = c1 + i c2 (P = 2), which rotation maps to the rotated parts."""
+    mirrors = [conj_mirror(c) for c in arrays]
+    if all(map(np.array_equal, arrays, mirrors)):
+        return [to_half(c[None]) for c in arrays]
+    return [to_half(np.stack([0.5 * (c + w), -0.5j * (c - w)])) for c, w in zip(arrays, mirrors)]
 
 
 def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
     """Apply ``r`` to packed coefficient arrays (..., b*b) of any bandwidths, exactly for
-    bandlimited content; one not conjugate-symmetric goes as its parts s1 + i s2."""
+    bandlimited content; one not conjugate-symmetric goes as its parts c1 + i c2."""
     outs = []
     for a in arrays:
         if math.isqrt(a.shape[-1]) ** 2 != a.shape[-1]:
             raise ValueError(f"packed length {a.shape[-1]} is not a square")
-        mirror = conj_mirror(a)
-        if np.array_equal(a, mirror):
-            outs.append(to_packed(_rotate_half(to_half(a), r)))
-        else:
-            s = to_packed(_rotate_half(to_half(np.stack([a + mirror, -1j * (a - mirror)])), r))
-            outs.append(0.5 * (s[0] + 1j * s[1]))
+        s = to_packed(_rotate_half(_real_parts(a)[0], r))
+        outs.append(s[0] if len(s) == 1 else s[0] + 1j * s[1])
     return outs
 
 
@@ -232,10 +232,10 @@ def rotate_spectrum(coeffs, r: RotationZYZ):
 
 
 def rotate_signal(signal, r: RotationZYZ, table):
-    """Rotate a sampled signal: analysis, ``rotate_spectrum``, synthesis of the
-    orders m >= 0; exact for bandlimited signals, which analysis makes of any."""
-    spec = rotate_spectrum(sft_sepvar(signal, table), r)
-    vals = _synthesis_real(spec.coeffs, table)
+    """Rotate a sampled signal: analysis, ``_rotate_half``, synthesis of the orders
+    m >= 0; exact for bandlimited signals, which analysis makes of any."""
+    _check_match(signal.bandwidth, table)
+    vals = _synthesis_half(_rotate_half(_analysis_half(signal.values, table), r), table)
     return SphericalSignal(table.grid, vals.astype(signal.values.dtype, copy=False))
 
 

@@ -222,11 +222,11 @@ def _prefactor(b: int) -> float:
 
 
 def _grid_major(values: np.ndarray) -> np.ndarray:
-    """The (k, j, X) storage of real (..., 2b, 2b) values: a view of
-    longitude-major values, one copy of any others."""
+    """The float64 (k, j, X) storage of real (..., 2b, 2b) values: a view of
+    longitude-major float64 values, one copy of any others."""
     d = values.ndim
     s = values.transpose((d - 1, d - 2) + tuple(range(d - 2)))  # (k, j, ...)
-    return np.ascontiguousarray(s).reshape(s.shape[:2] + (-1,))
+    return np.ascontiguousarray(s, dtype=np.float64).reshape(s.shape[:2] + (-1,))
 
 
 def _analysis_half(

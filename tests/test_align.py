@@ -10,8 +10,9 @@ from spheresig.rotation import (
     geodesic_distance,
     random_rotations,
     rotate_spectrum,
+    wigner_d,
 )
-from spheresig.sft import SpectralCoeffs, random_coeffs
+from spheresig.sft import SpectralCoeffs, random_coeffs, to_half
 from spheresig.synth import star_mesh
 
 
@@ -126,14 +127,52 @@ class TestLatticeKernel:
         alphas = 2 * np.pi * np.arange(6) / 6
         betas = np.pi * np.arange(5) / 5
         gammas = 2 * np.pi * np.arange(7) / 7
-        cross = [np.einsum("cm,cp->pm", a.degree(l), np.conj(b.degree(l))) for l in range(8)]
-        scores = _score_lattice(cross, alphas, betas, gammas)
+        scores = _score_lattice(to_half(a.coeffs), to_half(b.coeffs), alphas, betas, gammas)
         assert scores.shape == (6, 5, 7)
         scale = np.linalg.norm(a.coeffs) * np.linalg.norm(b.coeffs)  # bounds |score|
         for i, j, k in [(0, 0, 0), (0, 0, 3), (1, 2, 5), (5, 4, 6), (3, 1, 0), (2, 3, 4)]:
             r = RotationZYZ(alphas[i], betas[j], gammas[k])
             want = (rotate_spectrum(a, r).coeffs * np.conj(b.coeffs)).sum().real
             assert abs(scores[i, j, k] - want) < 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(4, 2, "complex", "complex")],
+            [(4, 1, "real", "complex")],
+            [(6, 1, "real", "real"), (6, 3, "real", "real")],
+            [(1, 2, "real", "real")],
+            [(2, 1, "real", "complex")],
+        ],
+        ids=["complex", "real-against-complex", "channels-1-and-3", "bw-1", "bw-2"],
+    )
+    def test_scores_match_wigner_blocks(self, shapes):
+        """Scores against Re sum_l (D^l(r) a_l) . conj(b_l) with D^l from
+        ``wigner_d``, which does not go through the K blocks the scorer uses."""
+        rng = np.random.default_rng(19)
+
+        def draw(bw, ch, kind):
+            if kind == "real":
+                return random_coeffs(bw, ch, rng)
+            return SpectralCoeffs(bw, rng.standard_normal((ch, bw * bw))
+                                  + 1j * rng.standard_normal((ch, bw * bw)))
+
+        pairs = [(draw(bw, ch, ka), draw(bw, ch, kb)) for bw, ch, ka, kb in shapes]
+        a_list, b_list = zip(*pairs)
+        res = so3_correlate(a_list, b_list, grid_size=(4, 3, 5), refine=False, keep_scores=True)
+        scale = np.linalg.norm(np.concatenate([a.coeffs.ravel() for a in a_list]))
+        scale *= np.linalg.norm(np.concatenate([b.coeffs.ravel() for b in b_list]))
+        want = []
+        for al in 2 * np.pi * np.arange(4) / 4:
+            for be in np.pi * np.arange(3) / 3:
+                for ga in 2 * np.pi * np.arange(5) / 5:
+                    r = RotationZYZ(al, be, ga)
+                    want.append(sum(
+                        (a.degree(l) @ wigner_d(l, r).T * np.conj(b.degree(l))).sum().real
+                        for a, b in pairs
+                        for l in range(a.bandwidth)
+                    ))
+        assert np.abs(res.per_rotation_scores - want).max() < 1e-12 * scale
 
     def test_first_max_takes_the_lexicographically_first_tie(self):
         scores = np.zeros((3, 2, 4))

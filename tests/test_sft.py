@@ -380,6 +380,14 @@ class TestLongitudeMajor:
                 np.testing.assert_array_equal(_analysis_half(xl, table), got)
                 assert np.abs(got - _analysis_direct(x, table)).max() < 1e-9, (b, maps)
 
+    def test_float32_values_analyse_as_their_float64_copy(self):
+        """All accumulation is float64 on both sides of the switch."""
+        for b in (16, 33, 64):
+            x = np.random.default_rng(b).standard_normal((2, 2 * b, 2 * b)).astype(np.float32)
+            np.testing.assert_array_equal(
+                _analysis_half(x, table_for(b)), _analysis_half(x.astype(np.float64), table_for(b))
+            )
+
     def test_longitude_major_input_is_read_in_place(self):
         xl = longitude_major(np.random.default_rng(0).standard_normal((2, 3, 8, 8)))
         assert np.shares_memory(_grid_major(xl), xl)
