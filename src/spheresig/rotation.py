@@ -211,7 +211,7 @@ def _real_parts(*arrays: np.ndarray) -> list[np.ndarray]:
     mirrors = [conj_mirror(c) for c in arrays]
     if all(map(np.array_equal, arrays, mirrors)):
         return [to_half(c[None]) for c in arrays]
-    return [to_half(np.stack([0.5 * (c + w), -0.5j * (c - w)])) for c, w in zip(arrays, mirrors)]
+    return [to_half(np.stack([0.5 * (c + cm), -0.5j * (c - cm)])) for c, cm in zip(arrays, mirrors)]
 
 
 def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:

@@ -21,9 +21,9 @@ boundaries.
 Kernels.  Grid values keep their logical shape (..., 2b, 2b), but inside the
 library they are stored longitude-major: ``np.moveaxis(v, (-1, -2), (0, 1))``,
 that is (k, j, ...), is C-contiguous.  ``_synthesis_half`` returns such views
-and ``_analysis_half`` reads them in place (any other input is copied once), so
-each step of a transform is one BLAS call or one FFT over a contiguous operand
-and no map is ever transposed between them:
+and ``_analysis_half`` reads float64 ones in place (any other input is copied
+once), so each step of a transform is one BLAS call or one FFT over a
+contiguous operand and no map is ever transposed between them:
 
 * ``_analysis_half``: for b <= 32, one real GEMM of the (2b, 2b) longitude DFT
   (``HarmonicTable.longitude_dft``, Re over Im of the orders m < b) against the
