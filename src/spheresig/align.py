@@ -23,8 +23,8 @@ import numpy as np
 
 from .harmonics import shared_table
 from .mesh import TriangleMesh, project_mesh
-from .rotation import RotationZYZ, _apply_k, _real_parts, _slot_factor, geodesic_distance
-from .sft import SpectralCoeffs, sft_sepvar
+from .rotation import RotationZYZ, _apply_k, _slot_factor, geodesic_distance
+from .sft import SpectralCoeffs, _real_parts, sft_sepvar
 
 DEGENERATE_SPREAD = 1e-3
 

@@ -71,8 +71,9 @@ _ANGLES = _checked(
 )
 
 
-def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _emit(doc: dict | str, path: str | None) -> None:
+    """Write ``doc`` (a JSON string, or an object to indent) to ``path`` or stdout."""
+    text = (doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, indent=2)) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -106,10 +107,27 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _known_keys(doc, keys: str, where: str) -> None:
+    """A key the parser does not read is a data error, not a silent default."""
+    extra = sorted(set(doc) - set(keys.split())) if isinstance(doc, dict) else []
+    if extra:
+        raise ValueError(f"unknown key {extra[0]!r} in {where}; allowed: {keys}")
+
+
+# The keys each config object may hold: exactly those its parser reads.
+_PRESET_KEYS = "preset input_bandwidth num_classes pool filter_mode anchors head"
+_NETWORK_KEYS = "input_bandwidth num_classes in_channels layers head branches concat_layers"
+_LAYER_KEYS = "out_channels filter anchors pool nonlinearity"
+_FILTER_KEYS = dict(full="mode bandwidth coeffs", anchored="mode bandwidth degrees values")
+
+
 def _network_from_json(doc: dict):
     from .network import LayerConfig, NetworkConfig, two_branch_config
 
-    if doc.get("preset") == "two_branch":
+    if "preset" in doc:
+        if doc["preset"] != "two_branch":
+            raise ValueError(f"unknown preset {doc['preset']!r}; the only preset is 'two_branch'")
+        _known_keys(doc, _PRESET_KEYS, "the preset config")
         return two_branch_config(
             input_bandwidth=_json_int(doc.get("input_bandwidth", 32), "input_bandwidth"),
             num_classes=_json_int(doc.get("num_classes", 40), "num_classes"),
@@ -118,9 +136,11 @@ def _network_from_json(doc: dict):
             anchors=_json_int(doc.get("anchors", 8), "anchors"),
             head=doc.get("head", "wgap"),
         )
+    _known_keys(doc, _NETWORK_KEYS, "the network config")
     layers = []
     prev = _json_int(doc.get("in_channels", 1), "in_channels")
-    for spec in doc["layers"]:
+    for i, spec in enumerate(doc["layers"]):
+        _known_keys(spec, _LAYER_KEYS, f"layer {i}")
         layers.append(
             LayerConfig(
                 in_channels=prev,
@@ -147,6 +167,9 @@ def _network_from_json(doc: dict):
 def _filter_from_json(doc: dict):
     from .spectral import ZonalFilterSpec
 
+    if doc["mode"] not in _FILTER_KEYS:
+        raise ValueError(f"unknown filter mode {doc['mode']!r}; use 'full' or 'anchored'")
+    _known_keys(doc, _FILTER_KEYS[doc["mode"]], f"the {doc['mode']} filter")
     b = _json_int(doc["bandwidth"], "bandwidth")
     if doc["mode"] == "full":
         return ZonalFilterSpec("full", b, full_coeffs=doc["coeffs"])
@@ -415,28 +438,26 @@ def _cmd_equiv_report(args) -> int:
     import numpy as np
 
     from .equivariance import measure
-    from .harmonics import shared_table
     from .network import init_parameters
     from .sft import SphericalSignal, random_bandlimited_signal
     from .synth import make_blob_dataset
 
     config = _load_json(args.config, _network_from_json)
     b = config.input_bandwidth
+    channels = 2 if config.branches == 2 else config.layers[0].in_channels
     if args.bandlimited:
         rng = np.random.default_rng(args.seed)
-        signals = [
-            random_bandlimited_signal(b, 1, rng, shared_table(b))
-            for _ in range(args.count)
-        ]
+        signals = [random_bandlimited_signal(b, channels, rng) for _ in range(args.count)]
         kind = "bandlimited"
     else:
         q, r = divmod(args.count, 3)  # each class keeps q signals, the first r one more
         per = q + (r > 0)
-        ds = make_blob_dataset(b, per, seed=args.seed, canonical_pose=False)
-        signals = [
-            SphericalSignal(s.grid, s.values - s.values.mean())
-            for s in (ds.signals[c * per + k] for c in range(3) for k in range(q + (c < r)))
-        ]
+        seeds = range(args.seed, args.seed + channels)  # channel k: blob set seed + k
+        sets = [make_blob_dataset(b, per, s, canonical_pose=False) for s in seeds]
+        signals = []
+        for i in (c * per + k for c in range(3) for k in range(q + (c < r))):
+            values = np.concatenate([v - v.mean() for v in (s.signals[i].values for s in sets)])
+            signals.append(SphericalSignal(sets[0].signals[i].grid, values))
         kind = "blobs-centered"
     params = init_parameters(config, seed=args.seed)
     report = measure(
@@ -447,12 +468,7 @@ def _cmd_equiv_report(args) -> int:
         seed=args.seed,
         descriptor=dict(stimulus=kind, bandlimited=args.bandlimited),
     )
-    text = report.to_json() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json(), args.output)
     print(report.table(), file=sys.stderr)
     return 0
 

@@ -10,24 +10,22 @@ s_m by exp(-i m t), and K^l, the block of the rotation (-pi/2, pi/2, pi/2), is
 real orthogonal and maps Re slots to Re slots, Im to Im.  ``_apply_k`` applies
 K, _BAND degrees at a time in one batched real matmul; ``_rotate_half`` rotates
 a half spectrum with it (at beta = 0 one exact phase), and ``align`` scores its
-rotation lattices with it.  ``rotate_packed`` is the packed entry (input that is
-not conjugate-symmetric goes as its parts c1 + i c2, ``_real_parts``).
-``wigner_d`` forms one degree's block in the coefficient basis from
-``_small_d_many``, the eigendecomposition of Jy: the reference that the K path
-is tested against.  Each array is rotated on its own, so its result does not
-depend on what else is rotated.  Caches are immutable.
+rotation lattices with it.  ``rotate_spectrum`` rotates the half-spectrum
+parts of packed coefficients (``sft._real_parts``).  ``wigner_d`` forms one
+degree's block in the coefficient basis from ``_small_d_many``, the
+eigendecomposition of Jy: the reference that the K path is tested against.
+Caches are immutable.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sft import SpectralCoeffs, SphericalSignal, _analysis_half, _check_match, _synthesis_half
-from .sft import conj_mirror, to_half, to_packed
+from .sft import SpectralCoeffs, SphericalSignal, _analysis_half, _check_match, _from_parts
+from .sft import _real_parts, _synthesis_half
 
 _TWO_PI = 2.0 * np.pi
 
@@ -204,31 +202,10 @@ def wigner_d(l: int, r: RotationZYZ) -> np.ndarray:
     return pa[:, None] * _small_d_many(l, [r.beta])[0] * pg
 
 
-def _real_parts(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Half spectra (b, b, P, ...) of packed arrays (..., b*b): each array itself
-    (P = 1) when all equal their mirrors, else its conjugate-symmetric parts c1
-    and c2 with c = c1 + i c2 (P = 2), which rotation maps to the rotated parts."""
-    mirrors = [conj_mirror(c) for c in arrays]
-    if all(map(np.array_equal, arrays, mirrors)):
-        return [to_half(c[None]) for c in arrays]
-    return [to_half(np.stack([0.5 * (c + cm), -0.5j * (c - cm)])) for c, cm in zip(arrays, mirrors)]
-
-
-def rotate_packed(arrays: list[np.ndarray], r: RotationZYZ) -> list[np.ndarray]:
-    """Apply ``r`` to packed coefficient arrays (..., b*b) of any bandwidths, exactly for
-    bandlimited content; one not conjugate-symmetric goes as its parts c1 + i c2."""
-    outs = []
-    for a in arrays:
-        if math.isqrt(a.shape[-1]) ** 2 != a.shape[-1]:
-            raise ValueError(f"packed length {a.shape[-1]} is not a square")
-        s = to_packed(_rotate_half(_real_parts(a)[0], r))
-        outs.append(s[0] if len(s) == 1 else s[0] + 1j * s[1])
-    return outs
-
-
 def rotate_spectrum(coeffs, r: RotationZYZ):
     """Apply ``r`` per degree block; exact for bandlimited content."""
-    return SpectralCoeffs(coeffs.bandwidth, rotate_packed([coeffs.coeffs], r)[0])
+    rotated = _rotate_half(_real_parts(coeffs.coeffs)[0], r)
+    return SpectralCoeffs(coeffs.bandwidth, _from_parts(rotated))
 
 
 def rotate_signal(signal, r: RotationZYZ, table):

@@ -8,15 +8,14 @@ Analysis follows the sampled quadrature form
 with ``w_j`` the grid's quadrature weights; synthesis is the plain harmonic
 sum.
 
-Two coefficient layouts exist.  The public one (``SpectralCoeffs``, SPEC1,
-the public ``rotation`` functions) is packed per channel: degree l occupies
-the slice [l*l, (l+1)*(l+1)) with orders running -l .. l, so a channel holds
-exactly b*b complex entries.  The network, the rotation kernel and
-``equivariance`` use the half spectrum: the orders m >= 0 only, stored
-m-major as (m, l, ...) complex with zeros where l < m, so both transforms are
-one batched real matmul against views of the one (l, m, j) Legendre table.
-``to_half`` and ``to_packed`` convert between the two at the public
-boundaries.
+Two coefficient layouts exist.  The packed one is a boundary format
+(``SpectralCoeffs``, SPEC1): per channel, degree l occupies the slice
+[l*l, (l+1)*(l+1)) with orders -l .. l, b*b complex entries in all.  Every
+operation runs on the half spectrum: the orders m >= 0 only, m-major as
+(m, l, ...) complex with zeros where l < m, so both transforms are one batched
+real matmul against views of the one (l, m, j) Legendre table.  One adapter
+crosses the boundary: ``_real_parts`` turns packed arrays into half-spectrum
+parts, ``_from_parts`` turns them back.
 
 Kernels.  Grid values keep their logical shape (..., 2b, 2b), but inside the
 library they are stored longitude-major: ``np.moveaxis(v, (-1, -2), (0, 1))``,
@@ -39,7 +38,7 @@ contiguous operand and no map is ever transposed between them:
   (Re/Im, m, l, X) view of the complex input, then one GEMM with
   ``longitude_idft`` (orders m > 0 doubled, Im of m = 0 dropped); above b = 32
   an irfft along k.  The only synthesis; ``_synthesis_real`` is its packed
-  entry point (a gather, then the kernel).
+  entry point (``_real_parts``, then the kernel).
 * ``_analysis_direct`` (full-grid contraction per order, O(b^4), behind
   ``sft_direct``) is the reference; it returns a half spectrum too, and the
   two analyses agree to ~1e-12.
@@ -58,12 +57,11 @@ a per-degree norm) applies the weights.
 
 The spectrum of a real function obeys c_{-m}^l = (-1)^m conj(c_m^l).
 Every producer of a real spectrum (the analyses, random spectra, the SPEC1
-reader) builds its half spectrum, and ``to_packed`` is the one place that
-fills the negative orders by that rule; ``conj_mirror`` applies it to a
-whole packed spectrum.  ``isft`` returns the real part of the full
-harmonic sum of any coefficients: it synthesizes their conjugate-symmetric
-part, which equals the coefficients bit for bit when they came from a real
-signal.
+reader) builds its half spectrum, and ``conj_mirror`` is the one place that
+writes that rule; ``to_packed`` fills the negative orders through it.
+``isft`` returns the real part of the full harmonic sum of any coefficients:
+it synthesizes their conjugate-symmetric part, which is the coefficients
+themselves, bit for bit, when they came from a real signal.
 
 All accumulation is float64/complex128 regardless of the signal dtype.
 """
@@ -193,16 +191,28 @@ def to_half(coeffs: np.ndarray) -> np.ndarray:
 def to_packed(half: np.ndarray) -> np.ndarray:
     """The packed (..., b*b) conjugate-symmetric spectrum of a half spectrum
     (b, b, ...); the inverse of ``to_half`` on spectra of real signals.  The
-    negative orders are c_{-m}^l = (-1)^m conj(c_m^l)."""
-    b = half.shape[0]
-    m, l, slots = half_slots(b)
-    out = np.empty(half.shape[2:] + (b * b,), dtype=np.complex128)
-    out[..., slots] = np.moveaxis(half[m, l], 0, -1)
-    m, slots = m[m > 0], slots[m > 0]
-    mirror = np.conj(out[..., slots])
-    np.negative(mirror, out=mirror, where=m % 2 == 1)
-    out[..., slots - 2 * m] = mirror
-    return out
+    negative orders come from ``conj_mirror``."""
+    l, m = packed_orders(half.shape[0])
+    out = np.moveaxis(np.asarray(half, dtype=np.complex128)[np.abs(m), l], 0, -1)
+    return np.where(m < 0, conj_mirror(out), out)
+
+
+def _real_parts(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Half spectra (b, b, P, ...) of packed arrays (..., b*b): each array itself
+    (P = 1) when all equal their mirrors, else its conjugate-symmetric parts c1,
+    c2 with c = c1 + i c2 (P = 2), formed from halves so that finite c cannot
+    overflow.  A linear map of real spectra maps the parts to its image's."""
+    mirrors = [conj_mirror(c) for c in arrays]
+    if all(map(np.array_equal, arrays, mirrors)):
+        return [to_half(c[None]) for c in arrays]
+    parts = [np.stack([0.5 * c + 0.5 * cm, -0.5j * c + 0.5j * cm]) for c, cm in zip(arrays, mirrors)]
+    return [to_half(p) for p in parts]
+
+
+def _from_parts(parts: np.ndarray) -> np.ndarray:
+    """Packed (..., b*b) coefficients of half-spectrum parts (b, b, P, ...)."""
+    s = to_packed(parts)
+    return s[0] if len(s) == 1 else s[0] + 1j * s[1]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +312,9 @@ def _synthesis_half(
 
 
 def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Synthesis of packed (..., b*b) coefficients from their orders m >= 0."""
-    return _synthesis_half(to_half(coeffs), table)
+    """The real part of the harmonic sum of packed (..., b*b) coefficients: the
+    synthesis of their conjugate-symmetric part."""
+    return _synthesis_half(_real_parts(coeffs)[0][:, :, 0], table)
 
 
 def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable) -> np.ndarray:
@@ -350,19 +361,13 @@ def sft_sepvar(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
 def isft(
     coeffs: SpectralCoeffs, table: HarmonicTable, dtype: np.dtype | type = np.float64
 ) -> SphericalSignal:
-    """Inverse transform: the real part of the full harmonic sum.
-
-    That is the synthesis of the conjugate-symmetric part (c + conj_mirror(c)) / 2
-    of the coefficients.  It is formed as c where c equals its mirror, so it
-    is ``c`` itself, bit for bit, for coefficients of a real signal, and as
-    c/2 + mirror/2 elsewhere, which cannot overflow.  Coefficients so large
-    that their synthesis overflows raise ValueError (a non-finite signal).
+    """Inverse transform: the real part of the full harmonic sum
+    (``_synthesis_real``).  Coefficients so large that their synthesis
+    overflows raise ValueError (a non-finite signal).
     """
     _check_match(coeffs.bandwidth, table)
-    c = coeffs.coeffs
-    mirror = conj_mirror(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _synthesis_real(np.where(c == mirror, c, 0.5 * c + 0.5 * mirror), table)
+        vals = _synthesis_real(coeffs.coeffs, table)
     return SphericalSignal(table.grid, vals.astype(dtype, copy=False))
 
 

@@ -18,9 +18,9 @@ functions are typed front ends over the same forwards.  Values arrays are
 (..., 2b, 2b); the spectral forwards take half spectra, m-major
 (b, b, channel, ...) with orders m >= 0 (see ``sft``), whose orders m > 0
 count twice wherever they are contracted (``order_weights``).  The
-``SpectralCoeffs`` front ends work on the packed layout directly, exactly
-for any spectrum: convolution scales each degree, spectral pooling keeps a
-prefix, MAG-L sums every order.
+``SpectralCoeffs`` front ends run the same forwards on the half-spectrum
+parts of their packed input (``sft._real_parts``), so they hold for any
+spectrum, not only those of real signals.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import numpy as np
 
 from .grid import SphericalGrid, make_grid
 from .harmonics import HarmonicTable, shared_table
-from .sft import SpectralCoeffs, SphericalSignal, _synthesis_half, order_weights, packed_orders
+from .sft import SpectralCoeffs, SphericalSignal, _from_parts, _real_parts, _synthesis_half
+from .sft import order_weights
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,14 @@ def conv_vjp(
 
 
 def conv_spectral(f: SpectralCoeffs, h: ZonalFilterSpec) -> SpectralCoeffs:
-    """Convolve every channel of ``f`` with the zonal filter ``h``."""
+    """Convolve every channel of ``f`` with the zonal filter ``h`` (``conv_fwd``)."""
     if h.bandwidth != f.bandwidth:
         raise ValueError(
             f"bandwidth mismatch: coeffs b={f.bandwidth}, filter b={h.bandwidth}"
         )
-    scale = conv_scale(f.bandwidth) * realize_filter(h)
-    return SpectralCoeffs(f.bandwidth, f.coeffs * scale[packed_orders(f.bandwidth)[0]])
+    parts = _real_parts(f.coeffs)[0]  # (b, b, P, C)
+    out = conv_fwd(parts[:, :, None], realize_filter(h)[None, None])
+    return SpectralCoeffs(f.bandwidth, _from_parts(out[:, :, 0]))
 
 
 def filter_to_signal(spec: ZonalFilterSpec, table: HarmonicTable | None = None) -> SphericalSignal:
@@ -186,17 +188,16 @@ def sp_vjp(dcoeffs: np.ndarray, b: int) -> np.ndarray:
 
 
 def spectral_pool(f: SpectralCoeffs, presmooth: bool = False) -> SpectralCoeffs:
-    """Halve the bandwidth by dropping all degrees >= b/2.
+    """Halve the bandwidth by dropping all degrees >= b/2 (``sp_fwd``).
 
     With ``presmooth`` a raised-cosine taper is applied over the retained
     degrees first, trading ringing for attenuation (off by default).
     """
     half = _halved(f.bandwidth)
-    out = f.coeffs[:, : half * half].copy()
+    out = sp_fwd(_real_parts(f.coeffs)[0], half)
     if presmooth:
-        ls = packed_orders(half)[0]
-        out *= np.cos(0.5 * np.pi * ls / half) ** 2
-    return SpectralCoeffs(half, out)
+        out = out * (np.cos(0.5 * np.pi * np.arange(half) / half) ** 2)[:, None, None]
+    return SpectralCoeffs(half, _from_parts(out))
 
 
 def _blocks(values: np.ndarray) -> np.ndarray:
@@ -305,12 +306,11 @@ def wgap(signal: SphericalSignal) -> InvariantDescriptor:
 
 def magl(coeffs: SpectralCoeffs) -> InvariantDescriptor:
     """Per-degree coefficient norms over all orders, invariant to rotation by
-    unitarity; equal to ``magl_fwd`` of the half spectrum of a real signal."""
-    c = coeffs.coeffs
-    starts = np.arange(coeffs.bandwidth) ** 2
-    return InvariantDescriptor(
-        kind="magl", values=np.sqrt(np.add.reduceat(c.real**2 + c.imag**2, starts, axis=-1))
-    )
+    unitarity: ``magl_fwd`` of the parts.  Two parts combine by ``np.hypot``,
+    since the cross terms of two conjugate-symmetric parts cancel."""
+    norms = magl_fwd(_real_parts(coeffs.coeffs)[0])  # (P, C, b)
+    values = norms[0] if len(norms) == 1 else np.hypot(*norms)
+    return InvariantDescriptor(kind="magl", values=values)
 
 
 def relu_fwd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,13 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spheresig.cli import main
+from spheresig.cli import _network_from_json, main
+from spheresig.equivariance import measure
 from spheresig.formats import read_spec1, read_sph1, write_ckpt1, write_sph1
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table, shared_table
 from spheresig.network import LayerConfig, NetworkConfig, init_parameters
-from spheresig.sft import isft, random_coeffs, sft_direct, sft_sepvar
-from spheresig.synth import star_mesh
+from spheresig.sft import (
+    SphericalSignal,
+    isft,
+    random_bandlimited_signal,
+    random_coeffs,
+    sft_direct,
+    sft_sepvar,
+)
+from spheresig.synth import make_blob_dataset, star_mesh
 
 
 @pytest.fixture()
@@ -190,6 +198,52 @@ def test_equiv_report_count(tmp_path, capsys, count):
     )))
     assert main(["equiv-report", "--config", str(cfgfile), "--count", str(count)]) == 0
     assert json.loads(capsys.readouterr().out)["rotations_used"] == count
+
+
+ONE_CHANNEL = dict(input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2)])
+
+
+@pytest.mark.parametrize(
+    "doc, bandlimited",
+    [
+        (ONE_CHANNEL, False),
+        (ONE_CHANNEL, True),
+        (dict(preset="two_branch", input_bandwidth=16, num_classes=3), False),
+        (dict(ONE_CHANNEL, in_channels=2), True),
+    ],
+    ids=["one-channel-blobs", "one-channel-bandlimited", "two-branch", "in-channels-2"],
+)
+def test_equiv_report_config_channels(tmp_path, doc, bandlimited):
+    """Stimuli carry the channel count the network takes: 2 for two branches,
+    else the first layer's ``in_channels``.  Channel k of a blob stimulus comes
+    from the blob set seeded seed + k, centred on its own mean; with one
+    channel that is the single blob set the report has always drawn."""
+    cfg = tmp_path / "net.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    argv = ["equiv-report", "--config", str(cfg), "--count", "2", "--seed", "3", "-o", str(out)]
+    assert main(argv + ["--bandlimited"] * bandlimited) == 0
+    config = _network_from_json(doc)
+    b, channels = config.input_bandwidth, doc.get("in_channels", 2 if "preset" in doc else 1)
+    if bandlimited:
+        rng = np.random.default_rng(3)
+        signals = [random_bandlimited_signal(b, channels, rng) for _ in range(2)]
+    else:  # --count 2: the first blob of classes 0 and 1
+        sets = [make_blob_dataset(b, 1, seed=3 + k, canonical_pose=False) for k in range(channels)]
+        signals = [
+            SphericalSignal(
+                sets[0].signals[i].grid,
+                np.concatenate([s.signals[i].values - s.signals[i].values.mean() for s in sets]),
+            )
+            for i in (0, 1)
+        ]
+    kind = "bandlimited" if bandlimited else "blobs-centered"
+    report = measure(
+        config, init_parameters(config, seed=3), signals, rotations=1, seed=3,
+        descriptor=dict(stimulus=kind, bandlimited=bandlimited),
+    )
+    assert signals[0].values.shape == (channels, 2 * b, 2 * b)
+    assert out.read_text() == report.to_json() + "\n"
 
 
 def test_bench_output_shape(capsys):
@@ -465,24 +519,6 @@ class TestInputShape:
         assert "(3, 1, 16, 16)" in err and expected in err and "Traceback" not in err
         assert not ckpt.exists() and not report.exists()
 
-    @pytest.mark.parametrize(
-        "doc, expected",
-        [
-            (TWO_BRANCH, "(1, 1, 32, 32); the config expects (batch, 2, 32, 32)"),
-            (dict(ONE_LAYER, input_bandwidth=8, in_channels=2),
-             "(1, 1, 16, 16); the config expects (batch, 2, 16, 16)"),
-        ],
-        ids=["two-branch", "in-channels-2"],
-    )
-    def test_equiv_report(self, tmp_path, capsys, doc, expected):
-        cfg = tmp_path / "net.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "report.json"
-        assert main(["equiv-report", "--config", str(cfg), "--count", "1", "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert expected in err and "Traceback" not in err
-        assert not out.exists()
-
 
 class TestJsonEdges:
     """Config and filter JSON of the wrong shape exit 2 with a message, never a traceback."""
@@ -511,12 +547,25 @@ class TestJsonEdges:
                 dict(preset="two_branch", input_bandwidth=16, num_classes=3.7),
                 "num_classes must be an integer, got 3.7",
             ),
+            (
+                dict(NET, layers=[dict(out_channels=2, filter_mode="full")]),
+                "unknown key 'filter_mode' in layer 0",
+            ),
+            (dict(NET, filter_mode="full"), "unknown key 'filter_mode' in the network config"),
+            (dict(NET, preset="two-branch"), "unknown preset 'two-branch'"),
+            (
+                dict(preset="two_branch", input_bandwidth=16, num_classes=3, filter="full"),
+                "unknown key 'filter' in the preset config",
+            ),
+            (dict(NET, preset="two_branch"), "unknown key 'layers' in the preset config"),
         ],
         ids=[
             "top-level-list", "layers-string", "layers-empty", "out-channels-0",
             "concat-one-branch", "num-classes-fraction", "bandwidth-string",
             "in-channels-bool", "branches-fraction", "out-channels-fraction",
             "anchors-string", "concat-entry-fraction", "preset-num-classes-fraction",
+            "layer-filter-mode", "network-filter-mode", "preset-misspelled",
+            "preset-filter", "preset-layers",
         ],
     )
     def test_network_config(self, tmp_path, capsys, doc, message):
@@ -545,10 +594,22 @@ class TestJsonEdges:
                 dict(mode="full", bandwidth=True, coeffs=[1.0]),
                 "bandwidth must be an integer, got True",
             ),
+            (
+                dict(mode="Full", bandwidth=8, degrees=[0, 7], values=[1, 0], coeffs=[1.0] * 8),
+                "unknown filter mode 'Full'",
+            ),
+            (
+                dict(mode="full", bandwidth=8, coeffs=[1.0] * 8, degrees=[0, 7]),
+                "unknown key 'degrees' in the full filter",
+            ),
+            (
+                dict(mode="anchored", bandwidth=8, degrees=[0, 7], values=[1, 0], coeffs=[1.0]),
+                "unknown key 'coeffs' in the anchored filter",
+            ),
         ],
         ids=[
             "top-level-list", "null-coefficient", "fractional-degree", "bandwidth-fraction",
-            "bandwidth-bool",
+            "bandwidth-bool", "mode-capitalized", "full-with-degrees", "anchored-with-coeffs",
         ],
     )
     def test_filter(self, tmp_path, bandlimited_sph, capsys, doc, message):

@@ -17,7 +17,6 @@ from spheresig.rotation import (
     _small_d_many,
     geodesic_distance,
     random_rotations,
-    rotate_packed,
     rotate_signal,
     rotate_spectrum,
     rotation_from_matrix,
@@ -25,6 +24,7 @@ from spheresig.rotation import (
     wigner_d,
 )
 from spheresig.sft import (
+    SpectralCoeffs,
     SphericalSignal,
     _synthesis_real,
     evaluate_coeffs_at,
@@ -210,23 +210,14 @@ class TestHalfKernel:
                 self.assert_matches_blocks(to_packed(_rotate_half(to_half(c), r)), c, r)
 
     def test_non_symmetric_packed_input_matches_explicit_blocks(self):
-        """Through ``rotate_packed``, a complex array that is not conjugate-
+        """Through ``rotate_spectrum``, a complex array that is not conjugate-
         symmetric goes as its parts s1 + i s2: the path ``wigner_d`` takes."""
         rng = np.random.default_rng(17)
         for b in (4, 16, 64):
             c = rng.standard_normal((2, b * b)) + 1j * rng.standard_normal((2, b * b))
             for r in KERNEL_ROTATIONS:
-                (out,) = rotate_packed([c], r)
+                out = rotate_spectrum(SpectralCoeffs(b, c), r).coeffs
                 self.assert_matches_blocks(out, c, r)
-
-    def test_each_array_same_bits_alone_or_in_a_list(self):
-        rng = np.random.default_rng(18)
-        arrays = [random_coeffs(b, ch, rng).coeffs for b, ch in ((64, 1), (16, 4), (4, 2))]
-        arrays.append(rng.standard_normal((3, 16 * 16)) + 0j)
-        for r in KERNEL_ROTATIONS:
-            together = rotate_packed(arrays, r)
-            for a, got in zip(arrays, together):
-                np.testing.assert_array_equal(got, rotate_packed([a], r)[0])
 
 
 class TestRotateSpectrum:
@@ -253,18 +244,18 @@ class TestRotateSpectrum:
                 rtol=1e-12,
             )
 
-    def test_packed_mixed_bandwidths_match_per_spectrum(self):
-        rng = np.random.default_rng(5)
-        specs = [random_coeffs(b, ch, rng) for b, ch in ((4, 1), (16, 3), (8, 2))]
-        for r in random_rotations(2, seed=6) + [RotationZYZ(0.7, 0.0, 1.1)]:
-            out = rotate_packed([c.coeffs for c in specs], r)
-            assert len(out) == len(specs)
-            for got, c in zip(out, specs):
-                np.testing.assert_array_equal(got, rotate_spectrum(c, r).coeffs)
-
     def test_packed_rejects_non_square_length(self):
         with pytest.raises(ValueError):
-            rotate_packed([np.zeros((1, 5), dtype=np.complex128)], RotationZYZ(0, 0, 0))
+            SpectralCoeffs(2, np.zeros((1, 5), dtype=np.complex128))
+
+    def test_huge_non_symmetric_coefficient_stays_finite(self):
+        """Splitting c = c1 + i c2 halves before it adds, so a finite c near the
+        float64 limit neither overflows nor turns to NaN."""
+        c = np.zeros((1, 16), dtype=np.complex128)
+        c[0, 0] = 1e308 * (1 + 1j)
+        for angles in ((0.3, 0.0, 0.2), (0.3, 1.0, 0.2), (2.1, 2.5, 4.0)):
+            out = rotate_spectrum(SpectralCoeffs(4, c), RotationZYZ(*angles)).coeffs
+            np.testing.assert_array_equal(out, c)
 
 
 class TestRotateSignal:

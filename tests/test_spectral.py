@@ -15,6 +15,7 @@ from spheresig.sft import (
     _synthesis_adjoint,
     _synthesis_half,
     coeff_index,
+    conj_mirror,
     isft,
     order_weights,
     random_coeffs,
@@ -293,6 +294,85 @@ class TestDescriptors:
         for r in random_rotations(10, seed=17):
             rotated = magl(rotate_spectrum(c, r)).values
             assert np.abs(rotated - base).max() < 1e-9
+
+
+
+class TestPackedAdapter:
+    """The ``SpectralCoeffs`` front ends run the half-spectrum forwards on the
+    parts of their packed input; checked here against the packed formulas
+    (per-degree scale, degree prefix, taper per degree, per-degree sums)."""
+
+    FRONT_ENDS = {
+        "conv": lambda c, spec: conv_spectral(c, spec),
+        "sp": lambda c, spec: spectral_pool(c),
+        "sp-presmooth": lambda c, spec: spectral_pool(c, presmooth=True),
+    }
+
+    @staticmethod
+    def packed(name, c, spec):
+        """The packed-layout result of front end ``name`` on (C, b*b) ``c``."""
+        b = spec.bandwidth
+        degrees = np.repeat(np.arange(b), 2 * np.arange(b) + 1)
+        if name == "conv":
+            return c * (spectral.conv_scale(b) * realize_filter(spec))[degrees]
+        half = b // 2
+        out = c[:, : half * half].copy()
+        if name == "sp-presmooth":
+            out *= np.cos(0.5 * np.pi * degrees[: half * half] / half) ** 2
+        return out
+
+    @staticmethod
+    def reduceat_norms(c):
+        b = int(np.sqrt(c.shape[-1]))
+        return np.sqrt(np.add.reduceat(c.real**2 + c.imag**2, np.arange(b) ** 2, axis=-1))
+
+    @staticmethod
+    def cases(rng, symmetric):
+        """(b, C, b*b) coefficients and a full filter, for b in 2, 8, 33 and
+        the even 34; pooling skips the odd bandwidth."""
+        for b in (2, 8, 33, 34):
+            if symmetric:
+                c = random_coeffs(b, 3, rng).coeffs
+            else:
+                c = rng.standard_normal((3, b * b)) + 1j * rng.standard_normal((3, b * b))
+            yield b, c, ZonalFilterSpec("full", b, full_coeffs=rng.standard_normal(b))
+
+    @pytest.mark.parametrize("name", sorted(FRONT_ENDS))
+    def test_symmetric_linear_front_ends_match_packed_formulas_bitwise(self, name):
+        for b, c, spec in self.cases(np.random.default_rng(30), symmetric=True):
+            if name != "conv" and b % 2:
+                continue
+            got = self.FRONT_ENDS[name](SpectralCoeffs(b, c), spec).coeffs
+            np.testing.assert_array_equal(got, self.packed(name, c, spec))
+
+    @pytest.mark.parametrize("name", sorted(FRONT_ENDS))
+    def test_non_symmetric_linear_front_ends_act_on_each_part(self, name):
+        """op(c) = op(c1) + i op(c2) for the conjugate-symmetric parts of c."""
+        for b, c, spec in self.cases(np.random.default_rng(31), symmetric=False):
+            if name != "conv" and b % 2:
+                continue
+            cm = conj_mirror(c)
+            op = self.FRONT_ENDS[name]
+            parts = (0.5 * (c + cm), -0.5j * (c - cm))
+            c1, c2 = (op(SpectralCoeffs(b, p), spec).coeffs for p in parts)
+            got = op(SpectralCoeffs(b, c), spec).coeffs
+            for want in (c1 + 1j * c2, self.packed(name, c, spec)):
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (name, b)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
+    def test_magl_matches_per_degree_sums(self, symmetric):
+        for b, c, _ in self.cases(np.random.default_rng(32), symmetric):
+            np.testing.assert_allclose(
+                magl(SpectralCoeffs(b, c)).values, self.reduceat_norms(c), rtol=1e-15, atol=0
+            )
+
+    def test_huge_non_symmetric_coefficient_pools_finite(self):
+        c = np.zeros((1, 16), dtype=np.complex128)
+        c[0, 0] = 1e308 * (1 + 1j)
+        for presmooth in (False, True):
+            out = spectral_pool(SpectralCoeffs(4, c), presmooth).coeffs
+            assert np.isfinite(out).all()
+            np.testing.assert_array_equal(out, c[:, :4])
 
 
 class TestNonlinearity:

@@ -13,6 +13,7 @@ from spheresig.harmonics import shared_table
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
+PACKAGE = TRACING.parents[1] / "src" / "spheresig"
 
 # Retargeted to the half-spectrum analysis by a later benchmark change; this
 # test neither requires it nor asserts that it is gone.
@@ -75,3 +76,25 @@ def test_every_export_resolves():
 
     for name in spheresig.__all__:
         assert getattr(spheresig, name) is not None, name
+
+
+PACKED_HELPERS = {"to_half", "to_packed", "conj_mirror", "half_slots", "packed_orders"}
+
+
+def test_packed_layout_stays_in_sft():
+    """The packed layout is a boundary format: outside ``sft`` (which owns it)
+    and ``formats`` (SPEC1's half storage), modules cross it through
+    ``sft._real_parts`` and ``sft._from_parts`` only."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("sft.py", "formats.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in PACKED_HELPERS]
+    assert found == []
