@@ -296,14 +296,13 @@ class TestDescriptors:
             assert np.abs(rotated - base).max() < 1e-9
 
 
-
 class TestPackedAdapter:
     """The ``SpectralCoeffs`` front ends run the half-spectrum forwards on the
     parts of their packed input; checked here against the packed formulas
     (per-degree scale, degree prefix, taper per degree, per-degree sums)."""
 
     FRONT_ENDS = {
-        "conv": lambda c, spec: conv_spectral(c, spec),
+        "conv": conv_spectral,
         "sp": lambda c, spec: spectral_pool(c),
         "sp-presmooth": lambda c, spec: spectral_pool(c, presmooth=True),
     }
@@ -328,8 +327,8 @@ class TestPackedAdapter:
 
     @staticmethod
     def cases(rng, symmetric):
-        """(b, C, b*b) coefficients and a full filter, for b in 2, 8, 33 and
-        the even 34; pooling skips the odd bandwidth."""
+        """(b, three-channel packed coefficients, full filter) for b in 2, 8,
+        33 and the even 34; pooling skips the odd bandwidth."""
         for b in (2, 8, 33, 34):
             if symmetric:
                 c = random_coeffs(b, 3, rng).coeffs
