@@ -115,52 +115,47 @@ def _known_keys(doc, keys: str, where: str) -> None:
 
 
 # The keys each config object may hold: exactly those its parser reads.
-_PRESET_KEYS = "preset input_bandwidth num_classes pool filter_mode anchors head"
+_PRESET_ARGS = "input_bandwidth num_classes pool filter_mode anchors head"
 _NETWORK_KEYS = "input_bandwidth num_classes in_channels layers head branches concat_layers"
 _LAYER_KEYS = "out_channels filter anchors pool nonlinearity"
 _FILTER_KEYS = dict(full="mode bandwidth coeffs", anchored="mode bandwidth degrees values")
+_INT_KEYS = "input_bandwidth num_classes anchors branches".split()
+
+
+def _given(doc: dict, keys: str) -> dict:
+    """Keyword arguments from the entries of ``doc`` under ``keys`` that it holds."""
+    out = {}
+    for key in (k for k in keys.split() if k in doc):
+        value = _json_int(doc[key], key) if key in _INT_KEYS else doc[key]
+        if key == "concat_layers":
+            value = tuple(_json_int(i, "each concat_layers entry") for i in value)
+        out["filter_mode" if key == "filter" else key] = value
+    return out
 
 
 def _network_from_json(doc: dict):
+    """A ``NetworkConfig`` from a config JSON object.  An omitted key takes the
+    default of the config type it feeds; ``in_channels`` (JSON only) is 1."""
     from .network import LayerConfig, NetworkConfig, two_branch_config
 
     if "preset" in doc:
         if doc["preset"] != "two_branch":
             raise ValueError(f"unknown preset {doc['preset']!r}; the only preset is 'two_branch'")
-        _known_keys(doc, _PRESET_KEYS, "the preset config")
-        return two_branch_config(
-            input_bandwidth=_json_int(doc.get("input_bandwidth", 32), "input_bandwidth"),
-            num_classes=_json_int(doc.get("num_classes", 40), "num_classes"),
-            pool=doc.get("pool", "wap"),
-            filter_mode=doc.get("filter_mode", "anchored"),
-            anchors=_json_int(doc.get("anchors", 8), "anchors"),
-            head=doc.get("head", "wgap"),
-        )
+        _known_keys(doc, "preset " + _PRESET_ARGS, "the preset config")
+        return two_branch_config(**_given(doc, _PRESET_ARGS))
     _known_keys(doc, _NETWORK_KEYS, "the network config")
     layers = []
     prev = _json_int(doc.get("in_channels", 1), "in_channels")
     for i, spec in enumerate(doc["layers"]):
         _known_keys(spec, _LAYER_KEYS, f"layer {i}")
-        layers.append(
-            LayerConfig(
-                in_channels=prev,
-                out_channels=_json_int(spec["out_channels"], "out_channels"),
-                filter_mode=spec.get("filter", "anchored"),
-                anchors=_json_int(spec.get("anchors", 4), "anchors"),
-                pool=spec.get("pool", "none"),
-                nonlinearity=spec.get("nonlinearity", "relu"),
-            )
-        )
-        prev = layers[-1].out_channels
+        out = _json_int(spec["out_channels"], "out_channels")
+        layers.append(LayerConfig(prev, out, **_given(spec, "filter anchors pool nonlinearity")))
+        prev = out
     return NetworkConfig(
-        input_bandwidth=_json_int(doc["input_bandwidth"], "input_bandwidth"),
-        layers=tuple(layers),
-        num_classes=_json_int(doc["num_classes"], "num_classes"),
-        head=doc.get("head", "wgap"),
-        branches=_json_int(doc.get("branches", 1), "branches"),
-        concat_layers=tuple(
-            _json_int(i, "each concat_layers entry") for i in doc.get("concat_layers", ())
-        ),
+        _json_int(doc["input_bandwidth"], "input_bandwidth"),
+        tuple(layers),
+        _json_int(doc["num_classes"], "num_classes"),
+        **_given(doc, "head branches concat_layers"),
     )
 
 
@@ -385,13 +380,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    import numpy as np
+
     from .formats import read_sph1
     from .network import forward
 
     config = _load_json(args.config, _network_from_json)
     params = _load_checkpoint(args.ckpt, config)
-    sig = read_sph1(args.input)
-    logits, _ = forward(config, params, sig)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = forward(config, params, read_sph1(args.input))
+    if not np.isfinite(logits).all():
+        raise FormatError(f"{args.input}: the network's logits overflow float64")
     _emit(
         dict(logits=[float(v) for v in logits], prediction=int(logits.argmax())),
         args.output,
@@ -443,8 +442,7 @@ def _cmd_equiv_report(args) -> int:
     from .synth import make_blob_dataset
 
     config = _load_json(args.config, _network_from_json)
-    b = config.input_bandwidth
-    channels = 2 if config.branches == 2 else config.layers[0].in_channels
+    b, channels = config.input_bandwidth, config.input_channels
     if args.bandlimited:
         rng = np.random.default_rng(args.seed)
         signals = [random_bandlimited_signal(b, channels, rng) for _ in range(args.count)]

@@ -98,7 +98,7 @@ def measure(
         raise ValueError("need at least one signal")
     b_in = config.input_bandwidth
     bws = [b_in] + config.layer_bandwidths()
-    names = ["input"] + [f"conv{i + 1}" for i in range(len(config.layers))]
+    names = ["input"] + [blk.name for blk in config.blocks() if blk.branch == 0]
     sums = np.zeros(len(names))
     counts = np.zeros(len(names), dtype=int)
     rng = np.random.default_rng(seed)

@@ -13,10 +13,10 @@ the ``spectral`` forward of each operation (filter realization, per-degree
 channel mixing, pooling, ReLU) and returns, beside its output, a closure
 that applies the matching ``spectral`` vector-Jacobian products and ``sft``
 transform adjoints in reverse; ``_head`` does the same for the descriptor.
-``_forward_batch`` records these closures in the order the blocks run, and
-``backward`` replays them backwards, routing only the cotangents of the
-concatenated cross-branch inputs.  Gradients are checked against central
-finite differences in tests.
+``_forward_batch`` walks ``NetworkConfig.blocks`` and records these
+closures in that order; ``backward`` replays them backwards, routing only
+the cotangents of the concatenated cross-branch inputs.  Gradients are
+checked against central finite differences in tests.
 
 Feature maps on this path have the logical shape (channel, batch, 2b, 2b)
 and are stored longitude-major, as ``sft._synthesis_half`` returns them:
@@ -35,6 +35,7 @@ long.  Inputs arrive and taps leave as (batch, channel, 2b, 2b) views.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,6 +83,11 @@ class LayerConfig:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
+# One branch of one layer: name (tap name and parameter prefix, "conv3" or
+# "branch1/conv3"), layer index, branch, input bandwidth and input channels.
+Block = namedtuple("Block", "name layer branch bandwidth in_channels")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     input_bandwidth: int
@@ -99,27 +105,22 @@ class NetworkConfig:
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
         layers = tuple(self.layers)
+        object.__setattr__(self, "layers", layers)
         if not layers:
             raise ValueError("a network needs at least one layer")
-        prev = None
-        for i, lay in enumerate(layers):
-            if prev is not None and lay.in_channels != prev:
+        for i, (prev, lay) in enumerate(zip(layers, layers[1:]), 1):
+            if lay.in_channels != prev.out_channels:
                 raise ValueError(
-                    f"layer {i}: in_channels {lay.in_channels} != previous out {prev}"
+                    f"layer {i}: in_channels {lay.in_channels} != previous out {prev.out_channels}"
                 )
-            prev = lay.out_channels
         if self.concat_layers and self.branches != 2:
             raise ValueError(f"concat_layers need branches 2, got branches {self.branches}")
         if any(i < 1 or i >= len(layers) for i in self.concat_layers):
             raise ValueError("concat layers must reference layers after the first")
-        b = self.input_bandwidth
-        for i, lay in enumerate(layers):
-            if lay.pool != "none":
-                if b % 2 != 0 or b // 2 < 2:
-                    raise ValueError(f"layer {i}: cannot pool below bandwidth 2 (b={b})")
-                b //= 2
-        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "concat_layers", tuple(self.concat_layers))
+        for i, (lay, b) in enumerate(zip(layers, [self.input_bandwidth] + self.layer_bandwidths())):
+            if lay.pool != "none" and (b % 2 != 0 or b // 2 < 2):
+                raise ValueError(f"layer {i}: cannot pool below bandwidth 2 (b={b})")
 
     def layer_bandwidths(self) -> list[int]:
         """Output bandwidth of each layer."""
@@ -130,11 +131,22 @@ class NetworkConfig:
             out.append(b)
         return out
 
-    def layer_in_channels(self, branch: int, i: int) -> int:
-        base = self.layers[i].in_channels
-        if branch == 0 and i in self.concat_layers:
-            base += self.layers[i - 1].out_channels
-        return base
+    @property
+    def input_channels(self) -> int:
+        """Channels of the network input: one per branch when there are two."""
+        return 2 if self.branches == 2 else self.layers[0].in_channels
+
+    def blocks(self) -> list[Block]:
+        """Every ``Block`` in the order the forward pass runs them: by layer,
+        branch 0 first.  A concat layer's branch-0 block reads its own maps,
+        then the previous layer's branch-1 maps, and counts both."""
+        bws, out = [self.input_bandwidth] + self.layer_bandwidths(), []
+        for i, lay in enumerate(self.layers):
+            extra = self.layers[i - 1].out_channels if i in self.concat_layers else 0
+            out.append(Block(f"conv{i + 1}", i, 0, bws[i], lay.in_channels + extra))
+            if self.branches == 2:
+                out.append(Block(f"branch1/conv{i + 1}", i, 1, bws[i], lay.in_channels))
+        return out
 
     def feature_dim(self) -> int:
         last = self.layers[-1].out_channels * self.branches
@@ -201,7 +213,6 @@ def two_branch_config(
     cfg = stack_config(
         input_bandwidth,
         channels,
-        in_channels=1,
         num_classes=num_classes,
         pool=pool,
         filter_mode=filter_mode,
@@ -230,24 +241,19 @@ class ParameterStore:
         return int(sum(v.size for v in self.tensors.values()))
 
 
-def _anchors(cfg: LayerConfig, b: int) -> np.ndarray | None:
-    """Anchor degrees of an anchored filter at bandwidth b; None for full filters."""
-    if cfg.filter_mode == "full":
-        return None
-    return spectral.anchor_layout(b, min(cfg.anchors, b))
+def _anchors(cfg: LayerConfig, b: int) -> np.ndarray:
+    """Anchor degrees of a layer's filters at bandwidth b (full: every degree)."""
+    return spectral.anchor_layout(b, b if cfg.filter_mode == "full" else min(cfg.anchors, b))
 
 
 def parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Tensor names and shapes, branch-major, as CKPT1 and ``init_parameters`` order them."""
     out: list[tuple[str, tuple[int, ...]]] = []
-    bws = [config.input_bandwidth] + config.layer_bandwidths()[:-1]
-    for br in range(config.branches):
-        prefix = "" if br == 0 else "branch1/"
-        for i, lay in enumerate(config.layers):
-            anchors = _anchors(lay, bws[i])
-            nf = bws[i] if anchors is None else len(anchors)
-            n_in = config.layer_in_channels(br, i)
-            out.append((f"{prefix}conv{i + 1}/filters", (lay.out_channels, n_in, nf)))
-            out.append((f"{prefix}conv{i + 1}/bias", (lay.out_channels,)))
+    for blk in sorted(config.blocks(), key=lambda blk: blk.branch):
+        lay = config.layers[blk.layer]
+        nf = len(_anchors(lay, blk.bandwidth))
+        out.append((f"{blk.name}/filters", (lay.out_channels, blk.in_channels, nf)))
+        out.append((f"{blk.name}/bias", (lay.out_channels,)))
     out.append(("head/weight", (config.num_classes, config.feature_dim())))
     out.append(("head/bias", (config.num_classes,)))
     return out
@@ -335,28 +341,23 @@ def _head(kind: str, feat: np.ndarray, b: int):
 
 def _forward_batch(config: NetworkConfig, params: ParameterStore, x: np.ndarray):
     """Run the network on (B, C, n, n) values; returns the logits, the taps
-    and the tape ``(desc, head_vjp, blocks)``, with ``blocks`` the
-    ``(name, layer, branch, vjp)`` of every block in the order they ran."""
-    c, n = 2 if config.branches == 2 else config.layers[0].in_channels, 2 * config.input_bandwidth
+    and the tape ``(desc, head_vjp, blocks)``, with ``blocks`` the ``(block,
+    own-branch input width, vjp)`` of every block in the order they ran."""
+    c, n = config.input_channels, 2 * config.input_bandwidth
     if x.ndim != 4 or x.shape[1:] != (c, n, n):
         raise ValueError(f"input has shape {x.shape}; the config expects (batch, {c}, {n}, {n})")
-    bws = [config.input_bandwidth] + config.layer_bandwidths()[:-1]
     outs = np.split(x.swapaxes(0, 1), config.branches, axis=0)
     taps: dict[str, np.ndarray] = {}
     blocks = []
-    for i, lay in enumerate(config.layers):
-        new_outs: list[np.ndarray] = []
-        for br in range(config.branches):
-            name = f"conv{i + 1}" if br == 0 else f"branch1/conv{i + 1}"
-            xin = outs[br]
-            if br == 0 and i in config.concat_layers:
-                xin = np.concatenate([xin, outs[1]], axis=0)
-            filters, bias = (params.tensors[f"{name}/{k}"] for k in ("filters", "bias"))
-            y, vjp = _block(lay, bws[i], xin, filters, bias)
-            blocks.append((name, i, br, vjp))
-            new_outs.append(y)
-            taps[name] = y.swapaxes(0, 1)
-        outs = new_outs
+    for blk in config.blocks():
+        lay, xin = config.layers[blk.layer], outs[blk.branch]
+        if blk.in_channels > lay.in_channels:  # branch 1's maps of the layer before
+            xin = np.concatenate([xin, outs[1]], axis=0)
+        filters, bias = (params.tensors[f"{blk.name}/{k}"] for k in ("filters", "bias"))
+        y, vjp = _block(lay, blk.bandwidth, xin, filters, bias)
+        blocks.append((blk, len(outs[blk.branch]), vjp))
+        outs[blk.branch] = y
+        taps[blk.name] = y.swapaxes(0, 1)
     desc, head_vjp = _head(config.head, np.concatenate(outs, axis=0), config.layer_bandwidths()[-1])
     logits = desc @ params.tensors["head/weight"].T + params.tensors["head/bias"]
     return logits, taps, (desc, head_vjp, blocks)
@@ -417,13 +418,12 @@ def backward(
         raise DivergenceError(f"non-finite loss {loss}")
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
     dbranch = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
-    for name, i, br, vjp in reversed(blocks):
-        dx, grads[f"{name}/filters"], grads[f"{name}/bias"] = vjp(dbranch[br])
-        if br == 0 and i in config.concat_layers:  # hand branch 1 its share of the input
-            split = config.layers[i].in_channels
-            dbranch[1] = dbranch[1] + dx[split:]
-            dx = dx[:split]
-        dbranch[br] = dx
+    for blk, width, vjp in reversed(blocks):
+        dx, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dbranch[blk.branch])
+        if len(dx) > width:  # hand branch 1 its share of the input
+            dbranch[1] = dbranch[1] + dx[width:]
+            dx = dx[:width]
+        dbranch[blk.branch] = dx
     return loss, grads
 
 

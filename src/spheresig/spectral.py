@@ -6,9 +6,9 @@ of the signal's coefficients:
     y_m^l = 2 pi sqrt(4 pi / (2l+1)) * f_m^l * h_0^l,
 
 where h_0^l is the filter's order-zero spectrum.  Filters are parameterized
-either by the full length-b spectrum or by a few anchor degrees with linear
-interpolation in between, which enforces spectral smoothness and hence
-spatial locality.
+by a few anchor degrees with linear interpolation in between, which
+enforces spectral smoothness and hence spatial locality; a full filter is
+the case where every degree is an anchor.
 
 Each layer operation exists once, as an array-level forward ``*_fwd`` and
 its vector-Jacobian product ``*_vjp``; a forward whose adjoint needs a
@@ -37,7 +37,7 @@ from .sft import order_weights
 
 @dataclass(frozen=True)
 class ZonalFilterSpec:
-    """Zonal filter as an order-zero spectrum, full or anchor-interpolated."""
+    """Zonal filter: order-zero spectrum values at anchor degrees (every degree if full)."""
 
     mode: str  # "full" | "anchored"
     bandwidth: int
@@ -54,6 +54,7 @@ class ZonalFilterSpec:
             if not np.isfinite(fc).all():
                 raise ValueError("full spectrum holds non-finite values")
             object.__setattr__(self, "full_coeffs", fc)
+            deg, val = np.arange(b), fc
         elif self.mode == "anchored":
             raw = np.asarray(self.anchor_degrees, dtype=np.float64)
             val = np.asarray(self.anchor_values, dtype=np.float64)
@@ -68,10 +69,10 @@ class ZonalFilterSpec:
                 raise ValueError("anchor degrees must be strictly increasing")
             if deg[0] != 0 or deg[-1] != b - 1:
                 raise ValueError(f"anchors must span degrees 0 .. {b - 1}")
-            object.__setattr__(self, "anchor_degrees", deg)
-            object.__setattr__(self, "anchor_values", val)
         else:
             raise ValueError(f"unknown filter mode {self.mode!r}")
+        object.__setattr__(self, "anchor_degrees", deg)
+        object.__setattr__(self, "anchor_values", val)
 
 
 def anchor_layout(b: int, n: int) -> np.ndarray:
@@ -89,6 +90,8 @@ def conv_scale(b: int) -> np.ndarray:
 
 def interp_matrix(b: int, anchors: np.ndarray) -> np.ndarray:
     """Linear-interpolation matrix W, (b, len(anchors)): spectrum = values @ W.T."""
+    if len(anchors) < 2:  # a full filter at b < 2: no interval to interpolate over
+        return np.ones((b, len(anchors)))
     ls = np.arange(b)
     j = np.minimum(np.searchsorted(anchors, ls, side="right") - 1, len(anchors) - 2)
     span = anchors[j + 1] - anchors[j]
@@ -98,20 +101,18 @@ def interp_matrix(b: int, anchors: np.ndarray) -> np.ndarray:
     return w
 
 
-def realize_fwd(values: np.ndarray, b: int, anchors: np.ndarray | None) -> np.ndarray:
-    """Spectra (..., b) from anchor values (..., len(anchors)); full spectra
-    (``anchors`` None) pass through."""
-    return values if anchors is None else values @ interp_matrix(b, anchors).T
+def realize_fwd(values: np.ndarray, b: int, anchors: np.ndarray) -> np.ndarray:
+    """Spectra (..., b) from anchor values (..., len(anchors)); a full filter
+    anchors every degree, so its identity interpolation is exact."""
+    return values @ interp_matrix(b, anchors).T
 
 
-def realize_vjp(dspectra: np.ndarray, b: int, anchors: np.ndarray | None) -> np.ndarray:
-    return dspectra if anchors is None else dspectra @ interp_matrix(b, anchors)
+def realize_vjp(dspectra: np.ndarray, b: int, anchors: np.ndarray) -> np.ndarray:
+    return dspectra @ interp_matrix(b, anchors)
 
 
 def realize_filter(spec: ZonalFilterSpec) -> np.ndarray:
     """Length-b order-zero spectrum of the filter."""
-    if spec.mode == "full":
-        return np.array(spec.full_coeffs, dtype=np.float64)
     return realize_fwd(spec.anchor_values, spec.bandwidth, spec.anchor_degrees)
 
 

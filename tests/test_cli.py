@@ -490,6 +490,27 @@ class TestCheckpointAgainstConfig:
         assert "'conv1/bias' appears twice" in capsys.readouterr().err
 
 
+def test_infer_that_overflows(tmp_path, capsys):
+    """Finite input whose MAG-L norms overflow float64 exits 2 naming the
+    input; no NaN logits are printed or written, and numpy does not warn."""
+    doc = dict(input_bandwidth=8, num_classes=3, head="magl",
+               layers=[dict(out_channels=2, nonlinearity="none")])
+    cfgfile, ckpt, sig = tmp_path / "net.json", tmp_path / "m.ckpt", tmp_path / "big.sph"
+    cfgfile.write_text(json.dumps(doc))
+    write_ckpt1(str(ckpt), init_parameters(_network_from_json(doc), seed=0).tensors)
+    write_sph1(str(sig), SphericalSignal(make_grid(8), np.full((1, 16, 16), 1e200)))
+    out = tmp_path / "logits.json"
+    argv = ["infer", "--config", str(cfgfile), "--ckpt", str(ckpt), "--input", str(sig)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+        assert main(argv + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert str(sig) in captured.err and "overflow" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestInputShape:
     """Signals that do not fit the config's (channels, 2b, 2b) exit 2 with
     both shapes named, a message and no traceback, and nothing is written."""

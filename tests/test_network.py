@@ -364,6 +364,82 @@ class TestParameterCounts:
             )
 
 
+class TestBlockWalk:
+    """``NetworkConfig.blocks`` is the one record of the network's shape; the
+    parameter list, the forward's taps and the input check all read it."""
+
+    CONFIG = NetworkConfig(
+        input_bandwidth=8,
+        layers=(LayerConfig(1, 2, "full"), LayerConfig(2, 3, "anchored", 3, "wap")),
+        num_classes=4,
+        branches=2,
+        concat_layers=(1,),
+    )
+
+    def test_parameter_shapes_keep_checkpoint_order(self):
+        """Branch-major, as CKPT1 writes and ``init_parameters`` draws them;
+        the concat block counts branch 1's two maps after its own two."""
+        assert network.parameter_shapes(self.CONFIG) == [
+            ("conv1/filters", (2, 1, 8)),
+            ("conv1/bias", (2,)),
+            ("conv2/filters", (3, 4, 3)),
+            ("conv2/bias", (3,)),
+            ("branch1/conv1/filters", (2, 1, 8)),
+            ("branch1/conv1/bias", (2,)),
+            ("branch1/conv2/filters", (3, 2, 3)),
+            ("branch1/conv2/bias", (3,)),
+            ("head/weight", (4, 6)),
+            ("head/bias", (4,)),
+        ]
+
+    def test_blocks_run_in_tap_order(self):
+        assert self.CONFIG.blocks() == [
+            ("conv1", 0, 0, 8, 1),
+            ("branch1/conv1", 0, 1, 8, 1),
+            ("conv2", 1, 0, 8, 4),
+            ("branch1/conv2", 1, 1, 8, 2),
+        ]
+        x = np.random.default_rng(0).standard_normal((1, 2, 16, 16))
+        _, taps, _ = network._forward_batch(self.CONFIG, init_parameters(self.CONFIG), x)
+        assert [blk.name for blk in self.CONFIG.blocks()] == list(taps)
+
+    def test_input_channels(self):
+        assert self.CONFIG.input_channels == 2
+        assert stack_config(8, [2, 3], in_channels=3).input_channels == 3
+        assert two_branch_config(16, 3).input_channels == 2
+
+
+class TestOneFilterPath:
+    def test_full_filter_is_anchored_at_every_degree(self):
+        """A full filter realizes through the anchored path with every degree
+        an anchor, where interpolation is the identity: same tensors, and the
+        same logits, taps and gradients, bit for bit, as ``anchors=b``."""
+
+        def config(mode):
+            layers = (
+                LayerConfig(1, 3, mode, 8, "sp", "none"),
+                LayerConfig(3, 2, mode, 8, "max"),
+                LayerConfig(2, 4, mode, 8),
+            )
+            return NetworkConfig(8, layers, 3, head="magl", branches=2, concat_layers=(2,))
+
+        full, anchored = config("full"), config("anchored")
+        assert network.parameter_shapes(full) == network.parameter_shapes(anchored)
+        params = init_parameters(full, seed=1)
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((2, 2, 16, 16)), np.array([0, 2])
+        logits_f, taps_f, _ = network._forward_batch(full, params, x)
+        logits_a, taps_a, _ = network._forward_batch(anchored, params, x)
+        np.testing.assert_array_equal(logits_f, logits_a)
+        assert list(taps_f) == list(taps_a)
+        for name in taps_f:
+            np.testing.assert_array_equal(taps_f[name], taps_a[name])
+        (loss_f, grads_f), (loss_a, grads_a) = (backward(c, params, x, y) for c in (full, anchored))
+        assert loss_f == loss_a and list(grads_f) == list(grads_a)
+        for name in grads_f:
+            np.testing.assert_array_equal(grads_f[name], grads_a[name])
+
+
 class TestAugment:
     def test_noop(self):
         sig = SphericalSignal(make_grid(8), np.zeros((1, 16, 16)))

@@ -98,3 +98,20 @@ def test_packed_layout_stays_in_sft():
                 continue
             found += [(path.name, name) for name in names if name in PACKED_HELPERS]
     assert found == []
+
+
+def test_block_names_stay_in_network():
+    """``NetworkConfig.blocks`` names every block ("conv3", "branch1/conv3":
+    the tap name and the parameter prefix); no other module builds one.  A
+    name is an f-string with a literal part ending in ``conv`` (the layer
+    number follows) or holding ``branch1/``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "network.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                parts = [v.value for v in node.values if isinstance(v, ast.Constant)]
+                if any(p.endswith("conv") or "branch1/" in p for p in parts):
+                    found.append((path.name, node.lineno))
+    assert found == []
