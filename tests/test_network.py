@@ -439,6 +439,14 @@ class TestOneFilterPath:
         for name in grads_f:
             np.testing.assert_array_equal(grads_f[name], grads_a[name])
 
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_full_filter_below_two_degrees(self, b):
+        """With fewer than two anchors there is nothing to interpolate; a full
+        filter still realizes its coefficients."""
+        coeffs = np.full(b, 2.5)
+        spec = ZonalFilterSpec("full", b, full_coeffs=coeffs)
+        np.testing.assert_array_equal(realize_filter(spec), coeffs)
+
 
 class TestAugment:
     def test_noop(self):
