@@ -100,13 +100,6 @@ def _load_json(path: str, parse=None):
 # ---------------------------------------------------------------------------
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer: not a boolean, a string or a fraction."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _known_keys(doc, keys: str, where: str) -> None:
     """A key the parser does not read is a data error, not a silent default."""
     extra = sorted(set(doc) - set(keys.split())) if isinstance(doc, dict) else []
@@ -119,18 +112,11 @@ _PRESET_ARGS = "input_bandwidth num_classes pool filter_mode anchors head"
 _NETWORK_KEYS = "input_bandwidth num_classes in_channels layers head branches concat_layers"
 _LAYER_KEYS = "out_channels filter anchors pool nonlinearity"
 _FILTER_KEYS = dict(full="mode bandwidth coeffs", anchored="mode bandwidth degrees values")
-_INT_KEYS = "input_bandwidth num_classes anchors branches".split()
 
 
 def _given(doc: dict, keys: str) -> dict:
     """Keyword arguments from the entries of ``doc`` under ``keys`` that it holds."""
-    out = {}
-    for key in (k for k in keys.split() if k in doc):
-        value = _json_int(doc[key], key) if key in _INT_KEYS else doc[key]
-        if key == "concat_layers":
-            value = tuple(_json_int(i, "each concat_layers entry") for i in value)
-        out["filter_mode" if key == "filter" else key] = value
-    return out
+    return {("filter_mode" if k == "filter" else k): doc[k] for k in keys.split() if k in doc}
 
 
 def _network_from_json(doc: dict):
@@ -145,16 +131,16 @@ def _network_from_json(doc: dict):
         return two_branch_config(**_given(doc, _PRESET_ARGS))
     _known_keys(doc, _NETWORK_KEYS, "the network config")
     layers = []
-    prev = _json_int(doc.get("in_channels", 1), "in_channels")
+    prev = doc.get("in_channels", 1)
     for i, spec in enumerate(doc["layers"]):
         _known_keys(spec, _LAYER_KEYS, f"layer {i}")
-        out = _json_int(spec["out_channels"], "out_channels")
+        out = spec["out_channels"]
         layers.append(LayerConfig(prev, out, **_given(spec, "filter anchors pool nonlinearity")))
         prev = out
     return NetworkConfig(
-        _json_int(doc["input_bandwidth"], "input_bandwidth"),
+        doc["input_bandwidth"],
         tuple(layers),
-        _json_int(doc["num_classes"], "num_classes"),
+        doc["num_classes"],
         **_given(doc, "head branches concat_layers"),
     )
 
@@ -165,14 +151,10 @@ def _filter_from_json(doc: dict):
     if doc["mode"] not in _FILTER_KEYS:
         raise ValueError(f"unknown filter mode {doc['mode']!r}; use 'full' or 'anchored'")
     _known_keys(doc, _FILTER_KEYS[doc["mode"]], f"the {doc['mode']} filter")
-    b = _json_int(doc["bandwidth"], "bandwidth")
     if doc["mode"] == "full":
-        return ZonalFilterSpec("full", b, full_coeffs=doc["coeffs"])
+        return ZonalFilterSpec("full", doc["bandwidth"], full_coeffs=doc["coeffs"])
     return ZonalFilterSpec(
-        "anchored",
-        b,
-        anchor_degrees=doc["degrees"],
-        anchor_values=doc["values"],
+        "anchored", doc["bandwidth"], anchor_degrees=doc["degrees"], anchor_values=doc["values"]
     )
 
 

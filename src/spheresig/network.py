@@ -42,7 +42,7 @@ import numpy as np
 
 from . import spectral
 from .errors import DivergenceError
-from .grid import make_grid
+from .grid import DEFAULT_MAX_BANDWIDTH, make_grid
 from .harmonics import HarmonicTable, shared_table
 from .mesh import TriangleMesh, bounding_sphere
 from .rotation import random_rotations, rotate_signal
@@ -70,6 +70,8 @@ class LayerConfig:
     nonlinearity: str = "relu"  # "relu" | "none"
 
     def __post_init__(self) -> None:
+        for name in ("in_channels", "out_channels", "anchors"):
+            spectral.require_int(getattr(self, name), name)
         if min(self.in_channels, self.out_channels) < 1:
             raise ValueError(
                 f"channel counts must be at least 1, got {self.in_channels} -> "
@@ -77,6 +79,8 @@ class LayerConfig:
             )
         if self.filter_mode not in ("anchored", "full"):
             raise ValueError(f"unknown filter mode {self.filter_mode!r}")
+        if self.filter_mode == "anchored" and self.anchors < 2:  # full filters ignore it
+            raise ValueError(f"an anchored filter needs anchors >= 2, got {self.anchors}")
         if self.pool not in ("none", "sp", "wap", "max"):
             raise ValueError(f"unknown pool {self.pool!r}")
         if self.nonlinearity not in ("relu", "none"):
@@ -98,6 +102,15 @@ class NetworkConfig:
     concat_layers: tuple[int, ...] = ()  # branch-0 layers receiving branch-1 features
 
     def __post_init__(self) -> None:
+        for name in ("input_bandwidth", "num_classes", "branches"):
+            spectral.require_int(getattr(self, name), name)
+        concat = [spectral.require_int(i, "each concat_layers entry") for i in self.concat_layers]
+        object.__setattr__(self, "concat_layers", tuple(concat))
+        if not 2 <= self.input_bandwidth <= DEFAULT_MAX_BANDWIDTH:
+            raise ValueError(
+                f"input_bandwidth must be in [2, {DEFAULT_MAX_BANDWIDTH}], "
+                f"got {self.input_bandwidth}"
+            )
         if self.head not in ("wgap", "magl"):
             raise ValueError(f"unknown head {self.head!r}")
         if self.branches not in (1, 2):
@@ -108,6 +121,8 @@ class NetworkConfig:
         object.__setattr__(self, "layers", layers)
         if not layers:
             raise ValueError("a network needs at least one layer")
+        if self.branches == 2 and layers[0].in_channels != 1:
+            raise ValueError(f"two branches need in_channels 1, got {layers[0].in_channels}")
         for i, (prev, lay) in enumerate(zip(layers, layers[1:]), 1):
             if lay.in_channels != prev.out_channels:
                 raise ValueError(
@@ -116,8 +131,7 @@ class NetworkConfig:
         if self.concat_layers and self.branches != 2:
             raise ValueError(f"concat_layers need branches 2, got branches {self.branches}")
         if any(i < 1 or i >= len(layers) for i in self.concat_layers):
-            raise ValueError("concat layers must reference layers after the first")
-        object.__setattr__(self, "concat_layers", tuple(self.concat_layers))
+            raise ValueError("concat_layers must reference layers after the first")
         for i, (lay, b) in enumerate(zip(layers, [self.input_bandwidth] + self.layer_bandwidths())):
             if lay.pool != "none" and (b % 2 != 0 or b // 2 < 2):
                 raise ValueError(f"layer {i}: cannot pool below bandwidth 2 (b={b})")
@@ -451,6 +465,12 @@ class TrainSchedule:
     eps: float = 1e-8
     augment_rotate: str | None = None  # None | "z" (exact column rolls)
     log: bool = False
+
+    def __post_init__(self) -> None:
+        if self.augment_rotate not in (None, "z"):
+            raise ValueError(f"augment_rotate must be None or 'z', got {self.augment_rotate!r}")
+        if spectral.require_int(self.batch_size, "batch_size") < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 def learning_rate_at(schedule: TrainSchedule, epoch: int) -> float:

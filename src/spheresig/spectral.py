@@ -35,6 +35,13 @@ from .sft import SpectralCoeffs, SphericalSignal, _from_parts, _real_parts, _syn
 from .sft import order_weights
 
 
+def require_int(value, name: str):
+    """``value`` if it is a Python or numpy integer: not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ZonalFilterSpec:
     """Zonal filter: order-zero spectrum values at anchor degrees (every degree if full)."""
@@ -46,7 +53,7 @@ class ZonalFilterSpec:
     anchor_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        b = self.bandwidth
+        b = require_int(self.bandwidth, "bandwidth")
         if self.mode == "full":
             fc = np.asarray(self.full_coeffs, dtype=np.float64)
             if fc.shape != (b,):

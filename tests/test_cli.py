@@ -579,6 +579,13 @@ class TestJsonEdges:
                 "unknown key 'filter' in the preset config",
             ),
             (dict(NET, preset="two_branch"), "unknown key 'layers' in the preset config"),
+            (
+                dict(NET, layers=[dict(out_channels=2, anchors=1)]),
+                "an anchored filter needs anchors >= 2, got 1",
+            ),
+            (dict(NET, input_bandwidth=1), "input_bandwidth must be in [2, 512], got 1"),
+            (dict(NET, input_bandwidth=513), "input_bandwidth must be in [2, 512], got 513"),
+            (dict(NET, in_channels=2, branches=2), "two branches need in_channels 1, got 2"),
         ],
         ids=[
             "top-level-list", "layers-string", "layers-empty", "out-channels-0",
@@ -586,7 +593,8 @@ class TestJsonEdges:
             "in-channels-bool", "branches-fraction", "out-channels-fraction",
             "anchors-string", "concat-entry-fraction", "preset-num-classes-fraction",
             "layer-filter-mode", "network-filter-mode", "preset-misspelled",
-            "preset-filter", "preset-layers",
+            "preset-filter", "preset-layers", "anchors-1", "bandwidth-1", "bandwidth-513",
+            "two-branch-in-channels-2",
         ],
     )
     def test_network_config(self, tmp_path, capsys, doc, message):
@@ -597,6 +605,17 @@ class TestJsonEdges:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_full_layer_ignores_anchors(self, tmp_path, capsys):
+        """A full filter anchors every degree, so a full layer's ``anchors``
+        is unused and 0 runs."""
+        cfg = tmp_path / "net.json"
+        layer = dict(out_channels=2, filter="full", anchors=0)
+        cfg.write_text(json.dumps(dict(self.NET, layers=[layer])))
+        out = tmp_path / "report.json"
+        assert main(["equiv-report", "--config", str(cfg), "--count", "1", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["layers"] == ["input", "conv1"]
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -304,6 +304,19 @@ class TestSchedule:
         _, h2 = train(cfg, x, ds.labels, sched)
         assert h1 == h2
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(augment_rotate="Z"), "augment_rotate must be None or 'z', got 'Z'"),
+            (dict(batch_size=0), "batch_size must be at least 1, got 0"),
+        ],
+    )
+    def test_invalid_schedule_rejected(self, kwargs, message):
+        """``augment_rotate="Z"`` once trained without augmentation and
+        ``batch_size=0`` died inside ``range``; both now fail at construction."""
+        with pytest.raises(ValueError, match=message):
+            TrainSchedule(**kwargs)
+
     def test_training_reduces_loss(self):
         ds = make_blob_dataset(8, 10, seed=1)
         x = np.stack([s.values for s in ds.signals])
@@ -362,6 +375,71 @@ class TestParameterCounts:
                 layers=(LayerConfig(1, 4), LayerConfig(3, 4)),
                 num_classes=2,
             )
+
+
+ONE_LAYER = (LayerConfig(1, 2),)
+
+
+class TestConfigRules:
+    """Each config rule is checked once, where the config is built: the
+    Python types reject what the CLI's JSON parser rejects, with the same
+    message naming the field."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LayerConfig(1, 2.5), "out_channels must be an integer, got 2.5"),
+            (lambda: LayerConfig(True, 2), "in_channels must be an integer, got True"),
+            (lambda: LayerConfig(1, 2, anchors="4"), "anchors must be an integer, got '4'"),
+            (lambda: NetworkConfig(8.0, ONE_LAYER, 3), "input_bandwidth must be an integer"),
+            (lambda: NetworkConfig(8, ONE_LAYER, 3, branches=True), "branches must be an integer"),
+            (
+                lambda: NetworkConfig(
+                    8, (LayerConfig(1, 2), LayerConfig(2, 2)), 3, branches=2, concat_layers=(1.0,)
+                ),
+                "each concat_layers entry must be an integer, got 1.0",
+            ),
+            (
+                lambda: ZonalFilterSpec("full", 8.9, full_coeffs=np.ones(8)),
+                "bandwidth must be an integer, got 8.9",
+            ),
+        ],
+        ids=[
+            "out-channels-fraction", "in-channels-bool", "anchors-string", "bandwidth-float",
+            "branches-bool", "concat-entry-fraction", "filter-bandwidth-fraction",
+        ],
+    )
+    def test_integer_fields(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LayerConfig(1, 2, "anchored", 1), "anchors >= 2, got 1"),
+            (lambda: LayerConfig(1, 2, "anchored", 0), "anchors >= 2, got 0"),
+            (lambda: NetworkConfig(1, ONE_LAYER, 3), r"input_bandwidth must be in \[2, 512\]"),
+            (lambda: NetworkConfig(513, ONE_LAYER, 3), "input_bandwidth must be in"),
+            (
+                lambda: NetworkConfig(8, (LayerConfig(2, 2),), 3, branches=2),
+                "two branches need in_channels 1, got 2",
+            ),
+        ],
+        ids=["anchors-1", "anchors-0", "bandwidth-1", "bandwidth-513", "two-branch-in-channels"],
+    )
+    def test_construction_rules(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_numpy_integers_and_unused_anchors_run(self):
+        """numpy integers are integers; a full layer ignores ``anchors``."""
+        i = np.int64
+        layers = (LayerConfig(i(1), i(2), "anchored", i(3)), LayerConfig(2, 2, "full", 0))
+        cfg = NetworkConfig(i(8), layers, i(3), branches=i(2), concat_layers=(i(1),))
+        x = np.random.default_rng(0).standard_normal((2, 2, 16, 16))
+        loss, grads = backward(cfg, init_parameters(cfg), x, np.array([0, 2]))
+        assert np.isfinite(loss)
+        assert {k: v.shape for k, v in grads.items()} == dict(network.parameter_shapes(cfg))
 
 
 class TestBlockWalk:

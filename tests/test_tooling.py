@@ -5,11 +5,15 @@ benchmark ops."""
 import ast
 import importlib
 import importlib.util
+import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from spheresig import cli
 from spheresig.harmonics import shared_table
+from spheresig.network import LayerConfig, NetworkConfig, two_branch_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -115,3 +119,14 @@ def test_block_names_stay_in_network():
                 if any(p.endswith("conv") or "branch1/" in p for p in parts):
                     found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_cli_json_keys_match_config_types():
+    """Config JSON keys are the config types' fields (a layer's ``filter`` is
+    ``filter_mode``; ``in_channels`` is JSON only), so a field added to a type
+    without its JSON key fails here."""
+    layer = {f.name for f in fields(LayerConfig)} - {"in_channels", "filter_mode"} | {"filter"}
+    network = {f.name for f in fields(NetworkConfig)} | {"in_channels"}
+    assert set(cli._LAYER_KEYS.split()) == layer
+    assert set(cli._NETWORK_KEYS.split()) == network
+    assert cli._PRESET_ARGS.split() == list(inspect.signature(two_branch_config).parameters)
