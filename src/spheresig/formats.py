@@ -17,9 +17,10 @@ CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
 
 Readers reject wrong magic bytes, bandwidths outside the grid's range, zero
 channel counts, unknown dtype or storage codes, repeated tensor names,
-truncated payloads and non-finite SPEC1 coefficients (which the writer
-refuses too); declared sizes are checked against the bytes left in the file
-before anything is read or allocated.
+truncated payloads and non-finite SPEC1 coefficients; the writers refuse
+any header or coefficients the readers reject, before the file is opened.
+Declared sizes are checked against the bytes left in the file before
+anything is read or allocated.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def _check_header(path: str, b: int, channels: int) -> None:
 def write_sph1(path: str, signal: SphericalSignal, dtype: str = "f64") -> None:
     if dtype not in ("f32", "f64"):
         raise ValueError(f"dtype must be f32 or f64, got {dtype}")
+    _check_header(path, signal.bandwidth, signal.channels)
     code = 0 if dtype == "f32" else 1
     np_dtype = "<f4" if dtype == "f32" else "<f8"
     with open(path, "wb") as fh:
@@ -86,6 +88,7 @@ def read_sph1(path: str) -> SphericalSignal:
 
 def write_spec1(path: str, coeffs: SpectralCoeffs) -> None:
     b, c = coeffs.bandwidth, coeffs.coeffs
+    _check_header(path, b, coeffs.channels)
     if not np.isfinite(c).all():
         raise FormatError(f"{path}: refusing to write non-finite coefficients")
     half = to_packed(to_half(c)).tobytes() == c.tobytes()

@@ -58,6 +58,19 @@ def _latitude_weights(b: int, thetas: np.ndarray) -> np.ndarray:
     return (2.0 / b) * np.sin(thetas) * s.sum(axis=1)
 
 
+def require_int(value, name: str):
+    """``value`` if it is a Python or numpy integer: not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_bandwidth(b, name: str = "bandwidth", top: int = DEFAULT_MAX_BANDWIDTH) -> None:
+    """The one bandwidth rule of grids and configs: an integer in [2, top]."""
+    if not 2 <= require_int(b, name) <= top:
+        raise ValueError(f"{name} must be in [2, {top}], got {b}")
+
+
 def make_grid(b: int, max_bandwidth: int = DEFAULT_MAX_BANDWIDTH) -> SphericalGrid:
     """Build the bandwidth-``b`` grid with quadrature and area weights.
 
@@ -65,12 +78,7 @@ def make_grid(b: int, max_bandwidth: int = DEFAULT_MAX_BANDWIDTH) -> SphericalGr
     forward transform's sqrt(2*pi)/(2b) prefactor yields an exact inverse
     pair under the orthonormal harmonic convention.
     """
-    if not isinstance(b, (int, np.integer)):
-        raise TypeError(f"bandwidth must be an integer, got {type(b).__name__}")
-    if b < 2:
-        raise ValueError(f"bandwidth must be >= 2, got {b}")
-    if b > max_bandwidth:
-        raise ValueError(f"bandwidth {b} exceeds maximum {max_bandwidth}")
+    check_bandwidth(b, top=max_bandwidth)
     n = 2 * b
     thetas = np.pi * np.arange(n) / n
     phis = np.pi * np.arange(n) / b

@@ -14,11 +14,12 @@ degree 150.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DEFAULT_MAX_BANDWIDTH, SphericalGrid, make_grid
+from .grid import DEFAULT_MAX_BANDWIDTH, SphericalGrid, make_grid, require_int
 
 _INV_SQRT_4PI = 0.5 / np.sqrt(np.pi)
 
@@ -142,13 +143,12 @@ def build_table(
     return HarmonicTable(grid, leg, phases, dft, idft)
 
 
-_TABLE_CACHE: dict[int, HarmonicTable] = {}
-
-
 def shared_table(b: int) -> HarmonicTable:
-    """Process-wide cache of ``build_table(make_grid(b))``; entries are immutable."""
-    t = _TABLE_CACHE.get(b)
-    if t is None:
-        t = build_table(make_grid(b))
-        _TABLE_CACHE[b] = t
-    return t
+    """Process-wide cache of ``build_table(make_grid(b))``; entries are immutable.
+    It is keyed by ``int(b)``, so a numpy integer finds the entry of its int."""
+    return _table(int(require_int(b, "bandwidth")))
+
+
+@functools.cache
+def _table(b: int) -> HarmonicTable:
+    return build_table(make_grid(b))

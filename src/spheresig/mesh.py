@@ -31,6 +31,7 @@ class TriangleMesh:
     vertices: np.ndarray
     faces: np.ndarray
     dropped_faces: int = 0
+    projection_offset: np.ndarray | None = None  # shift of the projection center (augment's jitter)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=np.float64)
@@ -298,11 +299,10 @@ def project_mesh(
     if len(mesh.faces) == 0:
         raise ValueError("mesh has no faces to intersect")
     c0, radius = bounding_sphere(mesh)
-    offset = getattr(mesh, "projection_offset", None)
     if center is not None:
         origin = np.asarray(center, dtype=np.float64)
-    elif offset is not None:
-        origin = c0 + np.asarray(offset, dtype=np.float64)
+    elif mesh.projection_offset is not None:
+        origin = c0 + np.asarray(mesh.projection_offset, dtype=np.float64)
     else:
         origin = c0
     if origin is not c0:

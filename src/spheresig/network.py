@@ -42,7 +42,7 @@ import numpy as np
 
 from . import spectral
 from .errors import DivergenceError
-from .grid import DEFAULT_MAX_BANDWIDTH, make_grid
+from .grid import check_bandwidth, make_grid, require_int
 from .harmonics import HarmonicTable, shared_table
 from .mesh import TriangleMesh, bounding_sphere
 from .rotation import random_rotations, rotate_signal
@@ -71,7 +71,7 @@ class LayerConfig:
 
     def __post_init__(self) -> None:
         for name in ("in_channels", "out_channels", "anchors"):
-            spectral.require_int(getattr(self, name), name)
+            require_int(getattr(self, name), name)
         if min(self.in_channels, self.out_channels) < 1:
             raise ValueError(
                 f"channel counts must be at least 1, got {self.in_channels} -> "
@@ -102,15 +102,11 @@ class NetworkConfig:
     concat_layers: tuple[int, ...] = ()  # branch-0 layers receiving branch-1 features
 
     def __post_init__(self) -> None:
-        for name in ("input_bandwidth", "num_classes", "branches"):
-            spectral.require_int(getattr(self, name), name)
-        concat = [spectral.require_int(i, "each concat_layers entry") for i in self.concat_layers]
+        check_bandwidth(self.input_bandwidth, "input_bandwidth")
+        for name in ("num_classes", "branches"):
+            require_int(getattr(self, name), name)
+        concat = [require_int(i, "each concat_layers entry") for i in self.concat_layers]
         object.__setattr__(self, "concat_layers", tuple(concat))
-        if not 2 <= self.input_bandwidth <= DEFAULT_MAX_BANDWIDTH:
-            raise ValueError(
-                f"input_bandwidth must be in [2, {DEFAULT_MAX_BANDWIDTH}], "
-                f"got {self.input_bandwidth}"
-            )
         if self.head not in ("wgap", "magl"):
             raise ValueError(f"unknown head {self.head!r}")
         if self.branches not in (1, 2):
@@ -133,8 +129,10 @@ class NetworkConfig:
         if any(i < 1 or i >= len(layers) for i in self.concat_layers):
             raise ValueError("concat_layers must reference layers after the first")
         for i, (lay, b) in enumerate(zip(layers, [self.input_bandwidth] + self.layer_bandwidths())):
-            if lay.pool != "none" and (b % 2 != 0 or b // 2 < 2):
-                raise ValueError(f"layer {i}: cannot pool below bandwidth 2 (b={b})")
+            if lay.pool != "none" and (b % 2 != 0 or b < 4):
+                raise ValueError(
+                    f"layer {i}: pool {lay.pool!r} needs an even bandwidth >= 4, got {b}"
+                )
 
     def layer_bandwidths(self) -> list[int]:
         """Output bandwidth of each layer."""
@@ -469,7 +467,7 @@ class TrainSchedule:
     def __post_init__(self) -> None:
         if self.augment_rotate not in (None, "z"):
             raise ValueError(f"augment_rotate must be None or 'z', got {self.augment_rotate!r}")
-        if spectral.require_int(self.batch_size, "batch_size") < 1:
+        if require_int(self.batch_size, "batch_size") < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
@@ -571,9 +569,7 @@ def augment(
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             delta = center_jitter * radius * rng.uniform() ** (1.0 / 3.0) * direction
-            if mesh is item:
-                mesh = TriangleMesh(mesh.vertices.copy(), mesh.faces)
-            mesh.projection_offset = delta
+            mesh = replace(mesh, projection_offset=delta)
         return mesh
     if isinstance(item, SphericalSignal):
         if center_jitter:

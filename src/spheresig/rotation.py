@@ -14,7 +14,8 @@ rotation lattices with it.  ``rotate_spectrum`` rotates the half-spectrum
 parts of packed coefficients (``sft._real_parts``).  ``wigner_d`` forms one
 degree's block in the coefficient basis from ``_small_d_many``, the
 eigendecomposition of Jy: the reference that the K path is tested against.
-Caches are immutable.
+``_k_band`` is the one rotation cache (immutable); building a band runs
+``_jy_eig`` once per degree, and the reference recomputes it on every call.
 """
 
 from __future__ import annotations
@@ -105,16 +106,12 @@ def geodesic_distance(r1: RotationZYZ, r2: RotationZYZ, degrees: bool = False) -
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def _jy_eig(l: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (snapped to the exact integers -l..l) and eigenvectors of Jy."""
     m = np.arange(-l, l + 1, dtype=np.float64)
     cp = np.sqrt(l * (l + 1.0) - m[:-1] * (m[:-1] + 1.0))  # raising coefficients
     w, v = np.linalg.eigh(np.diag(-0.5j * cp, -1) + np.diag(0.5j * cp, 1))
-    w = np.round(w)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+    return np.round(w), v
 
 
 def _small_d_many(l: int, betas: np.ndarray) -> np.ndarray:

@@ -29,17 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SphericalGrid, make_grid
+from .grid import SphericalGrid, make_grid, require_int
 from .harmonics import HarmonicTable, shared_table
 from .sft import SpectralCoeffs, SphericalSignal, _from_parts, _real_parts, _synthesis_half
 from .sft import order_weights
-
-
-def require_int(value, name: str):
-    """``value`` if it is a Python or numpy integer: not a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

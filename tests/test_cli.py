@@ -13,7 +13,7 @@ import pytest
 
 from spheresig.cli import _network_from_json, main
 from spheresig.equivariance import measure
-from spheresig.formats import read_spec1, read_sph1, write_ckpt1, write_sph1
+from spheresig.formats import read_spec1, read_sph1, write_ckpt1, write_spec1, write_sph1
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table, shared_table
 from spheresig.network import LayerConfig, NetworkConfig, init_parameters
@@ -272,6 +272,16 @@ class TestExitCodes:
         path, _ = bandlimited_sph
         assert main(["pool", path, "--kind", "sp", "-o", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+    def test_pool_refuses_to_write_bandwidth_1(self, tmp_path, capsys):
+        """Pooling a b = 2 spectrum gives b = 1, which no reader accepts: the
+        writer refuses it before the output file is opened."""
+        spec, out = tmp_path / "b2.spec", tmp_path / "out.spec"
+        write_spec1(str(spec), random_coeffs(2, 1, np.random.default_rng(0)))
+        assert main(["pool", str(spec), "--kind", "sp", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: bandwidth 1 outside [2, 512]" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_spec1_zero_bandwidth(self, tmp_path, capsys):
         bad = tmp_path / "b0.spec"

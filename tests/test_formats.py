@@ -150,6 +150,21 @@ class TestSpec1:
         with pytest.raises(FormatError, match="non-finite"):
             read_spec1(str(path))
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            (SpectralCoeffs(1, np.ones((1, 1))), "bandwidth 1 outside"),
+            (SpectralCoeffs(4, np.zeros((0, 16))), "0 channels"),
+        ],
+        ids=["bandwidth-1", "channels-0"],
+    )
+    def test_writer_refuses_unreadable_header(self, tmp_path, coeffs, message):
+        """The writer refuses any header the reader rejects, before the file is opened."""
+        path = tmp_path / "x.spec"
+        with pytest.raises(FormatError, match=message):
+            write_spec1(str(path), coeffs)
+        assert not path.exists()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_bytes(b"SPH1" + b"\0" * 16)

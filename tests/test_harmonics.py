@@ -9,6 +9,7 @@ from spheresig.harmonics import (
     assoc_legendre,
     build_table,
     normalized_legendre,
+    shared_table,
     sph_harmonic,
 )
 
@@ -142,6 +143,10 @@ class TestHarmonicTable:
     def test_zero_order_phases_are_one(self):
         table = build_table(make_grid(16))
         np.testing.assert_array_equal(table.fourier_phases[0], np.ones(32))
+
+    def test_shared_table_key_is_the_int(self):
+        """A numpy integer bandwidth finds the table of the equal int."""
+        assert shared_table(np.int64(8)) is shared_table(8)
 
     def test_table_size_limit(self):
         with pytest.raises(ValueError):

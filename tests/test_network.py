@@ -424,8 +424,19 @@ class TestConfigRules:
                 lambda: NetworkConfig(8, (LayerConfig(2, 2),), 3, branches=2),
                 "two branches need in_channels 1, got 2",
             ),
+            (
+                lambda: NetworkConfig(5, (LayerConfig(1, 2, pool="sp"),), 3),
+                "layer 0: pool 'sp' needs an even bandwidth >= 4, got 5",
+            ),
+            (
+                lambda: NetworkConfig(2, (LayerConfig(1, 2, pool="wap"),), 3),
+                "layer 0: pool 'wap' needs an even bandwidth >= 4, got 2",
+            ),
         ],
-        ids=["anchors-1", "anchors-0", "bandwidth-1", "bandwidth-513", "two-branch-in-channels"],
+        ids=[
+            "anchors-1", "anchors-0", "bandwidth-1", "bandwidth-513", "two-branch-in-channels",
+            "pool-odd-bandwidth", "pool-bandwidth-2",
+        ],
     )
     def test_construction_rules(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -549,6 +560,12 @@ class TestAugment:
         jittered = augment(mesh, center_jitter=0.3, rng=np.random.default_rng(1))
         rep = project_mesh(jittered, 8)  # honors the recorded offset
         assert rep.signal.values[0].std() > 0.02
+
+    def test_jitter_records_offset_on_a_copy(self):
+        mesh = icosphere(1)
+        jittered = augment(mesh, center_jitter=0.3, rng=np.random.default_rng(1))
+        assert mesh.projection_offset is None and jittered.projection_offset.shape == (3,)
+        np.testing.assert_array_equal(jittered.vertices, mesh.vertices)
 
     def test_mesh_rotation_keeps_vertex_count(self):
         mesh = icosphere(1)

@@ -130,3 +130,40 @@ def test_cli_json_keys_match_config_types():
     assert set(cli._LAYER_KEYS.split()) == layer
     assert set(cli._NETWORK_KEYS.split()) == network
     assert cli._PRESET_ARGS.split() == list(inspect.signature(two_branch_config).parameters)
+
+
+def _is_cache(decorator):
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(f, "attr", getattr(f, "id", None)) in ("cache", "lru_cache")
+
+
+def test_caches_are_the_kernel_tables():
+    """The process-lifetime caches are the tables the kernels read: the
+    harmonic tables (behind ``harmonics.shared_table``) and the K bands of
+    rotation.  No other function is cached, by decorator or by storing into
+    a module-level name."""
+    cached, stores = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names = {
+            t.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if any(_is_cache(d) for d in fn.decorator_list):
+                cached.add((path.name, fn.name))
+            stores += [
+                (path.name, fn.name, node.lineno)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_names
+            ]
+    assert cached == {("harmonics.py", "_table"), ("rotation.py", "_k_band")}
+    assert stores == []
