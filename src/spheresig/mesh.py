@@ -125,21 +125,37 @@ def load_off(path: str) -> TriangleMesh:
 def load_obj(path: str) -> TriangleMesh:
     verts: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
+    face_lines: list[int] = []  # source line of each triangle
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts:
+            if not parts or parts[0] not in ("v", "f"):
                 continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
+            try:
+                if parts[0] == "v":
+                    if len(parts) < 4:
+                        raise ValueError(f"vertex needs 3 coordinates, got {len(parts) - 1}")
+                    verts.append([float(x) for x in parts[1:4]])
+                    continue
                 idx = [int(p.split("/", 1)[0]) for p in parts[1:]]
-                idx = [i - 1 if i > 0 else len(verts) + i for i in idx]
-                for i in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[i], idx[i + 1]))
+                if 0 in idx:
+                    raise ValueError("face index 0 (OBJ indices start at 1)")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            idx = [i - 1 if i > 0 else len(verts) + i for i in idx]
+            for i in range(1, len(idx) - 1):
+                faces.append((idx[0], idx[i], idx[i + 1]))
+                face_lines.append(lineno)
     if not verts:
         raise ValueError(f"{path}: no vertices found")
-    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
+    f = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    bad = ((f < 0) | (f >= len(verts))).any(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"{path}: line {face_lines[int(np.argmax(bad))]}: face index out of range "
+            f"for {len(verts)} vertices"
+        )
+    return TriangleMesh(np.array(verts), f)
 
 
 def load_mesh(path: str) -> TriangleMesh:
@@ -174,12 +190,18 @@ def _circumsphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _min_sphere_small(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimum sphere of at most 5 points by subset enumeration."""
+    """Exact minimum sphere of at most 5 points whose last point lies on its
+    boundary, by enumerating the subsets that hold that point.
+
+    ``bounding_sphere`` passes the support plus the point outside it, and a
+    point outside the minimum sphere of the others lies on the boundary of
+    the minimum sphere of all (Welzl 1991).
+    """
     best: tuple[np.ndarray, float] | None = None
     n = len(pts)
-    for k in range(1, min(n, 4) + 1):
-        for sub in combinations(range(n), k):
-            c, r = _circumsphere(pts[list(sub)])
+    for k in range(min(n, 4)):
+        for sub in combinations(range(n - 1), k):
+            c, r = _circumsphere(pts[[*sub, n - 1]])
             if np.linalg.norm(pts - c, axis=1).max() <= r * (1 + 1e-10) + 1e-12:
                 if best is None or r < best[1]:
                     best = (c, r)
@@ -211,9 +233,9 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-_CONE_MARGIN = 1e-6  # radians added to every face cone
-_CONE_WIDE = 0.1  # faces whose cone has cos(half-angle) <= this are never culled
-_PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) cone tests held in memory
+_CONE_MARGIN = 1e-6  # radians added to every face cone, and again to its reach
+_CONE_WIDE = 0.1  # faces whose cone has cos(half-angle) <= this reach every ray
+_PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) pairs held in memory
 
 
 def _face_cones(
@@ -246,13 +268,32 @@ def _face_cones(
     return axis, cos_half
 
 
+def _pieces(counts: np.ndarray, size: int):
+    """Walk the concatenated ranges ``range(counts[i])`` in pieces of at most
+    ``size`` items; each piece is (i, offset within range i) per item."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for k0 in range(0, total, size):
+        k = np.arange(k0, min(k0 + size, total))
+        i = np.searchsorted(ends, k, side="right")
+        yield i, k - (ends[i] - counts[i])
+
+
 def _cast_rows(
     dirs: np.ndarray, origin: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest-hit distance and hit-face index for a batch of rays.
+    """Farthest-hit distance and hit-face index for a batch of unit rays.
 
-    One matmul against per-face bounding cones culls the (ray, face) pairs
-    that cannot intersect; Moller-Trumbore runs on the survivors with the
+    Only the (ray, face) pairs inside a face's bounding cone are listed.  Rays
+    of equal z form a row at colatitude theta.  A cone of half-angle h around
+    an axis at colatitude theta_a, longitude phi_a reaches that row only if
+    |theta - theta_a| <= h, and there only the longitudes phi_a +- arccos((cos h
+    - cos theta cos theta_a) / (sin theta sin theta_a)).  With the rays sorted by
+    (row, longitude), each such interval is one index range, split where it
+    wraps past +-pi.  h gets ``_CONE_MARGIN`` more, and the interval the same
+    again, so roundoff only adds pairs; wide cones, and rows where sin theta
+    sin theta_a vanishes (the poles), take the whole row.  Moller-Trumbore runs
+    on the listed pairs, at most ``_PAIRS_PER_BLOCK`` at a time, with the
     arithmetic of an all-pairs test.  Returns (t, face) with t = -inf and
     face = 0 where the ray misses everything; equal distances go to the
     lowest face index.
@@ -262,28 +303,58 @@ def _cast_rows(
     q = np.cross(s, e1)  # (F, 3)
     tq = np.einsum("fj,fj->f", e2, q)
     tol = 1e-9
+    # One sort key per ray: its row's slot [8 row, 8 row + 8) plus 4 + longitude.
+    row_z, row = np.unique(dirs[:, 2], return_inverse=True)
+    row_sin = np.sqrt((1.0 - row_z) * (1.0 + row_z))
+    key = 8.0 * row + 4.0 + np.arctan2(dirs[:, 1], dirs[:, 0])
+    ray_order = np.argsort(key)
+    key = key[ray_order]
+    reach = np.arccos(np.maximum(cos_half, -1.0)) + _CONE_MARGIN  # > pi for wide cones
+    cos_reach = np.cos(reach)
+    axis_sin = np.hypot(axis[:, 0], axis[:, 1])
+    axis_theta = np.arctan2(axis_sin, axis[:, 2])
+    axis_phi = np.arctan2(axis[:, 1], axis[:, 0])
+    # rows with |theta - theta_a| <= reach are a z range of the sorted rows
+    first_row = np.searchsorted(row_z, np.cos(np.minimum(axis_theta + reach, np.pi)))
+    end_row = np.searchsorted(row_z, np.cos(np.maximum(axis_theta - reach, 0.0)), "right")
     t_out = np.full(len(dirs), -np.inf)
     face_out = np.zeros(len(dirs), dtype=np.int64)
-    step = max(1, _PAIRS_PER_BLOCK // max(1, len(v0)))
-    for start in range(0, len(dirs), step):
-        d = dirs[start : start + step]
-        # candidate (ray, face) pairs from flat indices into the block
-        r, f = np.divmod(np.flatnonzero(d @ axis.T >= cos_half), len(v0))
-        p = np.cross(d[r], e2[f])
-        det = np.einsum("kj,kj->k", e1[f], p)
-        ok = np.abs(det) > _EPS
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        u = np.einsum("kj,kj->k", s[f], p) * inv
-        v = np.einsum("kj,kj->k", d[r], q[f]) * inv
-        t = tq[f] * inv
-        hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS)
-        r, f, t = r[hit], f[hit], t[hit]
-        order = np.lexsort((f, -t, r))  # per ray: farthest first, then lowest face
-        r, f, t = r[order], f[order], t[order]
-        first = np.ones(len(r), dtype=bool)
-        first[1:] = r[1:] != r[:-1]
-        t_out[start + r[first]] = t[first]
-        face_out[start + r[first]] = f[first]
+    for fr, off in _pieces(end_row - first_row, _PAIRS_PER_BLOCK):
+        rw = first_row[fr] + off  # (face fr, row rw) pairs
+        den = row_sin[rw] * axis_sin[fr]
+        whole = (reach[fr] >= np.pi) | (den <= 1e-12)
+        num = cos_reach[fr] - row_z[rw] * axis[fr, 2]
+        half = np.arccos(np.clip(num / np.where(whole, 1.0, den), -1.0, 1.0)) + _CONE_MARGIN
+        whole |= half >= np.pi
+        lo = np.where(whole, -4.0, axis_phi[fr] - half)
+        hi = np.where(whole, 4.0, axis_phi[fr] + half)
+        # the part past -pi or +pi, shifted by 2 pi; whole rows shift out of the slot
+        wrap = np.where(whole, 8.0, np.where(lo < -np.pi, 2 * np.pi, -2 * np.pi))
+        ends = np.stack([lo, hi, lo + wrap, hi + wrap], axis=1).reshape(-1, 2, 2)
+        ends = np.clip(ends, -4.0, 4.0) + (8.0 * rw + 4.0)[:, None, None]
+        start, stop = np.searchsorted(key, ends).reshape(-1, 2).T
+        pair_face = np.repeat(fr, 2)
+        for k, at in _pieces(stop - start, _PAIRS_PER_BLOCK):
+            r = ray_order[start[k] + at]
+            f = pair_face[k]
+            d = dirs[r]
+            p = np.cross(d, e2[f])
+            det = np.einsum("kj,kj->k", e1[f], p)
+            ok = np.abs(det) > _EPS
+            inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+            u = np.einsum("kj,kj->k", s[f], p) * inv
+            v = np.einsum("kj,kj->k", d, q[f]) * inv
+            t = tq[f] * inv
+            hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS)
+            r, f, t = r[hit], f[hit], t[hit]
+            order = np.lexsort((f, -t, r))  # per ray: farthest first, then lowest face
+            r, f, t = r[order], f[order], t[order]
+            first = np.ones(len(r), dtype=bool)
+            first[1:] = r[1:] != r[:-1]
+            r, f, t = r[first], f[first], t[first]
+            better = (t > t_out[r]) | ((t == t_out[r]) & (f < face_out[r]))
+            t_out[r[better]] = t[better]
+            face_out[r[better]] = f[better]
     return t_out, face_out
 
 

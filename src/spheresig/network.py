@@ -550,19 +550,23 @@ def augment(
 ):
     """Random rotation and (for meshes) projection-center jitter.
 
-    Meshes rotate about their bounding center; a nonzero ``center_jitter``
-    records an offset (a fraction of the bounding radius, uniform in the
-    ball) that ``project_mesh`` applies to the projection center.  Signals
-    rotate through the harmonic domain; center jitter is undefined for them.
+    Meshes rotate about their bounding center, and a recorded offset turns
+    with them; a nonzero ``center_jitter`` records an offset (a fraction of
+    the bounding radius, uniform in the ball) that ``project_mesh`` applies to
+    the projection center.  Signals rotate through the harmonic domain; center
+    jitter is undefined for them.
     """
     rng = np.random.default_rng() if rng is None else rng
     if isinstance(item, TriangleMesh):
         mesh = item
         if rotate:
             center, _ = bounding_sphere(mesh)
-            r = random_rotations(1, seed=int(rng.integers(2**32)))[0]
+            r = random_rotations(1, seed=int(rng.integers(2**32)))[0].matrix()
+            offset = mesh.projection_offset
             mesh = TriangleMesh(
-                (mesh.vertices - center) @ r.matrix().T + center, mesh.faces
+                (mesh.vertices - center) @ r.T + center,
+                mesh.faces,
+                projection_offset=None if offset is None else r @ offset,
             )
         if center_jitter:
             _, radius = bounding_sphere(mesh)

@@ -315,6 +315,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "short.off" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["v 0 0 0", "v 1 0", "v 0 1 0", "f 1 2 3"], "line 2: vertex needs 3 coordinates, got 2"),
+            (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 0 1 2"], "line 4: face index 0"),
+            (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 4"], "line 4: face index out of range"),
+            (["v 0 0 0", "v 1 x 0", "v 0 1 0", "f 1 2 3"], "line 2: could not convert"),
+        ],
+    )
+    def test_malformed_obj(self, tmp_path, capsys, lines, message):
+        obj = tmp_path / "bad.obj"
+        obj.write_text("\n".join(lines) + "\n")
+        assert main(["mesh2sphere", str(obj), "-b", "8", "-o", str(tmp_path / "m.sph")]) == 2
+        err = capsys.readouterr().err
+        assert f"{obj}: {message}" in err and "Traceback" not in err
+
     def test_nonfinite_vertex(self, tmp_path, star_off, capsys):
         tet = ["0 0 0", "1 0 0", "0 1 0", "0 0 1"]
         faces = ["3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]

@@ -1,5 +1,7 @@
 """Mesh ingestion: file formats, bounding spheres, ray-cast projection."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,137 @@ class TestCulledCastingParity:
     def test_cube_corner_center(self, monkeypatch):
         mesh = cube_mesh(1.0)
         self.assert_matches_all_pairs(monkeypatch, mesh, 16, center=mesh.vertices[0])
+
+
+def cast_args(mesh, origin):
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    return origin, v0, mesh.vertices[mesh.faces[:, 1]] - v0, mesh.vertices[mesh.faces[:, 2]] - v0
+
+
+def unit_rays(n, seed):
+    d = np.random.default_rng(seed).standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def straddling_triangles(phis, size=0.05):
+    """One small triangle around each (colatitude, longitude) in ``phis``."""
+    verts = []
+    for theta, phi in phis:
+        for dt, dp in ((-size, -size), (-size, size), (size, 0.0)):
+            t, p = theta + dt, phi + dp
+            verts.append([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+    return TriangleMesh(np.array(verts), np.arange(len(verts)).reshape(-1, 3))
+
+
+class TestCasterParity:
+    """``_cast_rows`` on directions that are not a grid, at the poles, across
+    the longitude seam and in small blocks, against the all-pairs caster."""
+
+    def assert_matches(self, dirs, mesh, origin):
+        args = (dirs, *cast_args(mesh, np.asarray(origin, dtype=np.float64)))
+        t, face = mesh_module._cast_rows(*args)
+        t_ref, face_ref = all_pairs_cast(*args)
+        assert np.isfinite(t).any()
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_array_equal(face, face_ref)
+
+    @pytest.mark.parametrize("seed", [800, 801])
+    def test_random_directions(self, seed):
+        mesh = star_mesh(seed=seed, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9))
+        center, _ = bounding_sphere(mesh)
+        dirs = unit_rays(1500, seed)
+        self.assert_matches(dirs, mesh, center)
+        self.assert_matches(dirs, mesh, center + [0.2, -0.1, 0.3])
+
+    @pytest.mark.parametrize("name", ["cube", "icosphere", "z-cap"])
+    def test_exact_pole_rays(self, name):
+        """+-z rays form rows with sin(theta) = 0; the z-cap triangle's cone
+        axis is the z axis up to roundoff, so sin(theta_a) vanishes too."""
+        ring = [[np.cos(a), np.sin(a), 1.0] for a in 2 * np.pi * np.arange(3) / 3]
+        mesh = {
+            "cube": cube_mesh(1.0),  # the +z ray meets the diagonal of the top face
+            "icosphere": icosphere(2),
+            "z-cap": TriangleMesh(np.array(ring), [[0, 1, 2]]),
+        }[name]
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] * 3)
+        grid = make_grid(8).directions().reshape(-1, 3)
+        self.assert_matches(np.vstack([poles, grid, unit_rays(200, 3)]), mesh, np.zeros(3))
+
+    def test_faces_straddling_the_seam(self):
+        """Triangles around longitude 0 and +-pi, whose longitude intervals
+        wrap; rotating about z moves the seam through a star mesh's faces."""
+        spots = [(t, p) for t in (0.3, 1.2, 2.0, 2.9) for p in (0.0, np.pi, -np.pi + 1e-3, 1e-9)]
+        dirs = np.vstack([make_grid(16).directions().reshape(-1, 3), unit_rays(500, 4)])
+        self.assert_matches(dirs, straddling_triangles(spots), np.zeros(3))
+        mesh = star_mesh(seed=802, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9))
+        for angle in (1e-3, np.pi / 32, np.pi):
+            c, s = np.cos(angle), np.sin(angle)
+            turned = mesh.transformed([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            self.assert_matches(dirs, turned, bounding_sphere(turned)[0])
+
+    @pytest.mark.parametrize("name", ["cube-corner", "star"])
+    def test_small_blocks(self, monkeypatch, name):
+        """With 64 pairs per block every walk crosses block boundaries; from a
+        cube corner, the faces at that corner have wide cones that reach
+        every ray."""
+        mesh = cube_mesh(1.0) if name == "cube-corner" else star_mesh(seed=803, n_theta=8, n_phi=16)
+        origin = mesh.vertices[0] if name == "cube-corner" else bounding_sphere(mesh)[0]
+        if name == "cube-corner":
+            _, cos_half = mesh_module._face_cones(*cast_args(mesh, origin))
+            assert np.isneginf(cos_half).sum() == 6
+        pieces = []
+        walk = mesh_module._pieces
+
+        def spy(counts, size):
+            for piece in walk(counts, size):
+                pieces.append(len(piece[0]))
+                yield piece
+
+        monkeypatch.setattr(mesh_module, "_PAIRS_PER_BLOCK", 64)
+        monkeypatch.setattr(mesh_module, "_pieces", spy)
+        dirs = np.vstack([make_grid(8).directions().reshape(-1, 3), unit_rays(100, 5)])
+        self.assert_matches(dirs, mesh, origin)
+        assert max(pieces) == 64 and len(pieces) > 10
+
+
+def all_subset_sphere(pts):
+    """The minimum sphere of at most 5 points over every subset, not only
+    those that hold the last point."""
+    best = None
+    for k in range(1, min(len(pts), 4) + 1):
+        for sub in itertools.combinations(range(len(pts)), k):
+            c, r = mesh_module._circumsphere(pts[list(sub)])
+            if np.linalg.norm(pts - c, axis=1).max() <= r * (1 + 1e-10) + 1e-12:
+                if best is None or r < best[1]:
+                    best = (c, r)
+    return best
+
+
+def sphere_meshes():
+    stars = {
+        f"star{seed}": star_mesh(seed=seed, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9))
+        for seed in (800, 801, 802, 803)
+    }
+    cloud = np.random.default_rng(0).standard_normal((400, 3)) * [2.0, 1.0, 0.25] + [4, -1, 2]
+    return {
+        **stars,
+        "cloud": TriangleMesh(cloud, [[0, 1, 2]]),
+        "cube": cube_mesh(1.0),
+        "coplanar": TriangleMesh([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], [[0, 1, 2]]),
+        "tetra": TriangleMesh(TETRA_VERTS, TETRA_FACES),
+    }
+
+
+class TestBoundingSphereSubsets:
+    """Pivoting on the point outside the sphere gives the same bits as trying
+    every subset of the support plus that point."""
+
+    @pytest.mark.parametrize("name", sphere_meshes())
+    def test_same_bits_as_all_subsets(self, monkeypatch, name):
+        mesh = sphere_meshes()[name]
+        center, radius = bounding_sphere(mesh)
+        with monkeypatch.context() as m:
+            m.setattr(mesh_module, "_min_sphere_small", all_subset_sphere)
+            ref_center, ref_radius = bounding_sphere(mesh)
+        np.testing.assert_array_equal(center, ref_center)
+        assert radius == ref_radius

@@ -9,7 +9,7 @@ from spheresig import network
 from spheresig.errors import DivergenceError
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
-from spheresig.mesh import project_mesh
+from spheresig.mesh import bounding_sphere, project_mesh
 from spheresig.network import (
     LayerConfig,
     NetworkConfig,
@@ -572,3 +572,19 @@ class TestAugment:
         rotated = augment(mesh, rotate=True, rng=np.random.default_rng(2))
         assert rotated.vertices.shape == mesh.vertices.shape
         assert not np.allclose(rotated.vertices, mesh.vertices)
+
+    def test_mesh_rotation_turns_the_recorded_offset(self):
+        """Rotating a jittered mesh keeps its offset, turned with the mesh, so
+        the projection center is the rotated jittered center."""
+        mesh = icosphere(1)
+        jittered = augment(mesh, center_jitter=0.3, rng=np.random.default_rng(1))
+        rotated = augment(jittered, rotate=True, rng=np.random.default_rng(2))
+        seed = int(np.random.default_rng(2).integers(2**32))
+        r = random_rotations(1, seed=seed)[0].matrix()
+        np.testing.assert_allclose(rotated.projection_offset, r @ jittered.projection_offset)
+        center, _ = bounding_sphere(jittered)
+        np.testing.assert_allclose(
+            project_mesh(rotated, 8).center,
+            center + r @ jittered.projection_offset,
+            atol=1e-12,
+        )

@@ -9,11 +9,13 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spheresig import cli
+from spheresig import cli, mesh
 from spheresig.harmonics import shared_table
 from spheresig.network import LayerConfig, NetworkConfig, two_branch_config
+from spheresig.synth import star_mesh
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -71,6 +73,28 @@ def test_workload_read_resolves(mod_name, attr):
 def test_table_counter_fields_exist():
     table = shared_table(2)
     assert table.legendre.nbytes > 0 and table.fourier_phases.nbytes > 0
+
+
+def test_cast_counter_reads_cast_rows(monkeypatch):
+    """perfbench's ray counter reads ``_cast_rows``' positional arguments (the
+    rays ``args[0]``, the faces ``args[2]``) and its distances ``out[0]``."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    calls, cast = [], mesh._cast_rows
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, cast(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(mesh, "_cast_rows", spy)
+    b, shape = 8, star_mesh(seed=1, n_theta=8, n_phi=16)
+    mesh.project_mesh(shape, b)
+    [(args, kwargs, out)] = calls
+    counts = tracing._cast_counts(args, kwargs, out)
+    assert kwargs == {} and counts["rays"] == 4 * b * b
+    assert counts["pairs"] == 4 * b * b * len(shape.faces)
+    assert counts["hits"] == np.isfinite(out[0]).sum() > 0
 
 
 def test_every_export_resolves():
