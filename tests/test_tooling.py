@@ -26,11 +26,15 @@ PACKAGE = TRACING.parents[1] / "src" / "spheresig"
 RETARGET = {("spheresig.sft", "_analysis_sepvar_real")}
 
 
-def load_targets():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_tracing().TARGETS
 
 
 @pytest.mark.parametrize(
@@ -78,9 +82,6 @@ def test_table_counter_fields_exist():
 def test_cast_counter_reads_cast_rows(monkeypatch):
     """perfbench's ray counter reads ``_cast_rows``' positional arguments (the
     rays ``args[0]``, the faces ``args[2]``) and its distances ``out[0]``."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     calls, cast = [], mesh._cast_rows
 
     def spy(*args, **kwargs):
@@ -91,7 +92,7 @@ def test_cast_counter_reads_cast_rows(monkeypatch):
     b, shape = 8, star_mesh(seed=1, n_theta=8, n_phi=16)
     mesh.project_mesh(shape, b)
     [(args, kwargs, out)] = calls
-    counts = tracing._cast_counts(args, kwargs, out)
+    counts = load_tracing()._cast_counts(args, kwargs, out)
     assert kwargs == {} and counts["rays"] == 4 * b * b
     assert counts["pairs"] == 4 * b * b * len(shape.faces)
     assert counts["hits"] == np.isfinite(out[0]).sum() > 0
