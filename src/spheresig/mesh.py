@@ -61,8 +61,15 @@ class TriangleMesh:
         self.faces = f
 
     def transformed(self, r: np.ndarray) -> "TriangleMesh":
-        """Mesh with vertices mapped through the 3x3 matrix ``r``."""
-        return TriangleMesh(self.vertices @ np.asarray(r).T, self.faces)
+        """Mesh with vertices mapped through the 3x3 matrix ``r``; a recorded
+        ``projection_offset`` is mapped with them."""
+        r = np.asarray(r)
+        offset = self.projection_offset
+        return TriangleMesh(
+            self.vertices @ r.T,
+            self.faces,
+            projection_offset=None if offset is None else r @ offset,
+        )
 
 
 @dataclass
@@ -85,35 +92,50 @@ def load_off(path: str) -> TriangleMesh:
     tokens: list[str] = []
     lines: list[int] = []  # source line of each token
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if line:
                 words = line.split()
                 tokens.extend(words)
                 lines.extend([lineno] * len(words))
+
+    def number(kind, i: int):
+        try:
+            return kind(tokens[i])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            msg = f"{path}: line {lines[i]}: expected {what}, got {tokens[i]!r}"
+            raise ValueError(msg) from None
+
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
     if len(tokens) < 4:
         raise ValueError(f"{path}: OFF header needs vertex, face and edge counts")
-    nv, nf = int(tokens[1]), int(tokens[2])
+    nv, nf = number(int, 1), number(int, 2)
     if nv < 0 or nf < 0:
         raise ValueError(f"{path}: negative vertex or face count")
     pos = 4
     if len(tokens) < pos + 3 * nv:
         raise ValueError(f"{path}: file ends before its {nv} vertices")
-    verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
+    verts = np.array([number(float, i) for i in range(pos, pos + 3 * nv)]).reshape(nv, 3)
     pos += 3 * nv
     faces: list[tuple[int, int, int]] = []
     for fi in range(nf):
         if pos >= len(tokens):
             raise ValueError(f"{path}: file ends after {fi} of its {nf} faces")
-        k = int(tokens[pos])
+        k = number(int, pos)
         if k < 0:
-            raise ValueError(f"{path}: face {fi} declares {k} indices")
+            raise ValueError(f"{path}: line {lines[pos]}: face {fi} declares {k} indices")
         end = pos + 1 + k
         if end > len(tokens) or lines[end - 1] != lines[pos]:
-            raise ValueError(f"{path}: face {fi} has fewer than the {k} indices it declares")
-        idx = [int(t) for t in tokens[pos + 1 : end]]
+            raise ValueError(
+                f"{path}: line {lines[pos]}: face {fi} has fewer than the {k} indices it declares"
+            )
+        idx = [number(int, i) for i in range(pos + 1, end)]
+        if any(i < 0 or i >= nv for i in idx):
+            raise ValueError(
+                f"{path}: line {lines[pos]}: face index out of range for {nv} vertices"
+            )
         pos = end
         while pos < len(tokens) and lines[pos] == lines[end - 1]:
             pos += 1  # optional per-face colour values

@@ -18,6 +18,14 @@ closures in that order; ``backward`` replays them backwards, routing only
 the cotangents of the concatenated cross-branch inputs.  Gradients are
 checked against central finite differences in tests.
 
+The tape holds what the adjoints read and nothing else: per block the input
+coefficients, the filter spectra and the pooling and ReLU masks; for the
+head its descriptors (and, for MAG-L, the coefficients and norms).  A feature
+map lives until the next block of its branch has analysed it, unless the
+caller asks for taps; ``backward``, ``predict`` and ``descriptors`` do not.
+``backward`` pops each tape entry before replaying it, so an entry is freed
+once replayed, and a cotangent once its block has read it.
+
 Feature maps on this path have the logical shape (channel, batch, 2b, 2b)
 and are stored longitude-major, as ``sft._synthesis_half`` returns them:
 (k, j, channel, batch) is C-contiguous, so the next analysis reads them in
@@ -300,15 +308,23 @@ _SQRT_4PI = np.sqrt(4.0 * np.pi)  # a constant c is the coefficient sqrt(4 pi) c
 def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
     """One branch of one layer on (C, B, 2b, 2b) maps: its output and the
     closure ``vjp(dy) -> (dx, dfilters, dbias)``, which replays the adjoints
-    of the steps taken here in reverse."""
+    of the steps taken here in reverse.
+
+    The closure keeps the input coefficients, the filter spectra and the
+    pooling and ReLU masks, never a feature map.  The block drops its own
+    references to ``x`` once analysed and to each intermediate once read, so
+    a caller that hands over its only reference to ``x`` (or to ``dy``) has
+    it freed before the next large array is made."""
     table = shared_table(b)
     anchors = _anchors(lay, b)
     spectra = spectral.realize_fwd(filters, b, anchors)  # (out, in, b)
     coeffs = _analysis_half(x, table)  # (b, b, in, B)
+    del x
     out_table = shared_table(b // 2) if lay.pool == "sp" else table
     yhat = spectral.sp_fwd(spectral.conv_fwd(coeffs, spectra), out_table.bandwidth)
     yhat[0, 0] += _SQRT_4PI * bias[:, None]  # the bias is its Y_0^0 coefficient
     y = _synthesis_half(yhat, out_table)
+    del yhat
     steps = []  # adjoints of the pointwise steps after the bias, in forward order
     if lay.pool == "wap":
         y = spectral.wap_fwd(y, table.grid)
@@ -324,10 +340,12 @@ def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: n
         for step in reversed(steps):
             dy = step(dy)
         vhat = _synthesis_adjoint(dy, out_table)
+        del dy
         dbias = _SQRT_4PI * vhat[0, 0].real.sum(axis=-1)
         if out_table is not table:
             vhat = spectral.sp_vjp(vhat, b)
         dcoeffs, dspectra = spectral.conv_vjp(vhat, coeffs, spectra)
+        del vhat
         dfilters = spectral.realize_vjp(dspectra, b, anchors)
         return _analysis_adjoint(dcoeffs, table), dfilters, dbias
 
@@ -351,28 +369,38 @@ def _head(kind: str, feat: np.ndarray, b: int):
     return norms.swapaxes(0, 1).reshape(feat.shape[1], -1), vjp
 
 
-def _forward_batch(config: NetworkConfig, params: ParameterStore, x: np.ndarray):
+def _forward_batch(
+    config: NetworkConfig, params: ParameterStore, x: np.ndarray, *, taps: bool = True
+):
     """Run the network on (B, C, n, n) values; returns the logits, the taps
-    and the tape ``(desc, head_vjp, blocks)``, with ``blocks`` the ``(block,
-    own-branch input width, vjp)`` of every block in the order they ran."""
+    (``{}`` when ``taps`` is false) and the tape ``(desc, head_vjp, blocks)``,
+    with ``blocks`` the ``(block, own-branch input width, vjp)`` of every
+    block in the order they ran.
+
+    The tape holds only what the adjoints read (see ``_block``).  Each block
+    output is kept until the next block of its branch has analysed it, and
+    no longer unless ``taps`` keeps it; callers that read no taps pass
+    ``taps=False``, so that no feature map outlives its consumer."""
     c, n = config.input_channels, 2 * config.input_bandwidth
     if x.ndim != 4 or x.shape[1:] != (c, n, n):
         raise ValueError(f"input has shape {x.shape}; the config expects (batch, {c}, {n}, {n})")
-    outs = np.split(x.swapaxes(0, 1), config.branches, axis=0)
-    taps: dict[str, np.ndarray] = {}
+    outs = dict(enumerate(np.split(x.swapaxes(0, 1), config.branches, axis=0)))
+    kept: dict[str, np.ndarray] = {}
     blocks = []
     for blk in config.blocks():
-        lay, xin = config.layers[blk.layer], outs[blk.branch]
+        lay, width = config.layers[blk.layer], len(outs[blk.branch])
         if blk.in_channels > lay.in_channels:  # branch 1's maps of the layer before
-            xin = np.concatenate([xin, outs[1]], axis=0)
+            outs[blk.branch] = np.concatenate([outs[blk.branch], outs[1]], axis=0)
         filters, bias = (params.tensors[f"{blk.name}/{k}"] for k in ("filters", "bias"))
-        y, vjp = _block(lay, blk.bandwidth, xin, filters, bias)
-        blocks.append((blk, len(outs[blk.branch]), vjp))
+        y, vjp = _block(lay, blk.bandwidth, outs.pop(blk.branch), filters, bias)
+        blocks.append((blk, width, vjp))
         outs[blk.branch] = y
-        taps[blk.name] = y.swapaxes(0, 1)
-    desc, head_vjp = _head(config.head, np.concatenate(outs, axis=0), config.layer_bandwidths()[-1])
+        if taps:
+            kept[blk.name] = y.swapaxes(0, 1)
+    feat = np.concatenate([outs[i] for i in range(config.branches)], axis=0)
+    desc, head_vjp = _head(config.head, feat, config.layer_bandwidths()[-1])
     logits = desc @ params.tensors["head/weight"].T + params.tensors["head/bias"]
-    return logits, taps, (desc, head_vjp, blocks)
+    return logits, kept, (desc, head_vjp, blocks)
 
 
 def forward(
@@ -408,7 +436,8 @@ def descriptors(
     config: NetworkConfig, params: ParameterStore, signals: np.ndarray
 ) -> np.ndarray:
     """Invariant descriptor vectors (the head input) for a batch of signals."""
-    _, _, (desc, _, _) = _forward_batch(config, params, np.asarray(signals, dtype=np.float64))
+    x = np.asarray(signals, dtype=np.float64)
+    _, _, (desc, _, _) = _forward_batch(config, params, x, taps=False)
     return desc
 
 
@@ -422,20 +451,27 @@ def backward(
 
     Gradients add over the batch, so a duplicated sample contributes exactly
     twice.  Raises DivergenceError on a non-finite loss.
+
+    The forward keeps no taps.  The reverse pass pops each tape entry before
+    replaying it and hands the block its cotangent as the only reference, so
+    at any time it holds the entries still ahead of it, the cotangent of
+    each branch and the gradients.
     """
     x = np.asarray(signals, dtype=np.float64)
-    logits, _, (desc, head_vjp, blocks) = _forward_batch(config, params, x)
+    logits, _, (desc, head_vjp, blocks) = _forward_batch(config, params, x, taps=False)
     loss, dlogits = softmax_cross_entropy(logits, np.asarray(labels))
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
-    dbranch = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
-    for blk, width, vjp in reversed(blocks):
-        dx, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dbranch[blk.branch])
+    dfeat = head_vjp(dlogits @ params.tensors["head/weight"])
+    dbranch = dict(enumerate(np.split(dfeat, config.branches, axis=0)))
+    while blocks:
+        blk, width, vjp = blocks.pop()
+        dx, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dbranch.pop(blk.branch))
         if len(dx) > width:  # hand branch 1 its share of the input
             dbranch[1] = dbranch[1] + dx[width:]
-            dx = dx[:width]
-        dbranch[blk.branch] = dx
+        dbranch[blk.branch] = dx[:width]
+        del dx
     return loss, grads
 
 
@@ -532,7 +568,8 @@ def train(
 def predict(
     config: NetworkConfig, params: ParameterStore, signals: np.ndarray
 ) -> np.ndarray:
-    logits, _, _ = _forward_batch(config, params, np.asarray(signals, dtype=np.float64))
+    x = np.asarray(signals, dtype=np.float64)
+    logits, _, _ = _forward_batch(config, params, x, taps=False)
     return logits.argmax(axis=1)
 
 

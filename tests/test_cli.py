@@ -331,6 +331,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{obj}: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["OFF", "3 x 0"], "line 2: expected an integer, got 'x'"),
+            (["OFF", "3 1 0", "0 0 0", "1 x 0", "0 1 0"], "line 4: expected a number, got 'x'"),
+            (["OFF", "3 1 0", "0 0 0 1 0 0 0 1 0", "t 0 1 2"], "line 4: expected an integer"),
+            (["OFF", "3 1 0", "0 0 0 1 0 0 0 1 0", "3 0 1 2.5"], "line 4: expected an integer"),
+            (["OFF", "3 1 0", "0 0 0 1 0 0 0 1 0", "3 0 1 3"], "line 4: face index out of range"),
+            (["OFF", "3 2 0", "0 0 0 1 0 0 0 1 0", "3 0 1 2", "3 0 -1 2"], "line 5: face index"),
+        ],
+    )
+    def test_malformed_off(self, tmp_path, capsys, lines, message):
+        off = tmp_path / "bad.off"
+        off.write_text("\n".join(lines) + "\n")
+        assert main(["mesh2sphere", str(off), "-b", "8", "-o", str(tmp_path / "m.sph")]) == 2
+        err = capsys.readouterr().err
+        assert f"{off}: {message}" in err and "Traceback" not in err
+
     def test_nonfinite_vertex(self, tmp_path, star_off, capsys):
         tet = ["0 0 0", "1 0 0", "0 1 0", "0 0 1"]
         faces = ["3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]

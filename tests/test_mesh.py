@@ -165,6 +165,18 @@ class TestProjection:
         assert np.abs(rep0.signal.values[0] - 1).max() < 0.02
         assert rep1.signal.values[0].std() > 0.05
 
+    def test_transform_turns_the_recorded_offset(self):
+        ico = icosphere(1)
+        offset = np.array([0.2, -0.1, 0.05])
+        mesh = TriangleMesh(ico.vertices, ico.faces, projection_offset=offset)
+        np.testing.assert_array_equal(mesh.transformed(np.eye(3)).projection_offset, offset)
+        r = random_rotations(1, seed=3)[0].matrix()
+        turned = mesh.transformed(r)
+        np.testing.assert_allclose(turned.projection_offset, r @ offset, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            project_mesh(turned, 8).center, r @ project_mesh(mesh, 8).center, atol=1e-12
+        )
+
     def test_empty_faces_rejected(self):
         with pytest.raises(ValueError):
             project_mesh(TriangleMesh(np.eye(3), np.zeros((0, 3), int)), 4)

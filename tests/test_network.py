@@ -1,5 +1,6 @@
 """Network contracts: forward semantics, gradients, training, augmentation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -535,6 +536,89 @@ class TestOneFilterPath:
         coeffs = np.full(b, 2.5)
         spec = ZonalFilterSpec("full", b, full_coeffs=coeffs)
         np.testing.assert_array_equal(realize_filter(spec), coeffs)
+
+
+def replay_backward(config, params, x, y):
+    """Reference reverse pass: the default, taps-keeping forward, then every
+    tape entry replayed in reverse while the whole tape stays alive."""
+    logits, _, (desc, head_vjp, blocks) = network._forward_batch(config, params, x)
+    loss, dlogits = network.softmax_cross_entropy(logits, y)
+    grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
+    dbranch = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
+    for blk, width, vjp in reversed(blocks):
+        dx, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dbranch[blk.branch])
+        if len(dx) > width:
+            dbranch[1] = dbranch[1] + dx[width:]
+            dx = dx[:width]
+        dbranch[blk.branch] = dx
+    return loss, grads
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak beyond what is live when it starts."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestLeanReversePass:
+    """``backward``, ``predict`` and ``descriptors`` run the forward without
+    taps and free the tape as they replay it; the arithmetic is that of the
+    taps-keeping forward and a plain replay of its tape."""
+
+    CONFIGS = {
+        "two_branch": two_branch_config(16, 5),
+        "sp_max": NetworkConfig(
+            16,
+            (LayerConfig(1, 4, pool="sp"), LayerConfig(4, 6, pool="max"), LayerConfig(6, 8)),
+            5,
+            head="magl",
+        ),
+    }
+
+    @pytest.fixture(params=list(CONFIGS))
+    def case(self, request):
+        cfg = self.CONFIGS[request.param]
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((3, cfg.input_channels, 32, 32))
+        return cfg, init_parameters(cfg, seed=4), x, np.array([0, 3, 4])
+
+    def test_backward_matches_a_replay_of_the_default_tape(self, case):
+        cfg, params, x, y = case
+        loss, grads = backward(cfg, params, x, y)
+        ref_loss, ref_grads = replay_backward(cfg, params, x, y)
+        assert loss == ref_loss and list(grads) == list(ref_grads)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name])
+
+    def test_forward_without_taps(self, case):
+        cfg, params, x, _ = case
+        logits, taps, (desc, _, _) = network._forward_batch(cfg, params, x)
+        lean_logits, lean_taps, _ = network._forward_batch(cfg, params, x, taps=False)
+        assert len(taps) == len(cfg.blocks()) and lean_taps == {}
+        np.testing.assert_array_equal(lean_logits, logits)
+        np.testing.assert_array_equal(predict(cfg, params, x), logits.argmax(axis=1))
+        np.testing.assert_array_equal(network.descriptors(cfg, params, x), desc)
+
+    def test_backward_peaks_below_a_taps_keeping_forward(self):
+        """At the reference width the taps alone outweigh what the reverse
+        pass holds at any time.  (At b = 16 the margin is a few percent.)"""
+        cfg = two_branch_config(32, 5)
+        params = init_parameters(cfg, seed=1)
+        x = np.random.default_rng(5).standard_normal((4, 2, 64, 64))
+        y = np.array([0, 1, 2, 3])
+        backward(cfg, params, x, y)  # warm-up: the harmonic tables
+        peak_backward = traced_peak(lambda: backward(cfg, params, x, y))
+        peak_forward = traced_peak(lambda: network._forward_batch(cfg, params, x))
+        assert peak_backward < peak_forward, (peak_backward, peak_forward)
 
 
 class TestAugment:

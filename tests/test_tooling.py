@@ -6,13 +6,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spheresig import cli, mesh
+from spheresig import cli, mesh, network
 from spheresig.harmonics import shared_table
 from spheresig.network import LayerConfig, NetworkConfig, two_branch_config
 from spheresig.synth import star_mesh
@@ -96,6 +97,28 @@ def test_cast_counter_reads_cast_rows(monkeypatch):
     assert kwargs == {} and counts["rays"] == 4 * b * b
     assert counts["pairs"] == 4 * b * b * len(shape.faces)
     assert counts["hits"] == np.isfinite(out[0]).sum() > 0
+
+
+def test_train_op_forwards_through_the_module(monkeypatch):
+    """perfbench's ``network.forward`` row wraps ``network._forward_batch``
+    by its module attribute: a ``train`` op enters it from ``backward`` and
+    from ``predict``, and the op's check still unpacks its 3-tuple."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    callers, forward_batch = [], network._forward_batch
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return forward_batch(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_forward_batch", spy)
+    wl = workloads.Train(1, tiny=True)
+    wl.start()
+    out = wl.op(0)
+    assert callers == ["backward", "predict"]
+    assert wl.check(0, out)
+    assert callers.count("_loss") == 4  # two central differences
 
 
 def test_every_export_resolves():
