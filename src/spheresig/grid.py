@@ -39,6 +39,13 @@ class SphericalGrid:
         """Number of samples per axis (= 2b)."""
         return 2 * self.bandwidth
 
+    @property
+    def wap_rows(self) -> np.ndarray:
+        """Area-weighted 2x2 pooling's weight of each row: its sin(theta) over
+        its 2x2 block's total (two columns)."""
+        rw = self.area_weights.reshape(-1, 2)
+        return (rw / (2.0 * rw.sum(axis=1, keepdims=True))).reshape(-1)
+
     def directions(self) -> np.ndarray:
         """Unit vectors of every grid point, shape (2b, 2b, 3)."""
         st = np.sin(self.thetas)[:, None]

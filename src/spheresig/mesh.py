@@ -47,11 +47,13 @@ class TriangleMesh:
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
         if f.size:
-            cross = np.cross(
-                v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
-            )
-            area2 = np.linalg.norm(cross, axis=1)
-            keep = area2 > _EPS * max(1.0, float(np.abs(v).max()) ** 2)
+            # Each face is judged by its own size: twice its area against its
+            # longest edge squared, so the rule holds under any translation
+            # and scale.
+            e1, e2 = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
+            area2 = np.linalg.norm(np.cross(e1, e2), axis=1)
+            edge2 = np.stack([e1, e2, e2 - e1]) ** 2
+            keep = area2 > _EPS * edge2.sum(axis=-1).max(axis=0)
             dropped = int((~keep).sum())
             if dropped:
                 warnings.warn(f"dropped {dropped} degenerate faces", stacklevel=2)
@@ -204,11 +206,11 @@ def _circumsphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
     if k == 2:
         c = 0.5 * (pts[0] + pts[1])
         return c, float(np.linalg.norm(pts[0] - c))
-    a = 2.0 * (pts[1:] - pts[0])
-    rhs = np.einsum("ij,ij->i", pts[1:], pts[1:]) - pts[0] @ pts[0]
-    # Solve in the affine hull of the points.
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return sol, float(np.linalg.norm(pts[0] - sol))
+    # Solve for the center relative to pts[0], in the affine hull of the
+    # points: |d_i|^2 - 2 d_i.x = 0 holds no absolute coordinate to cancel.
+    d = pts[1:] - pts[0]
+    sol, *_ = np.linalg.lstsq(2.0 * d, np.einsum("ij,ij->i", d, d), rcond=None)
+    return pts[0] + sol, float(np.linalg.norm(sol))
 
 
 def _min_sphere_small(pts: np.ndarray) -> tuple[np.ndarray, float]:

@@ -13,6 +13,11 @@ the ``spectral`` forward of each operation (filter realization, per-degree
 channel mixing, pooling, ReLU) and returns, beside its output, a closure
 that applies the matching ``spectral`` vector-Jacobian products and ``sft``
 transform adjoints in reverse; ``_head`` does the same for the descriptor.
+A ``wap`` layer pools inside its synthesis: ``_synthesis_half`` with
+``pool=True`` synthesizes straight onto the pooled grid, and its adjoint is
+``_synthesis_adjoint`` with ``pool=True``, so no full-resolution map of a
+pooled layer is made in either direction.  ``spectral.wap_fwd``/``wap_vjp``
+are the grid-domain reference of that form and are not called here.
 ``_forward_batch`` walks ``NetworkConfig.blocks`` and records these
 closures in that order; ``backward`` replays them backwards, routing only
 the cotangents of the concatenated cross-branch inputs.  Gradients are
@@ -321,15 +326,13 @@ def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: n
     coeffs = _analysis_half(x, table)  # (b, b, in, B)
     del x
     out_table = shared_table(b // 2) if lay.pool == "sp" else table
+    pool = lay.pool == "wap"  # synthesized straight onto the pooled grid
     yhat = spectral.sp_fwd(spectral.conv_fwd(coeffs, spectra), out_table.bandwidth)
     yhat[0, 0] += _SQRT_4PI * bias[:, None]  # the bias is its Y_0^0 coefficient
-    y = _synthesis_half(yhat, out_table)
+    y = _synthesis_half(yhat, out_table, pool=pool)
     del yhat
     steps = []  # adjoints of the pointwise steps after the bias, in forward order
-    if lay.pool == "wap":
-        y = spectral.wap_fwd(y, table.grid)
-        steps.append(lambda d: spectral.wap_vjp(d, table.grid))
-    elif lay.pool == "max":
+    if lay.pool == "max":
         y, argmax = spectral.max_fwd(y)
         steps.append(lambda d: spectral.max_vjp(d, argmax))
     if lay.nonlinearity == "relu":
@@ -339,7 +342,7 @@ def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: n
     def vjp(dy):
         for step in reversed(steps):
             dy = step(dy)
-        vhat = _synthesis_adjoint(dy, out_table)
+        vhat = _synthesis_adjoint(dy, out_table, pool=pool)
         del dy
         dbias = _SQRT_4PI * vhat[0, 0].real.sum(axis=-1)
         if out_table is not table:

@@ -39,6 +39,18 @@ contiguous operand and no map is ever transposed between them:
   ``longitude_idft`` (orders m > 0 doubled, Im of m = 0 dropped); above b = 32
   an irfft along k.  The only synthesis; ``_synthesis_real`` is its packed
   entry point (``_real_parts``, then the kernel).
+* Pooled forms.  ``_synthesis_half(..., pool=True)`` returns the
+  area-weighted 2x2 pooling (``spectral.wap_fwd``) of the synthesis, computed
+  on the pooled (b, b) grid: the pooling is linear and separable, so its row
+  weights (``SphericalGrid.wap_rows``) combine Legendre rows 2j' and 2j'+1
+  and its column pair-sum combines longitude-IDFT rows 2k' and 2k'+1.
+  ``_synthesis_adjoint(..., pool=True)`` is its adjoint: ``_analysis_half``
+  of ``wap_vjp`` of the pooled map, with the same folds on the DFT columns
+  and the Legendre rows.  For b <= 32 the rows fold into the Legendre operand,
+  built per call from the table; above it they fold after the Legendre step
+  and the columns are summed after the irfft (in the adjoint: repeated before
+  the rfft, and the rows spread after it), so no per-call copy of the table
+  is made and no temporary outgrows the unpooled kernel's.
 * ``_analysis_direct`` (full-grid contraction per order, O(b^4), behind
   ``sft_direct``) is the reference; it returns a half spectrum too, and the
   two analyses agree to ~1e-12.
@@ -240,25 +252,47 @@ def _grid_major(values: np.ndarray) -> np.ndarray:
 
 
 def _analysis_half(
-    values: np.ndarray, table: HarmonicTable, row_scale: np.ndarray | None = None
+    values: np.ndarray,
+    table: HarmonicTable,
+    row_scale: np.ndarray | None = None,
+    pool: bool = False,
 ) -> np.ndarray:
     """Half spectrum (b, b, ...) of real (..., 2b, 2b) values; ``row_scale``
-    replaces the quadrature measure sqrt(2 pi)/(2b) * w_j."""
+    replaces the quadrature measure sqrt(2 pi)/(2b) * w_j.  With ``pool`` the
+    values are (..., b, b) on the pooled grid and the analysed map is their
+    ``spectral.wap_vjp``: each row's area-pooling weight and each column pair
+    are folded into the Legendre and longitude operands."""
     b = table.bandwidth
     n = 2 * b
     lead = values.shape[:-2]
     if row_scale is None:
         row_scale = _prefactor(b) * table.grid.quad_weights
-    s = _grid_major(values)  # (k, j, X)
+    if pool:
+        row_scale = row_scale * table.grid.wap_rows
+    s = _grid_major(values)  # (k, j, X); (k', j', X) when pooled
     leg = table.legendre.transpose(1, 0, 2)  # (m, l, j)
     if b > _GEMM_MAX_B:
+        if pool:  # each column twice, each row twice after the DFT
+            s = np.repeat(s, 2, axis=0)
         f = np.fft.rfft(s, axis=0)  # (b+1, j, X), bin m = sum_k f e^{-im phi_k}
-        g = f[:b] * row_scale[:, None]  # (m, j, X)
+        del s  # a temporary when pooled or copied
+        if pool:
+            g = np.empty((b, n, f.shape[-1]), dtype=np.complex128)
+            np.multiply(f[:b], row_scale[0::2, None], out=g[:, 0::2])
+            np.multiply(f[:b], row_scale[1::2, None], out=g[:, 1::2])
+        else:
+            g = f[:b] * row_scale[:, None]  # (m, j, X)
         del f  # lets the matmul output reuse its memory: a lower peak
         out = (leg @ g.view(np.float64)).view(np.complex128)  # (m, l, X)
     else:
-        g = (table.longitude_dft @ s.reshape(n, -1)).reshape(2, b, n, -1)  # (Re|Im, m, j, X)
-        if 2 * g.shape[-1] < b:  # the measure goes on the smaller operand
+        dft = table.longitude_dft
+        if pool:
+            dft = dft[:, 0::2] + dft[:, 1::2]
+        rows = dft.shape[1]
+        g = (dft @ s.reshape(rows, -1)).reshape(2, b, rows, -1)  # (Re|Im, m, j, X)
+        if pool:
+            leg = leg[..., 0::2] * row_scale[0::2] + leg[..., 1::2] * row_scale[1::2]
+        elif 2 * g.shape[-1] < b:  # the measure goes on the smaller operand
             g *= row_scale[:, None]
         else:
             leg = leg * row_scale
@@ -285,29 +319,49 @@ def _analysis_direct(values: np.ndarray, table: HarmonicTable) -> np.ndarray:
 
 
 def _synthesis_half(
-    half: np.ndarray, table: HarmonicTable, row_scale: np.ndarray | None = None
+    half: np.ndarray,
+    table: HarmonicTable,
+    row_scale: np.ndarray | None = None,
+    pool: bool = False,
 ) -> np.ndarray:
     """Real longitude-major (..., 2b, 2b) values of a half spectrum (b, b, ...):
     the harmonic sum of its conjugate-symmetric extension, row j times
-    ``row_scale[j]``."""
+    ``row_scale[j]``.  With ``pool`` the values are (..., b, b), the
+    ``spectral.wap_fwd`` of that map, synthesized on the pooled grid."""
     b = table.bandwidth
     n = 2 * b
+    rows = b if pool else n  # grid rows and columns of the output
     c = np.ascontiguousarray(half, dtype=np.complex128).reshape(b, b, -1)  # (m, l, X)
     leg = table.legendre.transpose(1, 2, 0)  # (m, j, l)
+    if pool:
+        w = table.grid.wap_rows
+        row_scale = w if row_scale is None else row_scale * w
     if b > _GEMM_MAX_B:
         scale = n if row_scale is None else n * row_scale[:, None]  # irfft divides by n
         t = leg @ c.view(np.float64)  # (m, j, 2X)
-        h = np.zeros((b + 1, n, c.shape[-1]), dtype=np.complex128)  # (m, j, X), Nyquist bin 0
-        np.multiply(t.view(np.complex128), scale, out=h[:b])
-        del t  # lets the irfft output reuse its memory: a lower peak
+        tc = t.view(np.complex128)
+        h = np.zeros((b + 1, rows, c.shape[-1]), dtype=np.complex128)  # (m, j, X), Nyquist bin 0
+        if pool:  # rows 2j' and 2j'+1 weighted into row j'
+            np.multiply(tc[:, 0::2], scale[0::2], out=h[:b])
+            h[:b] += tc[:, 1::2] * scale[1::2]
+        else:
+            np.multiply(tc, scale, out=h[:b])
+        del t, tc  # lets the irfft output reuse its memory: a lower peak
         s = np.fft.irfft(h, n=n, axis=0)  # (k, j, X)
+        if pool:
+            s = s[0::2] + s[1::2]
     else:
-        if row_scale is not None:
+        if pool:
+            leg = leg[:, 0::2] * row_scale[0::2, None] + leg[:, 1::2] * row_scale[1::2, None]
+        elif row_scale is not None:
             leg = leg * row_scale[:, None]
         parts = c.view(np.float64).reshape(b, b, -1, 2).transpose(3, 0, 1, 2)  # (Re|Im, m, l, X)
-        t = np.matmul(leg, parts, out=np.empty((2, b, n, c.shape[-1])))  # (Re|Im, m, j, X)
-        s = table.longitude_idft @ t.reshape(n, -1)  # (k, j X)
-    s = s.reshape((n, n) + half.shape[2:])
+        t = np.matmul(leg, parts, out=np.empty((2, b, rows, c.shape[-1])))  # (Re|Im, m, j, X)
+        idft = table.longitude_idft
+        if pool:
+            idft = idft[0::2] + idft[1::2]
+        s = idft @ t.reshape(n, -1)  # (k, j X)
+    s = s.reshape((rows, rows) + half.shape[2:])
     return s.transpose(tuple(range(2, s.ndim)) + (1, 0))
 
 
@@ -317,11 +371,11 @@ def _synthesis_real(coeffs: np.ndarray, table: HarmonicTable) -> np.ndarray:
     return _synthesis_half(_real_parts(coeffs)[0][:, :, 0], table)
 
 
-def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable) -> np.ndarray:
-    """Adjoint of ``_synthesis_half`` on real grid values: the half spectrum
-    v_lm = sum_jk u_jk conj(Y_lm)(j, k), i.e. analysis with unit weights and
-    unit prefactor."""
-    return _analysis_half(u, table, row_scale=np.ones(table.grid.n))
+def _synthesis_adjoint(u: np.ndarray, table: HarmonicTable, pool: bool = False) -> np.ndarray:
+    """Adjoint of ``_synthesis_half`` (of its pooled form with ``pool``) on
+    real grid values: the half spectrum v_lm = sum_jk u_jk conj(Y_lm)(j, k),
+    i.e. analysis with unit weights and unit prefactor."""
+    return _analysis_half(u, table, row_scale=np.ones(table.grid.n), pool=pool)
 
 
 def _analysis_adjoint(v: np.ndarray, table: HarmonicTable) -> np.ndarray:

@@ -207,21 +207,16 @@ def _blocks(values: np.ndarray) -> np.ndarray:
     return np.moveaxis(values.reshape(values.shape[:-2] + (h, 2, h, 2)), -3, -2)
 
 
-def _wap_rows(grid: SphericalGrid) -> np.ndarray:
-    """Each row's sin(theta) over its 2x2 block's total (two columns)."""
-    rw = grid.area_weights.reshape(-1, 2)
-    return (rw / (2.0 * rw.sum(axis=1, keepdims=True))).reshape(-1)
-
-
 def wap_fwd(values: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    """Area-weighted 2x2 average; the zero-weight pole row contributes nothing."""
-    w = _wap_rows(grid)[:, None]
+    """Area-weighted 2x2 average; the zero-weight pole row contributes nothing.
+    The network runs it as ``sft._synthesis_half``'s pooled form."""
+    w = grid.wap_rows[:, None]
     rows = values[..., 0::2, :] * w[0::2] + values[..., 1::2, :] * w[1::2]
     return rows[..., 0::2] + rows[..., 1::2]
 
 
 def wap_vjp(dy: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    w = _wap_rows(grid)[:, None]
+    w = grid.wap_rows[:, None]
     dx = np.empty_like(dy, shape=dy.shape[:-2] + (grid.n, grid.n))
     for r in (0, 1):
         rows = dy * w[r::2]

@@ -1,6 +1,7 @@
 """Mesh ingestion: file formats, bounding spheres, ray-cast projection."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,51 @@ class TestBoundingSphere:
     def test_empty_mesh(self):
         with pytest.raises(ValueError):
             bounding_sphere(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int)))
+
+
+class TestAbsoluteCoordinates:
+    """Spheres and the degenerate-face rule depend on a mesh's shape, not on
+    where it sits or how large it is."""
+
+    SHIFTS = (1e3, 1e5, 1e6, -1e6)
+
+    @staticmethod
+    def star():
+        return star_mesh(seed=1, n_theta=8, n_phi=16)
+
+    @pytest.mark.parametrize("t", SHIFTS)
+    def test_sphere_of_a_shifted_mesh_is_the_shifted_sphere(self, t):
+        mesh = self.star()
+        shift = t * np.array([1.0, -0.7, 0.3])
+        center, radius = bounding_sphere(mesh)
+        moved_center, moved_radius = bounding_sphere(
+            TriangleMesh(mesh.vertices + shift, mesh.faces)
+        )
+        np.testing.assert_allclose(moved_center - shift, center, rtol=0, atol=1e-9)
+        assert abs(moved_radius - radius) <= 1e-9
+
+    def test_three_point_sphere_lies_in_their_plane(self):
+        """Three points far from the origin: the center is their circumcenter,
+        not the point of the equidistant line nearest the origin."""
+        pts = np.array([[0, 0, 5], [2, 0, 5], [1, np.sqrt(3.0), 5]])  # equilateral
+        center, radius = bounding_sphere(TriangleMesh(pts, [[0, 1, 2]]))
+        np.testing.assert_allclose(center, [1, 1 / np.sqrt(3.0), 5], rtol=0, atol=1e-12)
+        assert radius == pytest.approx(2 / np.sqrt(3.0), abs=1e-12)
+
+    @pytest.mark.parametrize("t, s", [(1e6, 1.0), (0.0, 1e-6), (0.0, 1e6), (-1e6, 1e3)])
+    def test_faces_survive_any_translation_and_scale(self, t, s):
+        mesh = self.star()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moved = TriangleMesh(mesh.vertices * s + t, mesh.faces)
+        assert moved.dropped_faces == 0 and len(moved.faces) == len(mesh.faces) == 224
+
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+    def test_degenerate_face_dropped_at_any_translation_and_scale(self, t, s):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]]) * s + t
+        with pytest.warns(UserWarning, match="degenerate"):
+            mesh = TriangleMesh(verts, [[0, 1, 2], [0, 1, 3]])
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
 
 
 class TestProjection:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spheresig import spectral
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
 from spheresig.sft import (
@@ -15,6 +16,7 @@ from spheresig.sft import (
     _analysis_half,
     _grid_major,
     _prefactor,
+    _synthesis_adjoint,
     _synthesis_half,
     _synthesis_real,
     bandlimit,
@@ -23,6 +25,7 @@ from spheresig.sft import (
     evaluate_coeffs_at,
     half_slots,
     isft,
+    order_weights,
     random_coeffs,
     sft_direct,
     sft_sepvar,
@@ -400,6 +403,49 @@ class TestLongitudeMajor:
                 c = random_coeffs(b, maps, np.random.default_rng(b)).coeffs
                 got = _synthesis_half(to_half(c), table)
                 assert got.shape == (maps, 2 * b, 2 * b) and is_longitude_major(got), (b, maps)
+
+
+class TestPooledKernels:
+    """The pooled synthesis and its adjoint against the grid-domain
+    area-weighted pooling, on both sides of the GEMM/FFT switch."""
+
+    BANDWIDTHS = (4, 16, 32, 64)
+
+    def test_switch_sits_inside_the_tested_bandwidths(self):
+        assert 16 <= _GEMM_MAX_B < 64
+
+    @pytest.mark.parametrize("b", BANDWIDTHS)
+    @pytest.mark.parametrize("maps", [1, 5])
+    def test_synthesis_is_wap_of_the_synthesis(self, b, maps):
+        table = table_for(b)
+        half = to_half(random_coeffs(b, maps, np.random.default_rng(b + maps)).coeffs)
+        got = _synthesis_half(half, table, pool=True)
+        want = spectral.wap_fwd(_synthesis_half(half, table), table.grid)
+        assert got.shape == (maps, b, b) and is_longitude_major(got)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("b", BANDWIDTHS)
+    @pytest.mark.parametrize("maps", [1, 5])
+    def test_adjoint_passes_the_dot_product_test(self, b, maps):
+        """<S c, u> = <c, S* u>, the orders m > 0 of the half spectra twice."""
+        rng = np.random.default_rng(2 * b + maps)
+        table = table_for(b)
+        c = to_half(random_coeffs(b, maps, rng).coeffs)
+        u = rng.standard_normal((maps, b, b))
+        v = _synthesis_adjoint(u, table, pool=True)
+        assert v.shape == (b, b, maps)
+        lhs = np.sum(_synthesis_half(c, table, pool=True) * u)
+        rhs = np.sum(order_weights(b)[:, None, None] * (c.real * v.real + c.imag * v.imag))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("b", BANDWIDTHS)
+    def test_adjoint_is_the_adjoint_of_wap_then_synthesis(self, b):
+        rng = np.random.default_rng(b)
+        table = table_for(b)
+        u = longitude_major(rng.standard_normal((3, b, b)))
+        got = _synthesis_adjoint(u, table, pool=True)
+        want = _synthesis_adjoint(spectral.wap_vjp(u, table.grid), table)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestIsftSymmetricPart:

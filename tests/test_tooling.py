@@ -215,3 +215,16 @@ def test_caches_are_the_kernel_tables():
             ]
     assert cached == {("harmonics.py", "_table"), ("rotation.py", "_k_band")}
     assert stores == []
+
+
+def test_network_pools_in_the_synthesis():
+    """A ``wap`` layer runs as the pooled synthesis and its adjoint; the
+    network never calls the grid-domain pooling, so it has one WAP path."""
+    tree = ast.parse((PACKAGE / "network.py").read_text())
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert "_synthesis_half" in called
+    assert called.isdisjoint({"wap_fwd", "wap_vjp"})
