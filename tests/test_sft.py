@@ -409,10 +409,7 @@ class TestPooledKernels:
     """The pooled synthesis and its adjoint against the grid-domain
     area-weighted pooling, on both sides of the GEMM/FFT switch."""
 
-    BANDWIDTHS = (4, 16, 32, 64)
-
-    def test_switch_sits_inside_the_tested_bandwidths(self):
-        assert 16 <= _GEMM_MAX_B < 64
+    BANDWIDTHS = (4, 16, 32, 64)  # both sides of _GEMM_MAX_B (see TestLongitudeMajor)
 
     @pytest.mark.parametrize("b", BANDWIDTHS)
     @pytest.mark.parametrize("maps", [1, 5])
