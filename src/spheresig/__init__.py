@@ -35,6 +35,7 @@ _EXPORTS = {
         "augment",
         "backward",
         "count_parameters",
+        "descriptors",
         "forward",
         "init_parameters",
         "predict",

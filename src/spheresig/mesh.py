@@ -7,6 +7,14 @@ incidence angle at that face, measured from the tangent plane, i.e.
 |cos(ray, normal)|.  Directions that miss the mesh store zeros in both
 channels; the representation is faithful for star-shaped objects viewed from
 the center and remains defined (if lossy) otherwise.
+
+The hit test is Moller-Trumbore's, run as three dot products of the ray with
+per-face rows divided by the face's |e1 x e2| (``_hit_table``), so its
+determinant is a cosine and its distance floor scales with the face: no
+threshold has a unit, and a mesh projects the same at any size.  Hits within
+a relative 1e-12 of the farthest are one tie, and the tie goes to the lowest
+face index.  So a ray through a shared edge or vertex records the same face,
+hence the same incidence, in every pose that maps the grid onto itself.
 """
 
 from __future__ import annotations
@@ -260,6 +268,7 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
 _CONE_MARGIN = 1e-6  # radians added to every face cone, and again to its reach
 _CONE_WIDE = 0.1  # faces whose cone has cos(half-angle) <= this reach every ray
 _PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) pairs held in memory
+_TIE = 1e-12  # hits within this relative distance of the farthest are one tie
 
 
 def _face_cones(
@@ -303,6 +312,30 @@ def _pieces(counts: np.ndarray, size: int):
         yield i, k - (ends[i] - counts[i])
 
 
+def _hit_table(
+    origin: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
+) -> np.ndarray:
+    """(11, F) columns of the Moller-Trumbore test, one per face.
+
+    With s = origin - v0 and n = |e1 x e2|, rows 0-8 hold the three row
+    vectors (e2 x e1) / n, (e2 x s) / n and (s x e1) / n component-major: the
+    x components of the three, then the y, then the z.  A unit ray's dot
+    products with them are det, u det and v det, where det is the cosine
+    between the ray and the face normal.  Row 9 is t det = e2 . (s x e1) / n
+    and row 10 the least t that counts as a hit, 1e-12 times the face's scale
+    |s| + |e1| + |e2|.
+    """
+    s = origin[None, :] - v0  # (F, 3)
+    rows = np.stack([np.cross(e2, e1), np.cross(e2, s), np.cross(s, e1)], axis=2)  # (F, xyz, row)
+    area = np.linalg.norm(rows[:, :, 0], axis=1)
+    scale = np.linalg.norm(s, axis=1) + np.linalg.norm(e1, axis=1) + np.linalg.norm(e2, axis=1)
+    return np.vstack([
+        (rows / area[:, None, None]).reshape(-1, 9).T,
+        np.einsum("fj,fj->f", e2, rows[:, :, 2]) / area,
+        _EPS * scale,
+    ])
+
+
 def _cast_rows(
     dirs: np.ndarray, origin: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -316,16 +349,23 @@ def _cast_rows(
     (row, longitude), each such interval is one index range, split where it
     wraps past +-pi.  h gets ``_CONE_MARGIN`` more, and the interval the same
     again, so roundoff only adds pairs; wide cones, and rows where sin theta
-    sin theta_a vanishes (the poles), take the whole row.  Moller-Trumbore runs
-    on the listed pairs, at most ``_PAIRS_PER_BLOCK`` at a time, with the
-    arithmetic of an all-pairs test.  Returns (t, face) with t = -inf and
-    face = 0 where the ray misses everything; equal distances go to the
-    lowest face index.
+    sin theta_a vanishes (the poles), take the whole row.  The (face, row)
+    pairs are walked row by row and by longitude within a row, so the range
+    ends arrive at ``searchsorted`` nearly sorted.
+
+    Moller-Trumbore runs on the listed pairs, at most ``_PAIRS_PER_BLOCK`` at
+    a time, as three dot products of the ray with its face's column of
+    ``_hit_table``.  A pair hits where |det| > 1e-12, u >= -1e-9, v >= -1e-9,
+    u + v <= 1 + 1e-9 and t is above the face's least t.  det is a cosine and
+    the least t scales with the face, so no threshold has a unit.  Per ray,
+    the distance is the farthest hit's t, and the face (hence the incidence
+    channel) is the lowest index among the hits within a relative ``_TIE`` of
+    that t; both are order-free reductions over the hits, so neither depends
+    on the walk or on roundoff at a shared edge or vertex.  Returns (t, face)
+    with t = -inf and face = 0 where the ray misses everything.
     """
     axis, cos_half = _face_cones(origin, v0, e1, e2)
-    s = origin[None, :] - v0  # (F, 3)
-    q = np.cross(s, e1)  # (F, 3)
-    tq = np.einsum("fj,fj->f", e2, q)
+    table = _hit_table(origin, v0, e1, e2)
     tol = 1e-9
     # One sort key per ray: its row's slot [8 row, 8 row + 8) plus 4 + longitude.
     row_z, row = np.unique(dirs[:, 2], return_inverse=True)
@@ -333,6 +373,7 @@ def _cast_rows(
     key = 8.0 * row + 4.0 + np.arctan2(dirs[:, 1], dirs[:, 0])
     ray_order = np.argsort(key)
     key = key[ray_order]
+    ray_dirs = np.ascontiguousarray(dirs[ray_order].T)  # (3 xyz, rays) in key order
     reach = np.arccos(np.maximum(cos_half, -1.0)) + _CONE_MARGIN  # > pi for wide cones
     cos_reach = np.cos(reach)
     axis_sin = np.hypot(axis[:, 0], axis[:, 1])
@@ -341,10 +382,14 @@ def _cast_rows(
     # rows with |theta - theta_a| <= reach are a z range of the sorted rows
     first_row = np.searchsorted(row_z, np.cos(np.minimum(axis_theta + reach, np.pi)))
     end_row = np.searchsorted(row_z, np.cos(np.maximum(axis_theta - reach, 0.0)), "right")
-    t_out = np.full(len(dirs), -np.inf)
-    face_out = np.zeros(len(dirs), dtype=np.int64)
-    for fr, off in _pieces(end_row - first_row, _PAIRS_PER_BLOCK):
+    hit_ray, hit_face, hit_t = [], [], []
+    by_phi = np.argsort(axis_phi)
+    for fr, off in _pieces((end_row - first_row)[by_phi], _PAIRS_PER_BLOCK):
+        fr = by_phi[fr]
         rw = first_row[fr] + off  # (face fr, row rw) pairs
+        # row-major, by longitude within a row (a radix sort up to 65,536 rows)
+        by_row = np.argsort(rw.astype(np.min_scalar_type(len(row_z))), kind="stable")
+        fr, rw = fr[by_row], rw[by_row]
         den = row_sin[rw] * axis_sin[fr]
         whole = (reach[fr] >= np.pi) | (den <= 1e-12)
         num = cos_reach[fr] - row_z[rw] * axis[fr, 2]
@@ -352,33 +397,44 @@ def _cast_rows(
         whole |= half >= np.pi
         lo = np.where(whole, -4.0, axis_phi[fr] - half)
         hi = np.where(whole, 4.0, axis_phi[fr] + half)
-        # the part past -pi or +pi, shifted by 2 pi; whole rows shift out of the slot
-        wrap = np.where(whole, 8.0, np.where(lo < -np.pi, 2 * np.pi, -2 * np.pi))
-        ends = np.stack([lo, hi, lo + wrap, hi + wrap], axis=1).reshape(-1, 2, 2)
-        ends = np.clip(ends, -4.0, 4.0) + (8.0 * rw + 4.0)[:, None, None]
-        start, stop = np.searchsorted(key, ends).reshape(-1, 2).T
-        pair_face = np.repeat(fr, 2)
+        # an interval past -pi or +pi goes on at the row's other end: one more
+        # (face, row) range, shifted by 2 pi
+        past = ~whole & ((lo < -np.pi) | (hi > np.pi))
+        shift = np.where(lo[past] < -np.pi, 2 * np.pi, -2 * np.pi)
+        fr, rw = np.concatenate([fr, fr[past]]), np.concatenate([rw, rw[past]])
+        lo = np.concatenate([lo, lo[past] + shift])
+        hi = np.concatenate([hi, hi[past] + shift])
+        start, stop = np.searchsorted(key, np.clip([lo, hi], -4.0, 4.0) + (8.0 * rw + 4.0))
         for k, at in _pieces(stop - start, _PAIRS_PER_BLOCK):
-            r = ray_order[start[k] + at]
-            f = pair_face[k]
-            d = dirs[r]
-            p = np.cross(d, e2[f])
-            det = np.einsum("kj,kj->k", e1[f], p)
-            ok = np.abs(det) > _EPS
-            inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-            u = np.einsum("kj,kj->k", s[f], p) * inv
-            v = np.einsum("kj,kj->k", d, q[f]) * inv
-            t = tq[f] * inv
-            hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS)
-            r, f, t = r[hit], f[hit], t[hit]
-            order = np.lexsort((f, -t, r))  # per ray: farthest first, then lowest face
-            r, f, t = r[order], f[order], t[order]
-            first = np.ones(len(r), dtype=bool)
-            first[1:] = r[1:] != r[:-1]
-            r, f, t = r[first], f[first], t[first]
-            better = (t > t_out[r]) | ((t == t_out[r]) & (f < face_out[r]))
-            t_out[r[better]] = t[better]
-            face_out[r[better]] = f[better]
+            i = start[k] + at  # rays in key order
+            f = fr[k]
+            # in place, to hold no more than the gathered columns: rows 0-2
+            # become det, u and v, and row 9 becomes t
+            col = np.take(table, f, axis=1)
+            d = np.take(ray_dirs, i, axis=1)
+            w = col[0:3]
+            w *= d[0]
+            w += d[1] * col[3:6]
+            w += d[2] * col[6:9]  # det, u det, v det
+            ok = np.abs(w[0]) > _EPS
+            inv = 1.0 / np.where(ok, w[0], np.inf)
+            w[1:] *= inv
+            _, u, v = w
+            t = col[9]
+            t *= inv
+            hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > col[10])
+            hit = np.flatnonzero(hit)
+            hit_ray.append(ray_order[i[hit]])
+            hit_face.append(f[hit])
+            hit_t.append(t[hit])
+    t_out = np.full(len(dirs), -np.inf)
+    face_out = np.full(len(dirs), len(v0))
+    if hit_ray:
+        r, f, t = np.concatenate(hit_ray), np.concatenate(hit_face), np.concatenate(hit_t)
+        np.maximum.at(t_out, r, t)
+        tied = t_out[r] - t <= _TIE * t_out[r]
+        np.minimum.at(face_out, r[tied], f[tied])
+    face_out[face_out == len(v0)] = 0
     return t_out, face_out
 
 

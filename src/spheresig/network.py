@@ -16,8 +16,8 @@ transform adjoints in reverse; ``_head`` does the same for the descriptor.
 A ``wap`` layer pools inside its synthesis: ``_synthesis_half`` with
 ``pool=True`` synthesizes straight onto the pooled grid, and its adjoint is
 ``_synthesis_adjoint`` with ``pool=True``, so no full-resolution map of a
-pooled layer is made in either direction.  ``spectral.wap_fwd``/``wap_vjp``
-are the grid-domain reference of that form and are not called here.
+pooled layer is made in either direction.  ``spectral.wap_fwd`` is the
+grid-domain form of that pooling and is not called here.
 ``_forward_batch`` walks ``NetworkConfig.blocks`` and records these
 closures in that order; ``backward`` replays them backwards, routing only
 the cotangents of the concatenated cross-branch inputs.  Gradients are

@@ -45,12 +45,14 @@ contiguous operand and no map is ever transposed between them:
   weights (``SphericalGrid.wap_rows``) combine Legendre rows 2j' and 2j'+1
   and its column pair-sum combines longitude-IDFT rows 2k' and 2k'+1.
   ``_synthesis_adjoint(..., pool=True)`` is its adjoint: ``_analysis_half``
-  of ``wap_vjp`` of the pooled map, with the same folds on the DFT columns
-  and the Legendre rows.  For b <= 32 the rows fold into the Legendre operand,
-  built per call from the table; above it they fold after the Legendre step
-  and the columns are summed after the irfft (in the adjoint: repeated before
-  the rfft, and the rows spread after it), so no per-call copy of the table
-  is made and no temporary outgrows the unpooled kernel's.
+  of the pooling's adjoint (each pooled value spread over its 2x2 block,
+  times the row weight) applied to the pooled map, with the same folds on
+  the DFT columns and the Legendre rows.  For b <= 32 the rows fold into the
+  Legendre operand, built per call from the table; above it they fold after
+  the Legendre step and the columns are summed after the irfft (in the
+  adjoint: repeated before the rfft, and the rows spread after it), so no
+  per-call copy of the table is made and no temporary outgrows the unpooled
+  kernel's.
 * ``_analysis_direct`` (full-grid contraction per order, O(b^4), behind
   ``sft_direct``) is the reference; it returns a half spectrum too, and the
   two analyses agree to ~1e-12.
@@ -259,9 +261,10 @@ def _analysis_half(
 ) -> np.ndarray:
     """Half spectrum (b, b, ...) of real (..., 2b, 2b) values; ``row_scale``
     replaces the quadrature measure sqrt(2 pi)/(2b) * w_j.  With ``pool`` the
-    values are (..., b, b) on the pooled grid and the analysed map is their
-    ``spectral.wap_vjp``: each row's area-pooling weight and each column pair
-    are folded into the Legendre and longitude operands."""
+    values are (..., b, b) on the pooled grid and the analysed map is the
+    adjoint of ``spectral.wap_fwd`` applied to them: each row's area-pooling
+    weight and each column pair are folded into the Legendre and longitude
+    operands."""
     b = table.bandwidth
     n = 2 * b
     lead = values.shape[:-2]

@@ -13,11 +13,13 @@ the case where every degree is an anchor.
 Each layer operation exists once, as an array-level forward ``*_fwd`` and
 its vector-Jacobian product ``*_vjp``; a forward whose adjoint needs a
 residual (max pooling's winning index, ReLU's mask) returns it beside its
-output.  The network composes these pairs, and the ``SphericalSignal``
-functions are typed front ends over the same forwards.  Values arrays are
-(..., 2b, 2b); the spectral forwards take half spectra, m-major
-(b, b, channel, ...) with orders m >= 0 (see ``sft``), whose orders m > 0
-count twice wherever they are contracted (``order_weights``).  The
+output.  Area-weighted pooling (``wap_fwd``) is the exception: the network
+pools inside the synthesis, whose pooled adjoint is in ``sft``.  The network
+composes these pairs, and the ``SphericalSignal`` functions are typed front
+ends over the same forwards.  Values arrays are (..., 2b, 2b); the spectral
+forwards take half spectra, m-major (b, b, channel, ...) with orders m >= 0
+(see ``sft``), whose orders m > 0 count twice wherever they are contracted
+(``order_weights``).  The
 ``SpectralCoeffs`` front ends run the same forwards on the half-spectrum
 parts of their packed input (``sft._real_parts``), so they hold for any
 spectrum, not only those of real signals.
@@ -30,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SphericalGrid, make_grid, require_int
-from .harmonics import HarmonicTable, shared_table
-from .sft import SpectralCoeffs, SphericalSignal, _from_parts, _real_parts, _synthesis_half
+from .sft import SpectralCoeffs, SphericalSignal, _from_parts, _real_parts
 from .sft import order_weights
 
 
@@ -154,15 +155,6 @@ def conv_spectral(f: SpectralCoeffs, h: ZonalFilterSpec) -> SpectralCoeffs:
     return SpectralCoeffs(f.bandwidth, _from_parts(out[:, :, 0]))
 
 
-def filter_to_signal(spec: ZonalFilterSpec, table: HarmonicTable | None = None) -> SphericalSignal:
-    """Spatial realization of a zonal filter (order-zero synthesis)."""
-    b = spec.bandwidth
-    table = shared_table(b) if table is None else table
-    half = np.zeros((b, b, 1), dtype=np.complex128)
-    half[0, :, 0] = realize_filter(spec)
-    return SphericalSignal(table.grid, _synthesis_half(half, table))
-
-
 # ---------------------------------------------------------------------------
 # Pooling.
 # ---------------------------------------------------------------------------
@@ -213,16 +205,6 @@ def wap_fwd(values: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     w = grid.wap_rows[:, None]
     rows = values[..., 0::2, :] * w[0::2] + values[..., 1::2, :] * w[1::2]
     return rows[..., 0::2] + rows[..., 1::2]
-
-
-def wap_vjp(dy: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    w = grid.wap_rows[:, None]
-    dx = np.empty_like(dy, shape=dy.shape[:-2] + (grid.n, grid.n))
-    for r in (0, 1):
-        rows = dy * w[r::2]
-        dx[..., r::2, 0::2] = rows
-        dx[..., r::2, 1::2] = rows
-    return dx
 
 
 def max_fwd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

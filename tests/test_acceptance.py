@@ -40,12 +40,12 @@ from spheresig.spectral import (
     ZonalFilterSpec,
     anchor_layout,
     conv_spectral,
-    filter_to_signal,
     magl,
     realize_filter,
     wgap,
 )
 from spheresig.synth import make_blob_dataset, star_mesh
+from test_spectral import filter_to_signal
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -228,33 +228,96 @@ class TestProjection:
             project_mesh(TriangleMesh(np.eye(3), np.zeros((0, 3), int)), 4)
 
 
+class TestProjectionPose:
+    """A projection depends on the shape alone: a turn that maps the grid onto
+    itself rolls it, in both channels, and a scale leaves it as it is."""
+
+    @staticmethod
+    def star():
+        return star_mesh(seed=1, n_theta=8, n_phi=16)
+
+    @pytest.mark.parametrize("b", [8, 16, 32])
+    def test_quarter_turn_rolls_the_projection(self, b):
+        """90 degrees about z is b/2 of the 2b grid columns.  Rays through a
+        shared edge or vertex hit two faces at distances equal up to
+        roundoff; both poses record the lower face, hence its incidence."""
+        mesh = self.star()
+        turned = mesh.transformed([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        rolled = np.roll(project_mesh(mesh, b).signal.values, b // 2, axis=2)
+        np.testing.assert_allclose(
+            project_mesh(turned, b).signal.values, rolled, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scaled_mesh_projects_the_same(self, scale):
+        mesh = self.star()
+        values = project_mesh(mesh, 8).signal.values
+        scaled = TriangleMesh(mesh.vertices * scale, mesh.faces)
+        np.testing.assert_allclose(
+            project_mesh(scaled, 8).signal.values, values, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_hit_thresholds_have_no_unit(self, scale):
+        """The hit test's rows are unit-free and its t and least t scale with
+        the mesh, so a mesh of any size meets the same thresholds."""
+        mesh = self.star()
+        center, _ = bounding_sphere(mesh)
+        table = mesh_module._hit_table(*cast_args(mesh, center))
+        moved = TriangleMesh(mesh.vertices * scale, mesh.faces)
+        scaled = mesh_module._hit_table(*cast_args(moved, center * scale))
+        np.testing.assert_allclose(scaled[:9], table[:9], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(scaled[9:] / scale, table[9:], rtol=1e-14, atol=0)
+
+
 def all_pairs_cast(dirs, origin, v0, e1, e2):
-    """Reference caster: Moller-Trumbore on every (ray, face) pair.
+    """Reference caster: the hit test of ``_cast_rows`` on every (ray, face)
+    pair, from the same ``_hit_table`` columns and thresholds.
 
     Rays go in blocks only to bound memory; each pair's arithmetic is the
-    same whatever the block.  Ties in distance go to the lowest face index
-    (``argmax``).
+    same whatever the block.  Per ray the distance is the farthest hit, and
+    the face the lowest index (``argmax`` of the tie mask) among the hits
+    within a relative 1e-12 of it.
     """
-    eps, tol = 1e-12, 1e-9
+    tol = 1e-9
+    table = mesh_module._hit_table(origin, v0, e1, e2)[:, None, :]  # (11, 1, F)
     ts, faces = [], []
     step = max(1, 200_000 // len(v0))
     for start in range(0, len(dirs), step):
-        d = dirs[start : start + step]
-        p = np.cross(d[:, None, :], e2[None, :, :])
-        det = np.einsum("fj,rfj->rf", e1, p)
-        ok = np.abs(det) > eps
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        s = origin[None, :] - v0
-        u = np.einsum("fj,rfj->rf", s, p) * inv
-        q = np.cross(s, e1)
-        v = np.einsum("rj,fj->rf", d, q) * inv
-        t = np.einsum("fj,fj->f", e2, q)[None, :] * inv
-        hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > eps)
-        t = np.where(hit, t, -np.inf)
-        face = np.argmax(t, axis=1)
-        ts.append(t[np.arange(len(d)), face])
-        faces.append(face)
+        d = dirs[start : start + step].T[:, :, None]  # (3, R, 1)
+        w = d[0] * table[0:3] + d[1] * table[3:6] + d[2] * table[6:9]  # (3, R, F)
+        ok = np.abs(w[0]) > 1e-12
+        inv = 1.0 / np.where(ok, w[0], np.inf)
+        u, v = w[1:] * inv
+        t = table[9] * inv
+        hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > table[10])
+        far = np.where(hit, t, -np.inf).max(axis=1, keepdims=True)
+        ts.append(far[:, 0])
+        faces.append(np.argmax(hit & (far - t <= 1e-12 * far), axis=1))
     return np.concatenate(ts), np.concatenate(faces)
+
+
+def textbook_cast(dirs, origin, v0, e1, e2):
+    """Farthest hit by Moller & Trumbore's own formulas (JGT 2(1), 1997):
+    P = D x E2, det = E1 . P, u = T . P / det, Q = T x E1, v = D . Q / det,
+    t = E2 . Q / det, with T = origin - v0, on every (ray, face) pair.  The
+    thresholds are ``_cast_rows``' in this arithmetic: |det| > 1e-12 |E1 x
+    E2| and t > 1e-12 (|T| + |E1| + |E2|)."""
+    tol = 1e-9
+    tvec = origin - v0
+    q = np.cross(tvec, e1)
+    area = np.linalg.norm(np.cross(e1, e2), axis=1)
+    floor = 1e-12 * (np.linalg.norm(tvec, axis=1) + np.linalg.norm(e1, axis=1)
+                     + np.linalg.norm(e2, axis=1))
+    p = np.cross(dirs[:, None, :], e2[None, :, :])  # (R, F, 3)
+    det = np.einsum("fj,rfj->rf", e1, p)
+    ok = np.abs(det) > 1e-12 * area
+    det = np.where(ok, det, 1.0)
+    u = np.einsum("fj,rfj->rf", tvec, p) / det
+    v = np.einsum("rj,fj->rf", dirs, q) / det
+    t = np.einsum("fj,fj->f", e2, q) / det
+    hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > floor)
+    return np.where(hit, t, -np.inf).max(axis=1)
 
 
 def two_far_triangles():
@@ -399,6 +462,33 @@ class TestCasterParity:
         dirs = np.vstack([make_grid(8).directions().reshape(-1, 3), unit_rays(100, 5)])
         self.assert_matches(dirs, mesh, origin)
         assert max(pieces) == 64 and len(pieces) > 10
+
+
+class TestTextbookArithmetic:
+    """``_cast_rows``' per-face rows against Moller-Trumbore's own formulas:
+    the same rays hit, at the same distance to 1e-13."""
+
+    def assert_matches_textbook(self, dirs, mesh, origin):
+        args = (dirs, *cast_args(mesh, np.asarray(origin, dtype=np.float64)))
+        t, _ = mesh_module._cast_rows(*args)
+        t_ref = textbook_cast(*args)
+        hit = np.isfinite(t)
+        assert hit.any()
+        np.testing.assert_array_equal(hit, np.isfinite(t_ref))
+        np.testing.assert_allclose(t[hit], t_ref[hit], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", ["star800", "star801", "cube", "icosphere"])
+    def test_grid_and_random_rays(self, name):
+        mesh = {
+            "star800": star_mesh(seed=800, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9)),
+            "star801": star_mesh(seed=801, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9)),
+            "cube": cube_mesh(1.0),
+            "icosphere": icosphere(3),
+        }[name]
+        center, _ = bounding_sphere(mesh)
+        dirs = np.vstack([make_grid(8).directions().reshape(-1, 3), unit_rays(600, 6)])
+        self.assert_matches_textbook(dirs, mesh, center)
+        self.assert_matches_textbook(dirs, mesh, center + [0.1, -0.2, 0.05])
 
 
 def all_subset_sphere(pts):

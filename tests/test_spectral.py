@@ -25,7 +25,6 @@ from spheresig.spectral import (
     ZonalFilterSpec,
     anchor_layout,
     conv_spectral,
-    filter_to_signal,
     magl,
     max_pool,
     pointwise_nonlinearity,
@@ -34,6 +33,27 @@ from spheresig.spectral import (
     weighted_avg_pool,
     wgap,
 )
+
+
+def filter_to_signal(spec, table=None):
+    """Spatial realization of a zonal filter (order-zero synthesis)."""
+    b = spec.bandwidth
+    table = shared_table(b) if table is None else table
+    half = np.zeros((b, b, 1), dtype=np.complex128)
+    half[0, :, 0] = realize_filter(spec)
+    return SphericalSignal(table.grid, _synthesis_half(half, table))
+
+
+def wap_vjp(dy, grid):
+    """Adjoint of ``spectral.wap_fwd``: each pooled value times its row
+    weight, spread over its 2x2 block."""
+    w = grid.wap_rows[:, None]
+    dx = np.empty_like(dy, shape=dy.shape[:-2] + (grid.n, grid.n))
+    for r in (0, 1):
+        rows = dy * w[r::2]
+        dx[..., r::2, 0::2] = rows
+        dx[..., r::2, 1::2] = rows
+    return dx
 
 
 class TestRealizeFilter:
@@ -428,7 +448,7 @@ def _adjoint_case(name: str, rng: np.random.Generator):
         v = cotangent(b // 2, 2, 3)
         return coeffs, spectral.sp_fwd(coeffs, b // 2), v, spectral.sp_vjp(v, b)
     if name == "wap":
-        return vals, spectral.wap_fwd(vals, grid), pooled, spectral.wap_vjp(pooled, grid)
+        return vals, spectral.wap_fwd(vals, grid), pooled, wap_vjp(pooled, grid)
     if name == "max":
         # Piecewise linear and positively homogeneous, so J x equals the output.
         y, idx = spectral.max_fwd(vals)

@@ -228,3 +228,45 @@ def test_network_pools_in_the_synthesis():
     }
     assert "_synthesis_half" in called
     assert called.isdisjoint({"wap_fwd", "wap_vjp"})
+
+
+# Data generators that tests and the benchmark call; nothing in src/ needs them.
+MESH_MAKERS = {"icosphere", "cube_mesh", "star_mesh"}
+
+
+def _names(node):
+    """Every name a node reads, by plain name, attribute or import; strings
+    (docstrings included) do not count."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def test_every_definition_has_a_caller():
+    """Every top-level function and class in ``src/spheresig`` is reached from
+    an export of ``__init__``, from the CLI's ``main``, or from a statement
+    that runs on import, through the bodies of other definitions in ``src/``.
+    Only ``synth``'s mesh makers and ``__init__.__getattr__`` are exempt."""
+    import spheresig
+
+    defs, roots = {}, set(spheresig.__all__) | {"main"} | MESH_MAKERS
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = _names(node) - {node.name}
+            else:
+                roots |= _names(node)
+    live = [key for key in defs if key[1] in roots]
+    reached = set(live)
+    while live:
+        calls = defs[live.pop()]
+        new = [key for key in defs if key not in reached and key[1] in calls]
+        reached.update(new)
+        live += new
+    assert sorted(set(defs) - reached - {("__init__", "__getattr__")}) == []
