@@ -16,6 +16,7 @@ from spheresig.mesh import (
     load_off,
     project_mesh,
 )
+from spheresig.network import descriptors, init_parameters, two_branch_config
 from spheresig.rotation import random_rotations, rotate_signal
 from spheresig.synth import cube_mesh, icosphere, star_mesh
 
@@ -247,6 +248,18 @@ class TestProjectionPose:
         np.testing.assert_allclose(
             project_mesh(turned, b).signal.values, rolled, rtol=0, atol=1e-12
         )
+
+    def test_quarter_turn_keeps_the_descriptor(self):
+        """Every stage after the projection is exact on this turn, so the
+        network's invariant descriptor is too."""
+        b = 32
+        cfg = two_branch_config(b, 5)
+        params = init_parameters(cfg, seed=0)
+        mesh = self.star()
+        turned = mesh.transformed([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        a, c = (descriptors(cfg, params, project_mesh(m, b).signal.values[None])[0]
+                for m in (mesh, turned))
+        assert np.linalg.norm(c - a) <= 1e-12 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
     def test_scaled_mesh_projects_the_same(self, scale):
