@@ -19,6 +19,7 @@ hence the same incidence, in every pose that maps the grid onto itself.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -201,63 +202,105 @@ def load_mesh(path: str) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 # Minimum enclosing sphere, computed by support-set pivoting: repeatedly
 # solve the exact smallest sphere of the current support (at most 4 points)
-# plus the farthest outlier.  Exact up to roundoff, unlike Ritter-style
-# constructions.
+# plus the point farthest outside it (Welzl 1991; Gartner 1999).  Exact up to
+# roundoff, unlike Ritter-style constructions.  The small problems run on
+# Python float triples, where a closed-form circumcenter costs less than one
+# numpy call, and every containment test is relative to the radius, so the
+# sphere does not depend on the mesh's position or size.
 # ---------------------------------------------------------------------------
 
 
-def _circumsphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest sphere with all of ``pts`` (1..4 points) on its boundary."""
-    k = len(pts)
-    if k == 1:
-        return pts[0], 0.0
-    if k == 2:
-        c = 0.5 * (pts[0] + pts[1])
-        return c, float(np.linalg.norm(pts[0] - c))
-    # Solve for the center relative to pts[0], in the affine hull of the
-    # points: |d_i|^2 - 2 d_i.x = 0 holds no absolute coordinate to cancel.
-    d = pts[1:] - pts[0]
-    sol, *_ = np.linalg.lstsq(2.0 * d, np.einsum("ij,ij->i", d, d), rcond=None)
-    return pts[0] + sol, float(np.linalg.norm(sol))
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _min_sphere_small(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimum sphere of at most 5 points whose last point lies on its
-    boundary, by enumerating the subsets that hold that point.
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _circumsphere(pts):
+    """Smallest sphere with all of ``pts`` (1..4 float triples) on its
+    boundary, as (center, radius); None when the points are affinely
+    dependent (coincident, collinear or coplanar), where no such sphere is
+    unique.  The minimum sphere's support is always independent, so the
+    callers lose nothing by skipping those subsets.
+
+    The center is solved relative to ``p0 = pts[0]``, so no absolute
+    coordinate cancels: with d_i = q_i - p0 it is p0 + x, where x is d_1 / 2
+    for two points, (|a|^2 (b x n) + |b|^2 (n x a)) / (2 |n|^2) with n = a x b
+    for three, and (|a|^2 (b x c) + |b|^2 (c x a) + |c|^2 (a x b)) /
+    (2 a . (b x c)) for four.  The radius is |x|.
+    """
+    p0 = pts[0]
+    d = [(q[0] - p0[0], q[1] - p0[1], q[2] - p0[2]) for q in pts[1:]]
+    if len(d) < 2:
+        x = tuple(0.5 * v for v in d[0]) if d else (0.0, 0.0, 0.0)
+    else:
+        if len(d) == 2:
+            a, b = d
+            n = _cross(a, b)
+            terms = ((_dot(a, a), _cross(b, n)), (_dot(b, b), _cross(n, a)))
+            den = 2.0 * _dot(n, n)
+        else:
+            a, b, c = d
+            bc = _cross(b, c)
+            terms = ((_dot(a, a), bc), (_dot(b, b), _cross(c, a)), (_dot(c, c), _cross(a, b)))
+            den = 2.0 * _dot(a, bc)
+        if den == 0.0:
+            return None
+        x = tuple(sum(w * v[i] for w, v in terms) / den for i in range(3))
+    return (p0[0] + x[0], p0[1] + x[1], p0[2] + x[2]), math.sqrt(_dot(x, x))
+
+
+def _min_sphere_small(pts):
+    """Exact minimum sphere of at most 5 points (float triples) whose last
+    point lies on its boundary, by trying the subsets that hold that point.
 
     ``bounding_sphere`` passes the support plus the point outside it, and a
     point outside the minimum sphere of the others lies on the boundary of
-    the minimum sphere of all (Welzl 1991).
+    the minimum sphere of all (Welzl 1991).  The candidate spheres, in the
+    order ``[*sub, last]`` over subsets of growing size, are stable-sorted by
+    radius, and the first that holds every point within a relative 1e-10 of
+    its radius wins: the smallest such sphere, the earliest among equals.
     """
-    best: tuple[np.ndarray, float] | None = None
-    n = len(pts)
-    for k in range(min(n, 4)):
-        for sub in combinations(range(n - 1), k):
-            c, r = _circumsphere(pts[[*sub, n - 1]])
-            if np.linalg.norm(pts - c, axis=1).max() <= r * (1 + 1e-10) + 1e-12:
-                if best is None or r < best[1]:
-                    best = (c, r)
-    assert best is not None
-    return best
+    *rest, last = pts
+    spheres = [
+        _circumsphere([*sub, last])
+        for k in range(min(len(pts), 4))
+        for sub in combinations(rest, k)
+    ]
+    spheres = sorted((s for s in spheres if s is not None), key=lambda s: s[1])
+    for c, r in spheres:
+        if all(math.dist(q, c) <= r * (1 + 1e-10) for q in pts):
+            return c, r
+    raise AssertionError("no candidate sphere holds every point")
 
 
 def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
-    """Center and radius of the minimum sphere enclosing all vertices."""
-    pts = np.unique(mesh.vertices, axis=0)
+    """Center and radius of the minimum sphere enclosing all vertices.
+
+    Each pivot adds the vertex farthest outside the sphere to the support
+    and solves ``_min_sphere_small``; the support keeps the (at most 4)
+    points within a relative 1e-9 of the new boundary.  Every test is
+    relative to the radius, so the sphere scales and moves with the mesh.
+    Duplicate vertices need no pruning: a copy of a support point is never
+    outside the sphere, so it never pivots, and ``argmax`` takes the first
+    of equal distances.
+    """
+    pts = mesh.vertices
     if len(pts) == 0:
         raise ValueError("mesh has no vertices")
-    center, radius = pts[0].copy(), 0.0
-    support = pts[:1]
+    center, radius = pts[0].tolist(), 0.0
+    support = [center]
     for _ in range(16 * len(pts) + 16):
         d = np.linalg.norm(pts - center, axis=1)
         far = int(np.argmax(d))
-        if d[far] <= radius * (1 + 1e-10) + 1e-12:
+        if d[far] <= radius * (1 + 1e-10):
             break
-        cand = np.vstack([support, pts[far]])
+        cand = [*support, pts[far].tolist()]
         center, radius = _min_sphere_small(cand)
-        on = np.linalg.norm(cand - center, axis=1) >= radius * (1 - 1e-9) - 1e-12
-        support = cand[on][-4:]
-    return center, float(radius)
+        support = [q for q in cand if math.dist(q, center) >= radius * (1 - 1e-9)][-4:]
+    return np.array(center), float(radius)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mesh ingestion: file formats, bounding spheres, ray-cast projection."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -506,12 +507,16 @@ class TestTextbookArithmetic:
 
 def all_subset_sphere(pts):
     """The minimum sphere of at most 5 points over every subset, not only
-    those that hold the last point."""
+    those that hold the last point, with ``_min_sphere_small``'s relative
+    containment rule; dependent subsets have no circumsphere."""
     best = None
     for k in range(1, min(len(pts), 4) + 1):
-        for sub in itertools.combinations(range(len(pts)), k):
-            c, r = mesh_module._circumsphere(pts[list(sub)])
-            if np.linalg.norm(pts - c, axis=1).max() <= r * (1 + 1e-10) + 1e-12:
+        for sub in itertools.combinations(pts, k):
+            sphere = mesh_module._circumsphere(sub)
+            if sphere is None:
+                continue
+            c, r = sphere
+            if all(math.dist(q, c) <= r * (1 + 1e-10) for q in pts):
                 if best is None or r < best[1]:
                     best = (c, r)
     return best

@@ -231,40 +231,85 @@ def test_network_pools_in_the_synthesis():
 
 
 # Data generators that tests and the benchmark call; nothing in src/ needs them.
-MESH_MAKERS = {"icosphere", "cube_mesh", "star_mesh"}
+MESH_MAKERS = {("synth", name) for name in ("icosphere", "cube_mesh", "star_mesh")}
 
 
-def _names(node):
-    """Every name a node reads, plain or as an attribute; imports and strings
-    (docstrings included) do not count."""
-    found = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            found.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            found.add(n.attr)
-    return found
+def _reader(tree, module):
+    """A function giving the (module, name) of every definition a node reads.
+
+    In ``module``, ``from .m import x as y`` binds ``y`` to (m, x), ``from .
+    import m as y`` makes ``y.x`` read (m, x), and any other plain name is
+    the module's own (module, name), wherever in the file the import sits.
+    Imports and strings (docstrings included) are not reads.
+    """
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module:
+                    names[bound] = (node.module, alias.name)
+                else:
+                    modules[bound] = alias.name
+
+    def reads(node):
+        found = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found.add(names.get(n.id, (module, n.id)))
+            elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in modules:
+                found.add((modules[n.value.id], n.attr))
+        return found
+
+    return reads
+
+
+def unreached(sources, roots):
+    """The (module, name) of each top-level function and class in
+    ``sources`` (module name -> source text) that no root reaches, through
+    the bodies of other definitions.  Statements that run on import are
+    roots too."""
+    defs, roots = {}, set(roots)
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        reads = _reader(tree, module)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = reads(node) - {(module, node.name)}
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= reads(node)
+    reached, live = set(), [key for key in roots if key in defs]
+    while live:
+        key = live.pop()
+        if key not in reached:
+            reached.add(key)
+            live += [k for k in defs[key] if k in defs]
+    return sorted(set(defs) - reached)
+
+
+def test_unreached_keys_definitions_by_module():
+    """A dead ``a.helper`` is found though ``b.helper`` is live, and the three
+    import forms resolve: ``from .m import x``, ``from . import m`` with
+    ``m.x``, and an import inside a function."""
+    sources = {
+        "a": "def helper():\n    pass\n\ndef shared():\n    pass\n",
+        "b": "from .a import shared\n\ndef helper():\n    return shared()\n",
+        "c": "from . import a\n\ndef main():\n    from .b import helper\n    return a.shared, helper\n",
+    }
+    assert unreached(sources, {("c", "main")}) == [("a", "helper")]
+    assert unreached(sources, {("b", "helper")}) == [("a", "helper"), ("c", "main")]
 
 
 def test_every_definition_has_a_caller():
     """Every top-level function and class in ``src/spheresig`` is reached from
     an export of ``__init__``, from the CLI's ``main``, or from a statement
-    that runs on import, through the bodies of other definitions in ``src/``.
-    Only ``synth``'s mesh makers and ``__init__.__getattr__`` are exempt."""
+    that runs on import, through the bodies of other definitions in ``src/``
+    (``unreached``: by module and name, so a dead definition cannot hide
+    behind a live one of the same name).  Only ``synth``'s mesh makers and
+    ``__init__.__getattr__`` are exempt."""
     import spheresig
 
-    defs, roots = {}, set(spheresig.__all__) | {"main"} | MESH_MAKERS
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[path.stem, node.name] = _names(node) - {node.name}
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots |= _names(node)
-    live = [key for key in defs if key[1] in roots]
-    reached = set(live)
-    while live:
-        calls = defs[live.pop()]
-        new = [key for key in defs if key not in reached and key[1] in calls]
-        reached.update(new)
-        live += new
-    assert sorted(set(defs) - reached - {("__init__", "__getattr__")}) == []
+    exports = {(module, name) for name, module in spheresig._MODULE_OF.items()}
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    found = unreached(sources, exports | {("cli", "main")} | MESH_MAKERS)
+    assert [key for key in found if key != ("__init__", "__getattr__")] == []
