@@ -181,14 +181,14 @@ def load_obj(path: str) -> TriangleMesh:
                 face_lines.append(lineno)
     if not verts:
         raise ValueError(f"{path}: no vertices found")
-    f = np.array(faces, dtype=np.int64).reshape(-1, 3)
-    bad = ((f < 0) | (f >= len(verts))).any(axis=1)
-    if bad.any():
-        raise ValueError(
-            f"{path}: line {face_lines[int(np.argmax(bad))]}: face index out of range "
-            f"for {len(verts)} vertices"
-        )
-    return TriangleMesh(np.array(verts), f)
+    # checked on the Python ints: an index past int64 must be an error, not
+    # an OverflowError from the array conversion
+    for face, lineno in zip(faces, face_lines):
+        if not all(0 <= i < len(verts) for i in face):
+            raise ValueError(
+                f"{path}: line {lineno}: face index out of range for {len(verts)} vertices"
+            )
+    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def load_mesh(path: str) -> TriangleMesh:

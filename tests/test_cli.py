@@ -362,6 +362,8 @@ class TestExitCodes:
             (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 0 1 2"], "line 4: face index 0"),
             (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 4"], "line 4: face index out of range"),
             (["v 0 0 0", "v 1 x 0", "v 0 1 0", "f 1 2 3"], "line 2: could not convert"),
+            (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 99999999999999999999"],
+             "line 4: face index out of range"),
         ],
     )
     def test_malformed_obj(self, tmp_path, capsys, lines, message):

@@ -1,12 +1,15 @@
-"""Seeded fuzz of the SPH1/SPEC1/CKPT1 readers through the CLI.
+"""Seeded fuzz of the SPH1/SPEC1/CKPT1 readers and the OBJ/OFF mesh readers
+through the CLI.
 
 Each example mutates a valid file (truncated at an offset, one bit flipped,
-or one header u32 field set to an extreme value) and runs the CLI command
-that reads it in-process.  The contract: exit code 0 or 2, and no exception
-escapes ``main``.
+one header u32 field set to an extreme value, or, in a mesh file, one number
+token replaced by an extreme one) and runs the CLI command that reads it
+in-process.  The contract: exit code 0 or 2, and no exception escapes
+``main``.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -19,6 +22,7 @@ from spheresig.formats import write_ckpt1, write_spec1, write_sph1
 from spheresig.harmonics import shared_table
 from spheresig.network import LayerConfig, NetworkConfig, init_parameters
 from spheresig.sft import isft, random_coeffs
+from spheresig.synth import star_mesh
 
 FUZZ = settings(
     derandomize=True,
@@ -79,10 +83,21 @@ def valid(tmp_path_factory):
     (d / "net.json").write_text(
         json.dumps(dict(input_bandwidth=B, num_classes=2, layers=[dict(out_channels=2, anchors=2)]))
     )
+    star = star_mesh(seed=1, n_theta=4, n_phi=8)
+    vertices = [" ".join(map(repr, v)) for v in star.vertices.tolist()]
+    (d / "star.obj").write_text(
+        "".join(f"v {v}\n" for v in vertices) + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in star.faces)
+    )
+    (d / "star.off").write_text(
+        f"OFF\n{len(star.vertices)} {len(star.faces)} 0\n" + "".join(f"{v}\n" for v in vertices)
+        + "".join(f"3 {a} {b} {c}\n" for a, b, c in star.faces)
+    )
     return {p.name: p for p in d.iterdir()}
 
 
 def test_valid_files_pass(valid, tmp_path, capsys):
+    for mesh in ("star.obj", "star.off"):
+        assert main(["mesh2sphere", str(valid[mesh]), "-b", str(B), "-o", str(tmp_path / "o.sph")]) == 0
     assert main(["sft", str(valid["sig.sph"]), "-o", str(tmp_path / "o.spec")]) == 0
     assert main(["isft", str(valid["sig.spec"]), "-o", str(tmp_path / "o.sph")]) == 0
     assert main(["infer", "--config", str(valid["net.json"]), "--ckpt", str(valid["net.ckpt"]),
@@ -116,6 +131,37 @@ def test_ckpt1(valid, tmp_path, data):
     bad.write_bytes(mutate(raw, data.draw(mutations(len(raw), ckpt_u32_offsets(raw)))))
     run_cli(["infer", "--config", str(valid["net.json"]), "--ckpt", str(bad),
              "--input", str(valid["sig.sph"]), "-o", str(tmp_path / "out.json")])
+
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+EXTREME_TOKENS = (b"nan", b"inf", b"-1", b"1e309", b"99999999999999999999")
+
+
+def text_mutations(data: bytes):
+    """Truncation, one flipped bit, or one number token replaced by an extreme."""
+    spans = [m.span() for m in NUMBER.finditer(data)]
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(data) - 1)),
+        st.tuples(st.just("flip"), st.integers(0, 8 * len(data) - 1)),
+        st.tuples(st.just("token"), st.sampled_from(spans), st.sampled_from(EXTREME_TOKENS)),
+    )
+
+
+def mutate_text(data: bytes, mutation) -> bytes:
+    if mutation[0] != "token":
+        return mutate(data, mutation)
+    (start, stop), token = mutation[1:]
+    return data[:start] + token + data[stop:]
+
+
+@FUZZ
+@pytest.mark.filterwarnings("ignore:dropped .* degenerate faces")
+@given(data=st.data(), name=st.sampled_from(["star.obj", "star.off"]))
+def test_mesh_files(valid, tmp_path, data, name):
+    raw = valid[name].read_bytes()
+    bad = tmp_path / name
+    bad.write_bytes(mutate_text(raw, data.draw(text_mutations(raw))))
+    run_cli(["mesh2sphere", str(bad), "-b", str(B), "-o", str(tmp_path / "out.sph")])
 
 
 def test_spec1_unknown_storage_code(valid, tmp_path, capsys):

@@ -123,6 +123,18 @@ class TestAbsoluteCoordinates:
         np.testing.assert_allclose(moved_center - shift, center, rtol=0, atol=1e-9)
         assert abs(moved_radius - radius) <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e12])
+    def test_sphere_of_a_scaled_mesh_is_the_scaled_sphere(self, scale):
+        """Every containment test is relative to the radius, so a tiny mesh
+        gets the scaled sphere, not one bent by an absolute slack."""
+        mesh = self.star()
+        center, radius = bounding_sphere(mesh)
+        scaled_center, scaled_radius = bounding_sphere(
+            TriangleMesh(mesh.vertices * scale, mesh.faces)
+        )
+        np.testing.assert_allclose(scaled_center / scale, center, rtol=0, atol=1e-12 * radius)
+        assert abs(scaled_radius / scale - radius) <= 1e-12 * radius
+
     def test_three_point_sphere_lies_in_their_plane(self):
         """Three points far from the origin: the center is their circumcenter,
         not the point of the equidistant line nearest the origin."""
@@ -262,7 +274,7 @@ class TestProjectionPose:
                 for m in (mesh, turned))
         assert np.linalg.norm(c - a) <= 1e-12 * np.linalg.norm(a)
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-6, 1e-3, 1e3, 1e6])
     def test_scaled_mesh_projects_the_same(self, scale):
         mesh = self.star()
         values = project_mesh(mesh, 8).signal.values
@@ -270,6 +282,23 @@ class TestProjectionPose:
         np.testing.assert_allclose(
             project_mesh(scaled, 8).signal.values, values, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("b", [8, 32])
+    def test_shifted_mesh_projects_the_same(self, b):
+        """The projection center follows the mesh.  At 1e3 both channels
+        hold to 1e-12.  At 1e6 the vertex coordinates themselves round by
+        ~1e-10, so channel 0 holds to 1e-9, and channel 1 is not compared:
+        3 samples at rays through a shared edge flip, because the rounding
+        opens a gap in t between the two faces wider than the 1e-12 tie
+        window."""
+        mesh = self.star()
+        values = project_mesh(mesh, b).signal.values
+        for t, channels, atol in ((1e3, slice(None), 1e-12), (1e6, 0, 1e-9)):
+            shifted = TriangleMesh(mesh.vertices + t * np.array([1.0, -0.7, 0.3]), mesh.faces)
+            np.testing.assert_allclose(
+                project_mesh(shifted, b).signal.values[channels], values[channels],
+                rtol=0, atol=atol,
+            )
 
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     def test_hit_thresholds_have_no_unit(self, scale):
@@ -550,3 +579,41 @@ class TestBoundingSphereSubsets:
             ref_center, ref_radius = bounding_sphere(mesh)
         np.testing.assert_array_equal(center, ref_center)
         assert radius == ref_radius
+
+    @pytest.mark.parametrize("name", ["star800", "cloud", "cube"])
+    def test_duplicate_vertices_change_no_bit(self, name):
+        """A copy of a support point is never outside the sphere, so it never
+        pivots: the vertices stacked with a reversed copy give the same bits."""
+        mesh = sphere_meshes()[name]
+        doubled = TriangleMesh(np.vstack([mesh.vertices, mesh.vertices[::-1]]), mesh.faces)
+        center, radius = bounding_sphere(mesh)
+        doubled_center, doubled_radius = bounding_sphere(doubled)
+        np.testing.assert_array_equal(doubled_center, center)
+        assert doubled_radius == radius
+
+    def test_dependent_subsets_have_no_circumsphere(self):
+        line = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+        plane = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        assert mesh_module._circumsphere(line) is None
+        assert mesh_module._circumsphere(plane) is None
+        assert mesh_module._circumsphere(line[:2] + line[:1]) is None
+
+    def test_collinear_vertices_in_every_order(self, monkeypatch):
+        """Four points on a line: the pivots meet collinear triples, which
+        have no circumsphere, and the sphere is the one on the end points."""
+        circumsphere, dependent = mesh_module._circumsphere, []
+
+        def spy(pts):
+            sphere = circumsphere(pts)
+            dependent.append(sphere is None)
+            return sphere
+
+        monkeypatch.setattr(mesh_module, "_circumsphere", spy)
+        line = np.array([[0, 0, 0], [1, 0, 0], [3, 0, 0], [2, 0, 0]], float)
+        for order in itertools.permutations(range(4)):
+            with pytest.warns(UserWarning, match="degenerate"):
+                mesh = TriangleMesh(line[list(order)], [[0, 1, 2]])
+            center, radius = bounding_sphere(mesh)
+            np.testing.assert_array_equal(center, [1.5, 0.0, 0.0])
+            assert radius == 1.5
+        assert any(dependent)
