@@ -47,6 +47,9 @@ def mutate(data: bytes, mutation) -> bytes:
     kind, where = mutation[:2]
     if kind == "truncate":
         return data[:where]
+    if kind == "token":
+        start, stop = where
+        return data[:start] + mutation[2] + data[stop:]
     out = bytearray(data)
     if kind == "flip":
         out[where // 8] ^= 1 << (where % 8)
@@ -86,7 +89,8 @@ def valid(tmp_path_factory):
     star = star_mesh(seed=1, n_theta=4, n_phi=8)
     vertices = [" ".join(map(repr, v)) for v in star.vertices.tolist()]
     (d / "star.obj").write_text(
-        "".join(f"v {v}\n" for v in vertices) + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in star.faces)
+        "".join(f"v {v}\n" for v in vertices)
+        + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in star.faces)
     )
     (d / "star.off").write_text(
         f"OFF\n{len(star.vertices)} {len(star.faces)} 0\n" + "".join(f"{v}\n" for v in vertices)
@@ -97,7 +101,8 @@ def valid(tmp_path_factory):
 
 def test_valid_files_pass(valid, tmp_path, capsys):
     for mesh in ("star.obj", "star.off"):
-        assert main(["mesh2sphere", str(valid[mesh]), "-b", str(B), "-o", str(tmp_path / "o.sph")]) == 0
+        out = str(tmp_path / "o.sph")
+        assert main(["mesh2sphere", str(valid[mesh]), "-b", str(B), "-o", out]) == 0
     assert main(["sft", str(valid["sig.sph"]), "-o", str(tmp_path / "o.spec")]) == 0
     assert main(["isft", str(valid["sig.spec"]), "-o", str(tmp_path / "o.sph")]) == 0
     assert main(["infer", "--config", str(valid["net.json"]), "--ckpt", str(valid["net.ckpt"]),
@@ -147,20 +152,13 @@ def text_mutations(data: bytes):
     )
 
 
-def mutate_text(data: bytes, mutation) -> bytes:
-    if mutation[0] != "token":
-        return mutate(data, mutation)
-    (start, stop), token = mutation[1:]
-    return data[:start] + token + data[stop:]
-
-
 @FUZZ
 @pytest.mark.filterwarnings("ignore:dropped .* degenerate faces")
 @given(data=st.data(), name=st.sampled_from(["star.obj", "star.off"]))
 def test_mesh_files(valid, tmp_path, data, name):
     raw = valid[name].read_bytes()
     bad = tmp_path / name
-    bad.write_bytes(mutate_text(raw, data.draw(text_mutations(raw))))
+    bad.write_bytes(mutate(raw, data.draw(text_mutations(raw))))
     run_cli(["mesh2sphere", str(bad), "-b", str(B), "-o", str(tmp_path / "out.sph")])
 
 

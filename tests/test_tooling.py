@@ -294,7 +294,8 @@ def test_unreached_keys_definitions_by_module():
     sources = {
         "a": "def helper():\n    pass\n\ndef shared():\n    pass\n",
         "b": "from .a import shared\n\ndef helper():\n    return shared()\n",
-        "c": "from . import a\n\ndef main():\n    from .b import helper\n    return a.shared, helper\n",
+        "c": "from . import a\n\ndef main():\n"
+             "    from .b import helper\n    return a.shared, helper\n",
     }
     assert unreached(sources, {("c", "main")}) == [("a", "helper")]
     assert unreached(sources, {("b", "helper")}) == [("a", "helper"), ("c", "main")]
