@@ -32,6 +32,20 @@ from .sft import SphericalSignal
 _EPS = 1e-12
 
 
+def _exponent(v: np.ndarray) -> int:
+    """Binary exponent of the largest |coordinate| of ``v`` (0 if empty).
+
+    ``np.ldexp(v, -_exponent(v))`` brings every coordinate into [-1, 1).  A
+    power of two scales floats exactly, so the face rule, the bounding
+    sphere and the projection work on the prescaled mesh and scale their
+    lengths back exactly: at any size where nothing over- or underflows
+    they give the same bits as on the mesh itself, and at any other size
+    their products (up to fourth powers of a coordinate in the sphere's
+    closed forms) stay finite and normal.
+    """
+    return int(np.frexp(np.abs(v).max())[1]) if v.size else 0
+
+
 @dataclass
 class TriangleMesh:
     """Vertex/face soup with finite vertices; degenerate (zero-area) faces are
@@ -58,8 +72,10 @@ class TriangleMesh:
         if f.size:
             # Each face is judged by its own size: twice its area against its
             # longest edge squared, so the rule holds under any translation
-            # and scale.
-            e1, e2 = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
+            # and scale (on the prescaled vertices, so no product over- or
+            # underflows).
+            u = np.ldexp(v, -_exponent(v))
+            e1, e2 = u[f[:, 1]] - u[f[:, 0]], u[f[:, 2]] - u[f[:, 0]]
             area2 = np.linalg.norm(np.cross(e1, e2), axis=1)
             edge2 = np.stack([e1, e2, e2 - e1]) ** 2
             keep = area2 > _EPS * edge2.sum(axis=-1).max(axis=0)
@@ -282,14 +298,17 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
     Each pivot adds the vertex farthest outside the sphere to the support
     and solves ``_min_sphere_small``; the support keeps the (at most 4)
     points within a relative 1e-9 of the new boundary.  Every test is
-    relative to the radius, so the sphere scales and moves with the mesh.
+    relative to the radius, so the sphere scales and moves with the mesh,
+    and it runs on the vertices prescaled by ``_exponent``, so its closed
+    forms stay finite at any size.
     Duplicate vertices need no pruning: a copy of a support point is never
     outside the sphere, so it never pivots, and ``argmax`` takes the first
     of equal distances.
     """
-    pts = mesh.vertices
-    if len(pts) == 0:
+    if len(mesh.vertices) == 0:
         raise ValueError("mesh has no vertices")
+    scale = _exponent(mesh.vertices)
+    pts = np.ldexp(mesh.vertices, -scale)
     center, radius = pts[0].tolist(), 0.0
     support = [center]
     for _ in range(16 * len(pts) + 16):
@@ -300,7 +319,7 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
         cand = [*support, pts[far].tolist()]
         center, radius = _min_sphere_small(cand)
         support = [q for q in cand if math.dist(q, center) >= radius * (1 - 1e-9)][-4:]
-    return np.array(center), float(radius)
+    return np.ldexp(center, scale), math.ldexp(radius, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +329,17 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
 
 _CONE_MARGIN = 1e-6  # radians added to every face cone, and again to its reach
 _CONE_WIDE = 0.1  # faces whose cone has cos(half-angle) <= this reach every ray
+_POLE_GAP = 1e-3  # radians a cone's reach must clear both poles by for the corner bound
 _PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) pairs held in memory
 _TIE = 1e-12  # hits within this relative distance of the farthest are one tie
+
+# The per-face arithmetic runs on (3, F) component rows, through the same
+# ``_cross`` and ``_dot`` as the sphere's float triples: at a few thousand
+# faces, numpy's per-call cost outweighs the work of np.cross or np.linalg.norm.
+
+
+def _norm(a):
+    return np.sqrt(_dot(a, a))
 
 
 def _face_cones(
@@ -327,32 +355,34 @@ def _face_cones(
     direction is unreliable), get cos = -inf so that every ray stays a
     candidate.
     """
-    a0 = v0 - origin
-    corners = np.stack([a0, a0 + e1, a0 + e2], axis=1)  # (F, 3 vertices, 3)
-    dist = np.linalg.norm(corners, axis=2)
-    scale = np.linalg.norm(a0, axis=1) + np.linalg.norm(e1, axis=1) + np.linalg.norm(e2, axis=1)
-    at_origin = dist.min(axis=1) <= 1e-6 * scale
-    unit = corners / np.where(dist > 0, dist, 1.0)[:, :, None]
-    axis = unit.sum(axis=1)
-    norm = np.linalg.norm(axis, axis=1)
-    axis /= np.where(norm > 0, norm, 1.0)[:, None]
-    sin = np.linalg.norm(np.cross(unit, axis[:, None, :]), axis=2)
-    cos = np.einsum("fkj,fj->fk", unit, axis)
-    half = np.arctan2(sin, cos).max(axis=1) + _CONE_MARGIN
-    cos_half = np.cos(np.minimum(half, np.pi))
+    a0 = (v0 - origin).T
+    corners = (a0, a0 + e1.T, a0 + e2.T)
+    dist = [_norm(c) for c in corners]
+    at_origin = np.minimum.reduce(dist) <= 1e-6 * (dist[0] + _norm(e1.T) + _norm(e2.T))
+    unit = [c / np.where(d > 0, d, 1.0) for c, d in zip(corners, dist)]
+    axis = unit[0] + unit[1] + unit[2]
+    norm = _norm(axis)
+    axis /= np.where(norm > 0, norm, 1.0)
+    half = np.maximum.reduce([np.arctan2(_norm(_cross(u, axis)), _dot(u, axis)) for u in unit])
+    cos_half = np.cos(np.minimum(half + _CONE_MARGIN, np.pi))
     cos_half[at_origin | (norm == 0) | (cos_half <= _CONE_WIDE)] = -np.inf
-    return axis, cos_half
+    return axis.T, cos_half
 
 
 def _pieces(counts: np.ndarray, size: int):
     """Walk the concatenated ranges ``range(counts[i])`` in pieces of at most
     ``size`` items; each piece is (i, offset within range i) per item."""
     ends = np.cumsum(counts)
+    starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
     for k0 in range(0, total, size):
-        k = np.arange(k0, min(k0 + size, total))
-        i = np.searchsorted(ends, k, side="right")
-        yield i, k - (ends[i] - counts[i])
+        k1 = min(k0 + size, total)
+        # the ranges that hold items k0 .. k1 - 1, each cut to the piece
+        first, last = np.searchsorted(ends, [k0, k1 - 1], side="right")
+        span = slice(first, last + 1)
+        i = np.repeat(np.arange(first, last + 1),
+                      np.minimum(ends[span], k1) - np.maximum(starts[span], k0))
+        yield i, np.arange(k0, k1) - starts[i]
 
 
 def _hit_table(
@@ -368,15 +398,15 @@ def _hit_table(
     and row 10 the least t that counts as a hit, 1e-12 times the face's scale
     |s| + |e1| + |e2|.
     """
-    s = origin[None, :] - v0  # (F, 3)
-    rows = np.stack([np.cross(e2, e1), np.cross(e2, s), np.cross(s, e1)], axis=2)  # (F, xyz, row)
-    area = np.linalg.norm(rows[:, :, 0], axis=1)
-    scale = np.linalg.norm(s, axis=1) + np.linalg.norm(e1, axis=1) + np.linalg.norm(e2, axis=1)
-    return np.vstack([
-        (rows / area[:, None, None]).reshape(-1, 9).T,
-        np.einsum("fj,fj->f", e2, rows[:, :, 2]) / area,
-        _EPS * scale,
-    ])
+    s, e1, e2 = (origin - v0).T, e1.T, e2.T
+    rows = (_cross(e2, e1), _cross(e2, s), _cross(s, e1))
+    area = _norm(rows[0])
+    table = np.empty((11, len(area)))
+    table[:9] = [c for xyz in zip(*rows) for c in xyz]
+    table[9] = _dot(e2, rows[2])
+    table[:10] /= area
+    table[10] = _EPS * (_norm(s) + _norm(e1) + _norm(e2))
+    return table
 
 
 def _cast_rows(
@@ -392,9 +422,21 @@ def _cast_rows(
     (row, longitude), each such interval is one index range, split where it
     wraps past +-pi.  h gets ``_CONE_MARGIN`` more, and the interval the same
     again, so roundoff only adds pairs; wide cones, and rows where sin theta
-    sin theta_a vanishes (the poles), take the whole row.  The (face, row)
-    pairs are walked row by row and by longitude within a row, so the range
-    ends arrive at ``searchsorted`` nearly sorted.
+    sin theta_a vanishes (the poles), take the whole row.
+
+    Where the cone's reach clears both poles by gap > ``_POLE_GAP``, the
+    interval is also cut to the longitudes of the face's three corners,
+    measured from phi_a and padded by ``_CONE_MARGIN`` / sin(gap).  This
+    loses no pair: on a great-circle arc that misses the poles, longitude
+    is strictly monotonic (the arc's xy-projection is an ellipse centred on
+    the z axis), so a spherical triangle inside a pole-free cap spans exactly
+    its corners' longitudes, and an angle d off the triangle moves longitude
+    by at most d / sin(gap) there.  phi_a lies in both intervals, so their
+    common part is never empty.  Faces whose cone reaches a pole keep the
+    cone interval alone.
+
+    The (face, row) pairs are walked row by row and by longitude within a
+    row, so the range ends arrive at ``searchsorted`` nearly sorted.
 
     Moller-Trumbore runs on the listed pairs, at most ``_PAIRS_PER_BLOCK`` at
     a time, as three dot products of the ray with its face's column of
@@ -419,9 +461,20 @@ def _cast_rows(
     ray_dirs = np.ascontiguousarray(dirs[ray_order].T)  # (3 xyz, rays) in key order
     reach = np.arccos(np.maximum(cos_half, -1.0)) + _CONE_MARGIN  # > pi for wide cones
     cos_reach = np.cos(reach)
-    axis_sin = np.hypot(axis[:, 0], axis[:, 1])
-    axis_theta = np.arctan2(axis_sin, axis[:, 2])
-    axis_phi = np.arctan2(axis[:, 1], axis[:, 0])
+    ax, ay, az = axis.T
+    axis_sin = np.hypot(ax, ay)
+    axis_theta = np.arctan2(axis_sin, az)
+    axis_phi = np.arctan2(ay, ax)
+    # each face's corner longitudes from phi_a, padded, where its cone clears
+    # both poles; -inf, inf elsewhere
+    gap = np.minimum(axis_theta, np.pi - axis_theta) - reach
+    clear = gap > _POLE_GAP
+    pad = _CONE_MARGIN / np.sin(np.where(clear, gap, 1.0))
+    a0 = (v0 - origin).T[:2]
+    phis = [np.arctan2(ax * c[1] - ay * c[0], ax * c[0] + ay * c[1])
+            for c in (a0, a0 + e1.T[:2], a0 + e2.T[:2])]
+    phi_lo = np.where(clear, np.minimum.reduce(phis) - pad, -np.inf)
+    phi_hi = np.where(clear, np.maximum.reduce(phis) + pad, np.inf)
     # rows with |theta - theta_a| <= reach are a z range of the sorted rows
     first_row = np.searchsorted(row_z, np.cos(np.minimum(axis_theta + reach, np.pi)))
     end_row = np.searchsorted(row_z, np.cos(np.maximum(axis_theta - reach, 0.0)), "right")
@@ -435,11 +488,15 @@ def _cast_rows(
         fr, rw = fr[by_row], rw[by_row]
         den = row_sin[rw] * axis_sin[fr]
         whole = (reach[fr] >= np.pi) | (den <= 1e-12)
-        num = cos_reach[fr] - row_z[rw] * axis[fr, 2]
+        num = cos_reach[fr] - row_z[rw] * az[fr]
         half = np.arccos(np.clip(num / np.where(whole, 1.0, den), -1.0, 1.0)) + _CONE_MARGIN
         whole |= half >= np.pi
-        lo = np.where(whole, -4.0, axis_phi[fr] - half)
-        hi = np.where(whole, 4.0, axis_phi[fr] + half)
+        # the cone's interval from phi_a, cut to the corners' where they bound it
+        lo = np.maximum(np.where(whole, -np.inf, -half), phi_lo[fr])
+        hi = np.minimum(np.where(whole, np.inf, half), phi_hi[fr])
+        whole = np.isinf(lo)
+        lo = np.where(whole, -4.0, axis_phi[fr] + lo)
+        hi = np.where(whole, 4.0, axis_phi[fr] + hi)
         # an interval past -pi or +pi goes on at the row's other end: one more
         # (face, row) range, shifted by 2 pi
         past = ~whole & ((lo < -np.pi) | (hi > np.pi))
@@ -451,16 +508,22 @@ def _cast_rows(
         for k, at in _pieces(stop - start, _PAIRS_PER_BLOCK):
             i = start[k] + at  # rays in key order
             f = fr[k]
-            # in place, to hold no more than the gathered columns: rows 0-2
-            # become det, u and v, and row 9 becomes t
-            col = np.take(table, f, axis=1)
-            d = np.take(ray_dirs, i, axis=1)
-            w = col[0:3]
+            # One array holds the gathered columns (rows 0-10) and rays (rows
+            # 11-13), and the arithmetic runs in place in it: rows 0-2 become
+            # det, u and v, row 9 t and row 11 1 / det.  ``mode="clip"``
+            # gathers straight into it (the indices are in range); the
+            # default mode would gather into a buffer and copy.
+            col = np.empty((14, len(f)))
+            np.take(table, f, axis=1, out=col[:11], mode="clip")
+            np.take(ray_dirs, i, axis=1, out=col[11:], mode="clip")
+            w, d = col[0:3], col[11:]
             w *= d[0]
-            w += d[1] * col[3:6]
-            w += d[2] * col[6:9]  # det, u det, v det
+            col[3:6] *= d[1]
+            w += col[3:6]
+            col[6:9] *= d[2]
+            w += col[6:9]  # det, u det, v det
             ok = np.abs(w[0]) > _EPS
-            inv = 1.0 / np.where(ok, w[0], np.inf)
+            inv = np.divide(1.0, np.where(ok, w[0], np.inf), out=d[0])
             w[1:] *= inv
             _, u, v = w
             t = col[9]
@@ -488,7 +551,9 @@ def project_mesh(
 
     The center is the bounding-sphere center unless an explicit ``center``
     is given, or a ``projection_offset`` recorded on the mesh (by
-    augmentation) displaces it; an explicit ``center`` wins.
+    augmentation) displaces it; an explicit ``center`` wins.  The rays are
+    cast on the mesh and center prescaled by ``_exponent``, so a mesh of any
+    size projects as it does at unit size.
     """
     if len(mesh.faces) == 0:
         raise ValueError("mesh has no faces to intersect")
@@ -499,12 +564,13 @@ def project_mesh(
         origin = c0 + np.asarray(mesh.projection_offset, dtype=np.float64)
     else:
         origin = c0
+    scale = _exponent(mesh.vertices)
+    v, scaled_origin = np.ldexp(mesh.vertices, -scale), np.ldexp(origin, -scale)
     if origin is not c0:
         # keep normalization covering all vertices from the shifted origin
-        radius = float(np.linalg.norm(mesh.vertices - origin, axis=1).max())
+        radius = math.ldexp(float(np.linalg.norm(v - scaled_origin, axis=1).max()), scale)
     grid = make_grid(b)
     dirs = grid.directions().reshape(-1, 3)
-    v = mesh.vertices
     f = mesh.faces
     v0 = v[f[:, 0]]
     e1 = v[f[:, 1]] - v0
@@ -512,9 +578,9 @@ def project_mesh(
     normals = np.cross(e1, e2)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
-    t, face = _cast_rows(dirs, origin, v0, e1, e2)
+    t, face = _cast_rows(dirs, scaled_origin, v0, e1, e2)
     hit = np.isfinite(t)
-    dist = np.where(hit, t, 0.0) / radius
+    dist = np.where(hit, t, 0.0) / math.ldexp(radius, -scale)
     cosang = np.abs(np.einsum("rj,rj->r", dirs, normals[face]))
     sina = np.where(hit, np.clip(cosang, 0.0, 1.0), 0.0)
     n = grid.n

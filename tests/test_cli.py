@@ -136,6 +136,27 @@ def test_mesh2sphere_of_a_tiny_mesh(tmp_path):
     np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_mesh2sphere_at_extreme_scales(tmp_path, scale):
+    """Far past 1e-6: the face rule, the bounding sphere and the cast run on
+    the mesh prescaled by a power of two, so none of their products
+    overflows or underflows."""
+    mesh = star_mesh(seed=1, n_theta=8, n_phi=16)
+    outs = []
+    for s in (1.0, scale):
+        path = tmp_path / f"star{s:g}.off"
+        lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
+        lines += [" ".join(f"{x * s:.17g}" for x in v) for v in mesh.vertices]
+        lines += ["3 " + " ".join(map(str, f)) for f in mesh.faces]
+        path.write_text("\n".join(lines) + "\n")
+        sph = tmp_path / f"star{s:g}.sph"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mesh2sphere", str(path), "-b", "8", "-o", str(sph)]) == 0
+        outs.append(read_sph1(str(sph)).values)
+    np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-9)
+
+
 def test_mesh2sphere_reproducible(tmp_path, star_off):
     a = tmp_path / "a.sph"
     d = tmp_path / "b.sph"

@@ -123,7 +123,7 @@ class TestAbsoluteCoordinates:
         np.testing.assert_allclose(moved_center - shift, center, rtol=0, atol=1e-9)
         assert abs(moved_radius - radius) <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e12])
+    @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e12, 1e-150, 1e-100, 1e100, 1e150])
     def test_sphere_of_a_scaled_mesh_is_the_scaled_sphere(self, scale):
         """Every containment test is relative to the radius, so a tiny mesh
         gets the scaled sphere, not one bent by an absolute slack."""
@@ -143,7 +143,9 @@ class TestAbsoluteCoordinates:
         np.testing.assert_allclose(center, [1, 1 / np.sqrt(3.0), 5], rtol=0, atol=1e-12)
         assert radius == pytest.approx(2 / np.sqrt(3.0), abs=1e-12)
 
-    @pytest.mark.parametrize("t, s", [(1e6, 1.0), (0.0, 1e-6), (0.0, 1e6), (-1e6, 1e3)])
+    @pytest.mark.parametrize("t, s", [(1e6, 1.0), (0.0, 1e-6), (0.0, 1e6), (-1e6, 1e3),
+                                      (0.0, 1e-150), (0.0, 1e-100), (0.0, 1e100),
+                                      (0.0, 1e150)])
     def test_faces_survive_any_translation_and_scale(self, t, s):
         mesh = self.star()
         with warnings.catch_warnings():
@@ -151,7 +153,8 @@ class TestAbsoluteCoordinates:
             moved = TriangleMesh(mesh.vertices * s + t, mesh.faces)
         assert moved.dropped_faces == 0 and len(moved.faces) == len(mesh.faces) == 224
 
-    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6), (0.0, 1e6),
+                                      (0.0, 1e-150), (0.0, 1e150)])
     def test_degenerate_face_dropped_at_any_translation_and_scale(self, t, s):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]]) * s + t
         with pytest.warns(UserWarning, match="degenerate"):
@@ -274,7 +277,9 @@ class TestProjectionPose:
                 for m in (mesh, turned))
         assert np.linalg.norm(c - a) <= 1e-12 * np.linalg.norm(a)
 
-    @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize(
+        "scale", [1e-15, 1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e-150, 1e-100, 1e100, 1e150]
+    )
     def test_scaled_mesh_projects_the_same(self, scale):
         mesh = self.star()
         values = project_mesh(mesh, 8).signal.values
@@ -436,6 +441,62 @@ def straddling_triangles(phis, size=0.05):
     return TriangleMesh(np.array(verts), np.arange(len(verts)).reshape(-1, 3))
 
 
+def spherical(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+def z_turn(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def cap_triangles(spots, radius=0.02):
+    """An equilateral triangle of corner angle ``radius`` around each
+    (colatitude, longitude) in ``spots``, at unit distance."""
+    corners = []
+    for theta, phi in spots:
+        c, s = np.cos(theta), np.sin(theta)
+        turn = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])  # z onto theta
+        for a in 2 * np.pi * np.arange(3) / 3:
+            corners.append(z_turn(phi) @ turn @ spherical(radius, a))
+    return TriangleMesh(np.array(corners), np.arange(len(corners)).reshape(-1, 3))
+
+
+def pole_gaps(mesh, origin):
+    """min(theta_a, pi - theta_a) - reach of each face's cone: where this
+    exceeds ``_POLE_GAP``, ``_cast_rows`` cuts the face's longitudes to its
+    corners'."""
+    axis, cos_half = mesh_module._face_cones(*cast_args(mesh, origin))
+    reach = np.arccos(np.maximum(cos_half, -1.0)) + mesh_module._CONE_MARGIN
+    theta = np.arctan2(np.hypot(axis[:, 0], axis[:, 1]), axis[:, 2])
+    return np.minimum(theta, np.pi - theta) - reach
+
+
+def rays_past_the_corners(mesh, origin, angle=1e-12):
+    """Rays toward every vertex, and turned about z by +-``angle``: a ray
+    turned past a face's outermost corner longitude still hits it, within
+    the barycentric tolerance, so a longitude bound without its pad loses
+    it."""
+    d = mesh.vertices - origin
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return np.vstack([d @ z_turn(a).T for a in (0.0, angle, -angle)])
+
+
+def tilted_onto_z(mesh, where):
+    """``mesh`` turned about its bounding-sphere center, which moves to the
+    origin, so that the +z ray from there passes through the centroid of
+    face 0, the midpoint of its first edge, or its first vertex."""
+    center, _ = bounding_sphere(mesh)
+    corners = mesh.vertices[mesh.faces[0]]
+    target = {"face": corners.mean(axis=0), "edge": corners[:2].mean(axis=0),
+              "vertex": corners[0]}[where] - center
+    z = target / np.linalg.norm(target)
+    x = np.cross(z, [1.0, 0.0, 0.0] if abs(z[0]) < 0.9 else [0.0, 1.0, 0.0])
+    x /= np.linalg.norm(x)
+    turn = np.array([x, np.cross(z, x), z])  # a rotation taking z to +z
+    return TriangleMesh((mesh.vertices - center) @ turn.T, mesh.faces)
+
+
 class TestCasterParity:
     """``_cast_rows`` on directions that are not a grid, at the poles, across
     the longitude seam and in small blocks, against the all-pairs caster."""
@@ -482,6 +543,62 @@ class TestCasterParity:
             turned = mesh.transformed([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             self.assert_matches(dirs, turned, bounding_sphere(turned)[0])
 
+    def test_cone_gap_at_the_clear_threshold(self):
+        """Faces whose cone clears the poles by just more and just less than
+        ``_POLE_GAP``: the corner bound applies to the first kind only, and
+        either way no pair is lost."""
+        threshold, radius = mesh_module._POLE_GAP, 0.02
+        reach = radius + 2 * mesh_module._CONE_MARGIN
+        spots = [(theta, phi)
+                 for delta in (-1e-6, -1e-9, 1e-9, 1e-6)
+                 for theta in (reach + threshold + delta, np.pi - reach - threshold - delta)
+                 for phi in (0.3, np.pi - 0.01, -2.0)]
+        mesh = cap_triangles(spots, radius)
+        gaps = pole_gaps(mesh, np.zeros(3))
+        assert (gaps > threshold).any() and (gaps <= threshold).any()
+        assert np.abs(gaps - threshold).max() < 2e-6
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        dirs = np.vstack([poles, make_grid(16).directions().reshape(-1, 3), unit_rays(500, 7),
+                          rays_past_the_corners(mesh, np.zeros(3))])
+        self.assert_matches(dirs, mesh, np.zeros(3))
+
+    def test_slivers_near_the_poles(self):
+        """Thin triangles a few degrees from a pole that span 90 or 108
+        degrees of longitude, some with cones that clear the pole and some
+        without, across the +-pi seam too."""
+        verts = []
+        for t1 in (0.03, 0.05, 0.2):
+            for far in (1.2, 1.5, 1.9):
+                for span in (np.pi / 2, 0.6 * np.pi):
+                    for phi in (0.4, np.pi):
+                        for flip in (1, -1):
+                            corners = [(t1, phi - span / 2), (t1, phi + span / 2),
+                                       (far * t1, phi)]
+                            verts += [spherical(t, p) * [1, 1, flip] for t, p in corners]
+        mesh = TriangleMesh(np.array(verts), np.arange(len(verts)).reshape(-1, 3))
+        gaps = pole_gaps(mesh, np.zeros(3))
+        threshold = mesh_module._POLE_GAP
+        assert (gaps > threshold).sum() >= 10 and (gaps <= threshold).sum() >= 10
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        dirs = np.vstack([poles, make_grid(32).directions().reshape(-1, 3), unit_rays(2000, 8),
+                          rays_past_the_corners(mesh, np.zeros(3))])
+        self.assert_matches(dirs, mesh, np.zeros(3))
+
+    @pytest.mark.parametrize("where", ["face", "edge", "vertex"])
+    def test_star_tilted_onto_the_poles(self, where):
+        """A star mesh turned so that the +z ray meets a face, an edge or a
+        vertex: the faces around the pole keep their cone's rows, the rest
+        get the corner bound; cast from the center and from off it."""
+        mesh = tilted_onto_z(
+            star_mesh(seed=800, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9)), where
+        )
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        for origin in (np.zeros(3), np.array([0.15, -0.1, 0.05])):
+            assert (pole_gaps(mesh, origin) <= mesh_module._POLE_GAP).any()
+            dirs = np.vstack([poles, make_grid(16).directions().reshape(-1, 3),
+                              unit_rays(500, 9), rays_past_the_corners(mesh, origin)])
+            self.assert_matches(dirs, mesh, origin)
+
     @pytest.mark.parametrize("name", ["cube-corner", "star"])
     def test_small_blocks(self, monkeypatch, name):
         """With 64 pairs per block every walk crosses block boundaries; from a
@@ -505,6 +622,41 @@ class TestCasterParity:
         dirs = np.vstack([make_grid(8).directions().reshape(-1, 3), unit_rays(100, 5)])
         self.assert_matches(dirs, mesh, origin)
         assert max(pieces) == 64 and len(pieces) > 10
+
+
+def test_pieces_walk_every_item_once_in_order():
+    """Empty ranges at either end and inside, pieces that end mid-range."""
+    counts = np.array([0, 3, 0, 0, 5, 1, 0, 7, 0])
+    items = [(i, at) for i, n in enumerate(counts) for at in range(n)]
+    for size in (1, 2, 3, 4, 16):
+        pieces = list(mesh_module._pieces(counts, size))
+        assert [len(i) for i, _ in pieces][:-1] == [size] * (len(pieces) - 1)
+        assert [(int(i), int(at)) for p in pieces for i, at in zip(*p)] == items
+    assert list(mesh_module._pieces(np.zeros(3, dtype=int), 4)) == []
+    assert list(mesh_module._pieces(np.zeros(0, dtype=int), 4)) == []
+
+
+def test_cast_lists_few_pairs(monkeypatch):
+    """The cone rows and the corner bound list 16,339 (ray, face) pairs for
+    this mesh at b = 32 (the cone rows alone list 25,061).  A listing that
+    loosens by more than about 10% fails here, though every parity test
+    would still pass."""
+    walks = []
+    walk = mesh_module._pieces
+
+    def spy(counts, size):
+        pieces = []
+        walks.append(pieces)
+        for piece in walk(counts, size):
+            pieces.append(len(piece[0]))
+            yield piece
+
+    monkeypatch.setattr(mesh_module, "_pieces", spy)
+    mesh = star_mesh(seed=1, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9))
+    project_mesh(mesh, 32)
+    face_rows, *pair_walks = walks  # the (face, row) walk, then one pair walk per piece of it
+    pairs = sum(map(sum, pair_walks))
+    assert len(face_rows) == 1 and 0 < pairs <= 18_000
 
 
 class TestTextbookArithmetic:

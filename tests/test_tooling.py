@@ -34,6 +34,13 @@ def load_tracing():
     return module
 
 
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_targets():
     return load_tracing().TARGETS
 
@@ -119,6 +126,25 @@ def test_train_op_forwards_through_the_module(monkeypatch):
     assert callers == ["backward", "predict"]
     assert wl.check(0, out)
     assert callers.count("_loss") == 4  # two central differences
+
+
+def test_align_op_reaches_every_align_row():
+    """perfbench's ``align`` rows wrap ``mesh`` and ``align`` functions by
+    module attribute: one traced tiny ``Align`` op enters every one."""
+    tracer = load_tracing().Tracer()
+    wl = load_workloads().Align(1, tiny=True)
+    tracer.install()
+    try:
+        with tracer.op(0):
+            wl.op(0)
+    finally:
+        tracer.uninstall()
+    assert {tuple(name.rsplit(".", 1)) for name in tracer.missing} <= RETARGET
+    rows = tracer.metrics(1)
+    for name in ("mesh.cast_rows.calls", "mesh.bounding_sphere.self_s",
+                 "mesh.project_mesh.self_s", "align.so3_correlate.total_s",
+                 "align.score_lattice.calls"):
+        assert rows[name]["value"] > 0, name
 
 
 def test_every_export_resolves():
