@@ -8,6 +8,12 @@ incidence angle at that face, measured from the tangent plane, i.e.
 channels; the representation is faithful for star-shaped objects viewed from
 the center and remains defined (if lossy) otherwise.
 
+Each face is tested only against the rays its bounding cone reaches, row of
+equal z by row, and where the cone clears both poles only within the
+longitudes of the face's corners: along a great-circle arc that misses the
+poles longitude is strictly monotonic, so a triangle there spans exactly
+its corners' longitudes (``_cast_rows``).
+
 The hit test is Moller-Trumbore's, run as three dot products of the ray with
 per-face rows divided by the face's |e1 x e2| (``_hit_table``), so its
 determinant is a cosine and its distance floor scales with the face: no
@@ -334,8 +340,9 @@ _PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) pairs held in memory
 _TIE = 1e-12  # hits within this relative distance of the farthest are one tie
 
 # The per-face arithmetic runs on (3, F) component rows, through the same
-# ``_cross`` and ``_dot`` as the sphere's float triples: at a few thousand
-# faces, numpy's per-call cost outweighs the work of np.cross or np.linalg.norm.
+# ``_cross`` and ``_dot`` as the sphere's float triples.  They give the bits
+# of np.cross and np.linalg.norm on (F, 3) rows, and at a few thousand faces
+# cost a fraction of those calls.
 
 
 def _norm(a):
@@ -510,9 +517,12 @@ def _cast_rows(
             f = fr[k]
             # One array holds the gathered columns (rows 0-10) and rays (rows
             # 11-13), and the arithmetic runs in place in it: rows 0-2 become
-            # det, u and v, row 9 t and row 11 1 / det.  ``mode="clip"``
-            # gathers straight into it (the indices are in range); the
-            # default mode would gather into a buffer and copy.
+            # det, u and v, row 9 t and row 11 1 / det.  With a separate
+            # array per temporary, a block's frees can pass glibc's trim
+            # threshold (twice the largest array), and every cast then
+            # faults fresh heap pages in.  ``mode="clip"`` gathers straight
+            # into the array (the indices are in range); the default mode
+            # would gather into a buffer and copy.
             col = np.empty((14, len(f)))
             np.take(table, f, axis=1, out=col[:11], mode="clip")
             np.take(ray_dirs, i, axis=1, out=col[11:], mode="clip")
