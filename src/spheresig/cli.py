@@ -121,7 +121,7 @@ def _given(doc: dict, keys: str) -> dict:
 
 def _network_from_json(doc: dict):
     """A ``NetworkConfig`` from a config JSON object.  An omitted key takes the
-    default of the config type it feeds; ``in_channels`` (JSON only) is 1."""
+    default of the config type it feeds."""
     from .network import LayerConfig, NetworkConfig, two_branch_config
 
     if "preset" in doc:
@@ -131,17 +131,15 @@ def _network_from_json(doc: dict):
         return two_branch_config(**_given(doc, _PRESET_ARGS))
     _known_keys(doc, _NETWORK_KEYS, "the network config")
     layers = []
-    prev = doc.get("in_channels", 1)
     for i, spec in enumerate(doc["layers"]):
         _known_keys(spec, _LAYER_KEYS, f"layer {i}")
-        out = spec["out_channels"]
-        layers.append(LayerConfig(prev, out, **_given(spec, "filter anchors pool nonlinearity")))
-        prev = out
+        opts = _given(spec, "filter anchors pool nonlinearity")
+        layers.append(LayerConfig(spec["out_channels"], **opts))
     return NetworkConfig(
         doc["input_bandwidth"],
         tuple(layers),
         doc["num_classes"],
-        **_given(doc, "head branches concat_layers"),
+        **_given(doc, "head branches concat_layers in_channels"),
     )
 
 

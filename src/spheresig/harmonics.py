@@ -44,19 +44,18 @@ def normalized_legendre(l_max: int, x: np.ndarray) -> np.ndarray:
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     out = np.zeros((l_max + 1, l_max + 1) + x.shape, dtype=np.float64)
     out[0, 0] = _INV_SQRT_4PI
-    # Diagonal: the minus sign carries the Condon-Shortley phase.
-    for m in range(1, l_max + 1):
-        out[m, m] = -np.sqrt((2 * m + 1.0) / (2 * m)) * s * out[m - 1, m - 1]
-    for m in range(l_max):
-        out[m + 1, m] = np.sqrt(2 * m + 3.0) * x * out[m, m]
-    for m in range(l_max - 1):
-        for l in range(m + 2, l_max + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            c = np.sqrt(
-                ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
-                / ((2.0 * l - 3.0) * (l - m) * (l + m))
-            )
-            out[l, m] = a * x * out[l - 1, m] - c * out[l - 2, m]
+    orders = (slice(None),) + (None,) * x.ndim  # a per-order factor against x
+    for l in range(1, l_max + 1):
+        # Diagonal: the minus sign carries the Condon-Shortley phase.
+        out[l, l] = -np.sqrt((2 * l + 1.0) / (2 * l)) * s * out[l - 1, l - 1]
+        out[l, l - 1] = np.sqrt(2 * l + 1.0) * x * out[l - 1, l - 1]
+        m = np.arange(l - 1)  # the three-term recurrence in l, every order at once
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        c = np.sqrt(
+            ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+            / ((2.0 * l - 3.0) * (l - m) * (l + m))
+        )
+        out[l, : l - 1] = a[orders] * x * out[l - 1, : l - 1] - c[orders] * out[l - 2, : l - 1]
     return out
 
 

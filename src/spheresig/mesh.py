@@ -157,8 +157,10 @@ def load_off(path: str) -> TriangleMesh:
         if pos >= len(tokens):
             raise ValueError(f"{path}: file ends after {fi} of its {nf} faces")
         k = number(int, pos)
-        if k < 0:
-            raise ValueError(f"{path}: line {lines[pos]}: face {fi} declares {k} indices")
+        if k < 3:
+            raise ValueError(
+                f"{path}: line {lines[pos]}: face {fi} declares {k} indices, fewer than 3"
+            )
         end = pos + 1 + k
         if end > len(tokens) or lines[end - 1] != lines[pos]:
             raise ValueError(
@@ -193,6 +195,8 @@ def load_obj(path: str) -> TriangleMesh:
                     verts.append([float(x) for x in parts[1:4]])
                     continue
                 idx = [int(p.split("/", 1)[0]) for p in parts[1:]]
+                if len(idx) < 3:
+                    raise ValueError(f"face needs at least 3 indices, got {len(idx)}")
                 if 0 in idx:
                     raise ValueError("face index 0 (OBJ indices start at 1)")
             except ValueError as exc:

@@ -75,7 +75,6 @@ from .sft import (
 
 @dataclass(frozen=True)
 class LayerConfig:
-    in_channels: int
     out_channels: int
     filter_mode: str = "anchored"  # "anchored" | "full"
     anchors: int = 4
@@ -83,12 +82,11 @@ class LayerConfig:
     nonlinearity: str = "relu"  # "relu" | "none"
 
     def __post_init__(self) -> None:
-        for name in ("in_channels", "out_channels", "anchors"):
+        for name in ("out_channels", "anchors"):
             require_int(getattr(self, name), name)
-        if min(self.in_channels, self.out_channels) < 1:
+        if self.out_channels < 1:
             raise ValueError(
-                f"channel counts must be at least 1, got {self.in_channels} -> "
-                f"{self.out_channels}"
+                f"channel counts must be at least 1, got out_channels {self.out_channels}"
             )
         if self.filter_mode not in ("anchored", "full"):
             raise ValueError(f"unknown filter mode {self.filter_mode!r}")
@@ -113,10 +111,11 @@ class NetworkConfig:
     head: str = "wgap"  # "wgap" | "magl"
     branches: int = 1
     concat_layers: tuple[int, ...] = ()  # branch-0 layers receiving branch-1 features
+    in_channels: int = 1  # channels each branch's first layer reads
 
     def __post_init__(self) -> None:
         check_bandwidth(self.input_bandwidth, "input_bandwidth")
-        for name in ("num_classes", "branches"):
+        for name in ("num_classes", "branches", "in_channels"):
             require_int(getattr(self, name), name)
         concat = [require_int(i, "each concat_layers entry") for i in self.concat_layers]
         object.__setattr__(self, "concat_layers", tuple(concat))
@@ -130,13 +129,12 @@ class NetworkConfig:
         object.__setattr__(self, "layers", layers)
         if not layers:
             raise ValueError("a network needs at least one layer")
-        if self.branches == 2 and layers[0].in_channels != 1:
-            raise ValueError(f"two branches need in_channels 1, got {layers[0].in_channels}")
-        for i, (prev, lay) in enumerate(zip(layers, layers[1:]), 1):
-            if lay.in_channels != prev.out_channels:
-                raise ValueError(
-                    f"layer {i}: in_channels {lay.in_channels} != previous out {prev.out_channels}"
-                )
+        if self.in_channels < 1:
+            raise ValueError(
+                f"channel counts must be at least 1, got in_channels {self.in_channels}"
+            )
+        if self.branches == 2 and self.in_channels != 1:
+            raise ValueError(f"two branches need in_channels 1, got {self.in_channels}")
         if self.concat_layers and self.branches != 2:
             raise ValueError(f"concat_layers need branches 2, got branches {self.branches}")
         if any(i < 1 or i >= len(layers) for i in self.concat_layers):
@@ -158,19 +156,21 @@ class NetworkConfig:
 
     @property
     def input_channels(self) -> int:
-        """Channels of the network input: one per branch when there are two."""
-        return 2 if self.branches == 2 else self.layers[0].in_channels
+        """Channels of the network input: ``in_channels`` per branch."""
+        return self.branches * self.in_channels
 
     def blocks(self) -> list[Block]:
         """Every ``Block`` in the order the forward pass runs them: by layer,
-        branch 0 first.  A concat layer's branch-0 block reads its own maps,
-        then the previous layer's branch-1 maps, and counts both."""
+        branch 0 first.  The only place input widths are worked out: a block
+        reads ``in_channels`` at layer 0, else the previous layer's output; a
+        concat layer's branch-0 block then reads branch 1's as well."""
         bws, out = [self.input_bandwidth] + self.layer_bandwidths(), []
-        for i, lay in enumerate(self.layers):
-            extra = self.layers[i - 1].out_channels if i in self.concat_layers else 0
-            out.append(Block(f"conv{i + 1}", i, 0, bws[i], lay.in_channels + extra))
+        for i in range(len(self.layers)):
+            width = self.layers[i - 1].out_channels if i else self.in_channels
+            extra = width if i in self.concat_layers else 0
+            out.append(Block(f"conv{i + 1}", i, 0, bws[i], width + extra))
             if self.branches == 2:
-                out.append(Block(f"branch1/conv{i + 1}", i, 1, bws[i], lay.in_channels))
+                out.append(Block(f"branch1/conv{i + 1}", i, 1, bws[i], width))
         return out
 
     def feature_dim(self) -> int:
@@ -197,25 +197,16 @@ def stack_config(
         pool_layers = [
             i for i in range(len(channels)) if i > 0 and channels[i] > channels[i - 1]
         ]
-    layers = []
-    prev = in_channels
-    for i, ch in enumerate(channels):
-        layers.append(
-            LayerConfig(
-                in_channels=prev,
-                out_channels=ch,
-                filter_mode=filter_mode,
-                anchors=anchors,
-                pool=pool if i in pool_layers else "none",
-                nonlinearity=nonlinearity,
-            )
-        )
-        prev = ch
+    layers = tuple(
+        LayerConfig(ch, filter_mode, anchors, pool if i in pool_layers else "none", nonlinearity)
+        for i, ch in enumerate(channels)
+    )
     return NetworkConfig(
         input_bandwidth=input_bandwidth,
-        layers=tuple(layers),
+        layers=layers,
         num_classes=num_classes,
         head=head,
+        in_channels=in_channels,
     )
 
 
@@ -392,7 +383,7 @@ def _forward_batch(
     blocks = []
     for blk in config.blocks():
         lay, width = config.layers[blk.layer], len(outs[blk.branch])
-        if blk.in_channels > lay.in_channels:  # branch 1's maps of the layer before
+        if blk.in_channels > width:  # branch 1's maps of the layer before
             outs[blk.branch] = np.concatenate([outs[blk.branch], outs[1]], axis=0)
         filters, bias = (params.tensors[f"{blk.name}/{k}"] for k in ("filters", "bias"))
         y, vjp = _block(lay, blk.bandwidth, outs.pop(blk.branch), filters, bias)
@@ -453,16 +444,20 @@ def backward(
     """Batch-summed loss and parameter gradients for (B, C, n, n) inputs.
 
     Gradients add over the batch, so a duplicated sample contributes exactly
-    twice.  Raises DivergenceError on a non-finite loss.
+    twice.  Raises ValueError on a label outside [0, num_classes) and
+    DivergenceError on a non-finite loss.
 
     The forward keeps no taps.  The reverse pass pops each tape entry before
     replaying it and hands the block its cotangent as the only reference, so
     at any time it holds the entries still ahead of it, the cotangent of
     each branch and the gradients.
     """
-    x = np.asarray(signals, dtype=np.float64)
+    x, y = np.asarray(signals, dtype=np.float64), np.asarray(labels)
+    outside = y[(y < 0) | (y >= config.num_classes)]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} out of range for {config.num_classes} classes")
     logits, _, (desc, head_vjp, blocks) = _forward_batch(config, params, x, taps=False)
-    loss, dlogits = softmax_cross_entropy(logits, np.asarray(labels))
+    loss, dlogits = softmax_cross_entropy(logits, y)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}

@@ -142,7 +142,7 @@ BLOB_CLASSES = [  # (number of bumps, sharpness): distinct invariant signatures
 ]
 
 
-def _blob_signal(rng: np.random.Generator, b: int, n_bumps: int, kappa: float,
+def _blob_signal(rng: np.random.Generator, n_bumps: int, kappa: float,
                  canonical: np.ndarray | None, table) -> SphericalSignal:
     grid = table.grid
     dirs = grid.directions()
@@ -181,9 +181,7 @@ def make_blob_dataset(
     signals, labels = [], []
     for ci, (n_bumps, kappa) in enumerate(classes):
         for _ in range(count_per_class):
-            sig = _blob_signal(
-                rng, b, n_bumps, kappa, canon[ci] if canonical_pose else None, table
-            )
+            sig = _blob_signal(rng, n_bumps, kappa, canon[ci] if canonical_pose else None, table)
             signals.append(sig)
             labels.append(ci)
     names = [f"blobs{n}k{kappa:g}" for n, kappa in classes]

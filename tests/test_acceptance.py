@@ -267,10 +267,10 @@ def test_08_planted_rotation_alignment():
 
 def test_09_gradient_correctness():
     layers = (
-        LayerConfig(2, 3, "anchored", 4, "wap", "none"),
-        LayerConfig(3, 4, "full", 4, "none", "none"),
+        LayerConfig(3, "anchored", 4, "wap", "none"),
+        LayerConfig(4, "full", 4, "none", "none"),
     )
-    cfg = NetworkConfig(input_bandwidth=8, layers=layers, num_classes=3)
+    cfg = NetworkConfig(input_bandwidth=8, layers=layers, num_classes=3, in_channels=2)
     params = init_parameters(cfg, seed=9)
     rng = np.random.default_rng(99)
     x = rng.standard_normal((3, 2, 16, 16))

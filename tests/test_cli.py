@@ -225,6 +225,29 @@ def test_train_verbose_keeps_stdout_json(tmp_path, capsys):
     assert len(lines) == 3 and all(line.startswith("epoch") for line in lines)
 
 
+@pytest.mark.parametrize("label", [7, -1])
+def test_train_label_out_of_range(tmp_path, capsys, label):
+    """A label outside [0, num_classes) is a data error naming the label and
+    the class count: 7 would fail indexing the logits, and -1 would
+    silently train against the last class."""
+    data = tmp_path / "ds"
+    assert main(["synth", "--count", "1", "-b", "8", "-o", str(data)]) == 0
+    meta = json.loads((data / "meta.json").read_text())
+    meta["samples"][0]["label"] = label
+    (data / "meta.json").write_text(json.dumps(meta))
+    cfgfile = tmp_path / "net.json"
+    cfgfile.write_text(json.dumps(dict(
+        input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2)],
+    )))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfgfile), "--data", str(data), "--epochs", "1",
+                 "-o", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"label {label} out of range for 3 classes" in err and "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_synth_reproducible(tmp_path):
     da, db = str(tmp_path / "a"), str(tmp_path / "b")
     for d in (da, db):
@@ -276,7 +299,7 @@ ONE_CHANNEL = dict(input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2
 )
 def test_equiv_report_config_channels(tmp_path, doc, bandlimited):
     """Stimuli carry the channel count the network takes: 2 for two branches,
-    else the first layer's ``in_channels``.  Channel k of a blob stimulus comes
+    else the config's ``in_channels``.  Channel k of a blob stimulus comes
     from the blob set seeded seed + k, centred on its own mean; with one
     channel that is the single blob set the report has always drawn."""
     cfg = tmp_path / "net.json"
@@ -385,6 +408,10 @@ class TestExitCodes:
             (["v 0 0 0", "v 1 x 0", "v 0 1 0", "f 1 2 3"], "line 2: could not convert"),
             (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 99999999999999999999"],
              "line 4: face index out of range"),
+            (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3", "f 1 2"],
+             "line 5: face needs at least 3 indices, got 2"),
+            (["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 4"],
+             "line 4: face needs at least 3 indices, got 1"),
         ],
     )
     def test_malformed_obj(self, tmp_path, capsys, lines, message):
@@ -403,6 +430,8 @@ class TestExitCodes:
             (["OFF", "3 1 0", "0 0 0 1 0 0 0 1 0", "3 0 1 2.5"], "line 4: expected an integer"),
             (["OFF", "3 1 0", "0 0 0 1 0 0 0 1 0", "3 0 1 3"], "line 4: face index out of range"),
             (["OFF", "3 2 0", "0 0 0 1 0 0 0 1 0", "3 0 1 2", "3 0 -1 2"], "line 5: face index"),
+            (["OFF", "3 2 0", "0 0 0 1 0 0 0 1 0", "3 0 1 2", "2 0 3"],
+             "line 5: face 1 declares 2 indices, fewer than 3"),
         ],
     )
     def test_malformed_off(self, tmp_path, capsys, lines, message):
@@ -533,7 +562,7 @@ class TestCheckpointAgainstConfig:
     @pytest.fixture()
     def files(self, tmp_path, bandlimited_sph):
         cfg = NetworkConfig(
-            input_bandwidth=8, layers=(LayerConfig(1, 4, "anchored", 4, "none", "relu"),),
+            input_bandwidth=8, layers=(LayerConfig(4, "anchored", 4, "none", "relu"),),
             num_classes=3,
         )
         cfgfile = tmp_path / "net.json"

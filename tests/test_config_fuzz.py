@@ -72,11 +72,10 @@ def config_docs(draw):
 
 
 def build(doc: dict) -> NetworkConfig:
-    layers, prev = [], doc["in_channels"]
+    layers = []
     for spec in doc["layers"]:
         kwargs = {k: v for k, v in spec.items() if k not in ("out_channels", "filter")}
-        layers.append(LayerConfig(prev, spec["out_channels"], spec["filter"], **kwargs))
-        prev = spec["out_channels"]
+        layers.append(LayerConfig(spec["out_channels"], spec["filter"], **kwargs))
     return NetworkConfig(
         doc["input_bandwidth"],
         tuple(layers),
@@ -84,6 +83,7 @@ def build(doc: dict) -> NetworkConfig:
         head=doc["head"],
         branches=doc["branches"],
         concat_layers=tuple(doc["concat_layers"]),
+        in_channels=doc["in_channels"],
     )
 
 

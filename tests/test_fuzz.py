@@ -81,7 +81,7 @@ def valid(tmp_path_factory):
     coeffs = random_coeffs(B, 1, np.random.default_rng(0))
     write_sph1(str(d / "sig.sph"), isft(coeffs, shared_table(B)))
     write_spec1(str(d / "sig.spec"), coeffs)
-    config = NetworkConfig(B, (LayerConfig(1, 2, "anchored", 2),), 2)
+    config = NetworkConfig(B, (LayerConfig(2, "anchored", 2),), 2)
     write_ckpt1(str(d / "net.ckpt"), init_parameters(config, seed=0).tensors)
     (d / "net.json").write_text(
         json.dumps(dict(input_bandwidth=B, num_classes=2, layers=[dict(out_channels=2, anchors=2)]))

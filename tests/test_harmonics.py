@@ -80,6 +80,44 @@ class TestNormalizedRecurrence:
         assert np.isfinite(table).all()
         assert np.abs(table).max() < 1e4  # normalized values stay O(sqrt(l))
 
+    @staticmethod
+    def per_order_loop(l_max, x):
+        """The recurrence one (m, l) entry at a time, as the tables were built
+        before the loop over degrees ran every order at once."""
+        x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
+        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        out = np.zeros((l_max + 1, l_max + 1) + x.shape)
+        out[0, 0] = 0.5 / np.sqrt(np.pi)
+        for m in range(1, l_max + 1):
+            out[m, m] = -np.sqrt((2 * m + 1.0) / (2 * m)) * s * out[m - 1, m - 1]
+        for m in range(l_max):
+            out[m + 1, m] = np.sqrt(2 * m + 3.0) * x * out[m, m]
+        for m in range(l_max - 1):
+            for l in range(m + 2, l_max + 1):
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                c = np.sqrt(
+                    ((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+                    / ((2.0 * l - 3.0) * (l - m) * (l + m))
+                )
+                out[l, m] = a * x * out[l - 1, m] - c * out[l - 2, m]
+        return out
+
+    @pytest.mark.parametrize(
+        "b, shape",
+        [(16, None), (64, None), (256, None), (10, ()), (10, (3, 4))],
+        ids=["grid-16", "grid-64", "grid-256", "scalar", "3x4"],
+    )
+    def test_matches_the_per_order_loop(self, b, shape):
+        """Bit for bit, on the colatitudes of the grids the harmonic tables
+        use and on arguments of any shape."""
+        if shape is None:
+            x = np.cos(make_grid(b).thetas)
+        else:
+            x = np.random.default_rng(5).uniform(-1, 1, size=shape)
+        table = normalized_legendre(b - 1, x)
+        assert table.shape == (b, b) + x.shape
+        assert np.array_equal(table, self.per_order_loop(b - 1, x))
+
 
 class TestSphHarmonic:
     def test_constant_harmonic(self):

@@ -83,7 +83,7 @@ class TestForward:
         """A full-spectrum filter canceling the convolution constant is a no-op."""
         cfg = NetworkConfig(
             input_bandwidth=8,
-            layers=(LayerConfig(1, 1, "full", pool="none", nonlinearity="none"),),
+            layers=(LayerConfig(1, "full", pool="none", nonlinearity="none"),),
             num_classes=2,
         )
         params = init_parameters(cfg, seed=0)
@@ -156,10 +156,10 @@ class TestGradients:
         """Anchored filters, full filters, biases, and the projection all pass
         at eps = 1e-3 with a smooth (linear, area-pooled) two-layer stack."""
         layers = (
-            LayerConfig(2, 3, "anchored", 4, "wap", "none"),
-            LayerConfig(3, 4, "full", 4, "none", "none"),
+            LayerConfig(3, "anchored", 4, "wap", "none"),
+            LayerConfig(4, "full", 4, "none", "none"),
         )
-        cfg = NetworkConfig(input_bandwidth=8, layers=layers, num_classes=3)
+        cfg = NetworkConfig(input_bandwidth=8, layers=layers, num_classes=3, in_channels=2)
         params = init_parameters(cfg, seed=0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 2, 16, 16))
@@ -235,6 +235,14 @@ class TestGradients:
         with pytest.raises(DivergenceError):
             backward(cfg, params, x, np.array([0]))
 
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_out_of_range_raises(self, label):
+        cfg = stack_config(8, [3], in_channels=1, num_classes=3)
+        params = init_parameters(cfg, seed=11)
+        x = np.random.default_rng(12).standard_normal((2, 1, 16, 16))
+        with pytest.raises(ValueError, match=f"label {label} out of range for 3 classes"):
+            backward(cfg, params, x, np.array([0, label]))
+
 
 def is_longitude_major(values):
     return np.moveaxis(values, (-1, -2), (0, 1)).flags.c_contiguous
@@ -266,7 +274,7 @@ class TestLongitudeMajorMaps:
 
     @pytest.mark.parametrize("pool", ["none", "sp"])
     def test_folded_bias_adds_the_bias(self, pool):
-        lay = LayerConfig(3, 4, pool=pool, nonlinearity="none")
+        lay = LayerConfig(4, pool=pool, nonlinearity="none")
         rng = np.random.default_rng(23)
         x = rng.standard_normal((3, 2, 16, 16))
         filters, bias = rng.standard_normal((4, 3, 4)), rng.standard_normal(4)
@@ -278,7 +286,7 @@ class TestLongitudeMajorMaps:
 
     @pytest.mark.parametrize("pool", ["none", "sp"])
     def test_bias_gradient_sums_the_cotangent(self, pool):
-        lay = LayerConfig(3, 4, pool=pool, nonlinearity="none")
+        lay = LayerConfig(4, pool=pool, nonlinearity="none")
         rng = np.random.default_rng(24)
         x = rng.standard_normal((3, 2, 16, 16))
         y, vjp = network._block(lay, 8, x, rng.standard_normal((4, 3, 4)), rng.standard_normal(4))
@@ -369,16 +377,8 @@ class TestParameterCounts:
         cfg = two_branch_config(anchors=4)
         assert count_parameters(cfg) == init_parameters(cfg).count()
 
-    def test_channel_chain_validation(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(
-                input_bandwidth=8,
-                layers=(LayerConfig(1, 4), LayerConfig(3, 4)),
-                num_classes=2,
-            )
 
-
-ONE_LAYER = (LayerConfig(1, 2),)
+ONE_LAYER = (LayerConfig(2),)
 
 
 class TestConfigRules:
@@ -389,14 +389,15 @@ class TestConfigRules:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: LayerConfig(1, 2.5), "out_channels must be an integer, got 2.5"),
-            (lambda: LayerConfig(True, 2), "in_channels must be an integer, got True"),
-            (lambda: LayerConfig(1, 2, anchors="4"), "anchors must be an integer, got '4'"),
+            (lambda: LayerConfig(2.5), "out_channels must be an integer, got 2.5"),
+            (lambda: NetworkConfig(8, ONE_LAYER, 3, in_channels=True),
+             "in_channels must be an integer, got True"),
+            (lambda: LayerConfig(2, anchors="4"), "anchors must be an integer, got '4'"),
             (lambda: NetworkConfig(8.0, ONE_LAYER, 3), "input_bandwidth must be an integer"),
             (lambda: NetworkConfig(8, ONE_LAYER, 3, branches=True), "branches must be an integer"),
             (
                 lambda: NetworkConfig(
-                    8, (LayerConfig(1, 2), LayerConfig(2, 2)), 3, branches=2, concat_layers=(1.0,)
+                    8, (LayerConfig(2), LayerConfig(2)), 3, branches=2, concat_layers=(1.0,)
                 ),
                 "each concat_layers entry must be an integer, got 1.0",
             ),
@@ -417,20 +418,20 @@ class TestConfigRules:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: LayerConfig(1, 2, "anchored", 1), "anchors >= 2, got 1"),
-            (lambda: LayerConfig(1, 2, "anchored", 0), "anchors >= 2, got 0"),
+            (lambda: LayerConfig(2, "anchored", 1), "anchors >= 2, got 1"),
+            (lambda: LayerConfig(2, "anchored", 0), "anchors >= 2, got 0"),
             (lambda: NetworkConfig(1, ONE_LAYER, 3), r"input_bandwidth must be in \[2, 512\]"),
             (lambda: NetworkConfig(513, ONE_LAYER, 3), "input_bandwidth must be in"),
             (
-                lambda: NetworkConfig(8, (LayerConfig(2, 2),), 3, branches=2),
+                lambda: NetworkConfig(8, ONE_LAYER, 3, branches=2, in_channels=2),
                 "two branches need in_channels 1, got 2",
             ),
             (
-                lambda: NetworkConfig(5, (LayerConfig(1, 2, pool="sp"),), 3),
+                lambda: NetworkConfig(5, (LayerConfig(2, pool="sp"),), 3),
                 "layer 0: pool 'sp' needs an even bandwidth >= 4, got 5",
             ),
             (
-                lambda: NetworkConfig(2, (LayerConfig(1, 2, pool="wap"),), 3),
+                lambda: NetworkConfig(2, (LayerConfig(2, pool="wap"),), 3),
                 "layer 0: pool 'wap' needs an even bandwidth >= 4, got 2",
             ),
         ],
@@ -446,8 +447,10 @@ class TestConfigRules:
     def test_numpy_integers_and_unused_anchors_run(self):
         """numpy integers are integers; a full layer ignores ``anchors``."""
         i = np.int64
-        layers = (LayerConfig(i(1), i(2), "anchored", i(3)), LayerConfig(2, 2, "full", 0))
-        cfg = NetworkConfig(i(8), layers, i(3), branches=i(2), concat_layers=(i(1),))
+        layers = (LayerConfig(i(2), "anchored", i(3)), LayerConfig(2, "full", 0))
+        cfg = NetworkConfig(
+            i(8), layers, i(3), branches=i(2), concat_layers=(i(1),), in_channels=i(1)
+        )
         x = np.random.default_rng(0).standard_normal((2, 2, 16, 16))
         loss, grads = backward(cfg, init_parameters(cfg), x, np.array([0, 2]))
         assert np.isfinite(loss)
@@ -460,7 +463,7 @@ class TestBlockWalk:
 
     CONFIG = NetworkConfig(
         input_bandwidth=8,
-        layers=(LayerConfig(1, 2, "full"), LayerConfig(2, 3, "anchored", 3, "wap")),
+        layers=(LayerConfig(2, "full"), LayerConfig(3, "anchored", 3, "wap")),
         num_classes=4,
         branches=2,
         concat_layers=(1,),
@@ -507,9 +510,9 @@ class TestOneFilterPath:
 
         def config(mode):
             layers = (
-                LayerConfig(1, 3, mode, 8, "sp", "none"),
-                LayerConfig(3, 2, mode, 8, "max"),
-                LayerConfig(2, 4, mode, 8),
+                LayerConfig(3, mode, 8, "sp", "none"),
+                LayerConfig(2, mode, 8, "max"),
+                LayerConfig(4, mode, 8),
             )
             return NetworkConfig(8, layers, 3, head="magl", branches=2, concat_layers=(2,))
 
@@ -578,7 +581,7 @@ class TestLeanReversePass:
         "two_branch": two_branch_config(16, 5),
         "sp_max": NetworkConfig(
             16,
-            (LayerConfig(1, 4, pool="sp"), LayerConfig(4, 6, pool="max"), LayerConfig(6, 8)),
+            (LayerConfig(4, pool="sp"), LayerConfig(6, pool="max"), LayerConfig(8)),
             5,
             head="magl",
         ),

@@ -197,10 +197,10 @@ def test_block_names_stay_in_network():
 
 def test_cli_json_keys_match_config_types():
     """Config JSON keys are the config types' fields (a layer's ``filter`` is
-    ``filter_mode``; ``in_channels`` is JSON only), so a field added to a type
-    without its JSON key fails here."""
-    layer = {f.name for f in fields(LayerConfig)} - {"in_channels", "filter_mode"} | {"filter"}
-    network = {f.name for f in fields(NetworkConfig)} | {"in_channels"}
+    ``filter_mode``), so a field added to a type without its JSON key fails
+    here."""
+    layer = {f.name for f in fields(LayerConfig)} - {"filter_mode"} | {"filter"}
+    network = {f.name for f in fields(NetworkConfig)}
     assert set(cli._LAYER_KEYS.split()) == layer
     assert set(cli._NETWORK_KEYS.split()) == network
     assert cli._PRESET_ARGS.split() == list(inspect.signature(two_branch_config).parameters)
@@ -340,3 +340,51 @@ def test_every_definition_has_a_caller():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     found = unreached(sources, exports | {("cli", "main")} | MESH_MAKERS)
     assert [key for key in found if key != ("__init__", "__getattr__")] == []
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) of each parameter of a function or lambda
+    in ``tree`` that its body never loads; ``self`` is exempt.  A nested
+    function's reads count for the function around it."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        loaded = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        found += [(fn.lineno, name, p.arg) for p in params if p.arg not in loaded | {"self"}]
+    return found
+
+
+def test_unread_parameters_finds_each_kind():
+    """A plain, keyword-only and starred parameter, a nested function's and a
+    lambda's are found; a parameter read only by a nested function is not."""
+    source = (
+        "def f(a, b, *rest, c=1, **kw):\n"
+        "    def g(d):\n"
+        "        return b\n"
+        "    return g, lambda e: a\n"
+    )
+    assert unread_parameters(ast.parse(source)) == [
+        (1, "f", "c"), (1, "f", "rest"), (1, "f", "kw"), (2, "g", "d"), (4, "<lambda>", "e"),
+    ]
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function in ``src/spheresig`` (nested
+    functions and lambdas included) is read in its body, so an argument that
+    no longer does anything goes rather than lingering in the signature."""
+    found = [
+        (path.name,) + hit
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert found == []
