@@ -8,11 +8,12 @@ incidence angle at that face, measured from the tangent plane, i.e.
 channels; the representation is faithful for star-shaped objects viewed from
 the center and remains defined (if lossy) otherwise.
 
-Each face is tested only against the rays its bounding cone reaches, row of
-equal z by row, and where the cone clears both poles only within the
-longitudes of the face's corners: along a great-circle arc that misses the
-poles longitude is strictly monotonic, so a triangle there spans exactly
-its corners' longitudes (``_cast_rows``).
+Each face is tested only against the rays in its box (``_face_boxes``): the
+rows of colatitude between its least and greatest, and where the box clears
+both poles only the longitudes between its corners'.  Colatitude has no
+critical point on the sphere but the poles, and along a great-circle arc that
+misses the poles longitude is strictly monotonic, so the box follows from the
+corners, the edges' great circles and the poles alone (``_cast_rows``).
 
 The hit test is Moller-Trumbore's, run as three dot products of the ray with
 per-face rows divided by the face's |e1 x e2| (``_hit_table``), so its
@@ -55,11 +56,11 @@ def _exponent(v: np.ndarray) -> int:
 @dataclass
 class TriangleMesh:
     """Vertex/face soup with finite vertices; degenerate (zero-area) faces are
-    dropped on build."""
+    dropped on build, and counted in ``dropped_faces``."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    dropped_faces: int = 0
+    dropped_faces: int = field(default=0, init=False)
     projection_offset: np.ndarray | None = None  # shift of the projection center (augment's jitter)
 
     def __post_init__(self) -> None:
@@ -337,9 +338,7 @@ def bounding_sphere(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-_CONE_MARGIN = 1e-6  # radians added to every face cone, and again to its reach
-_CONE_WIDE = 0.1  # faces whose cone has cos(half-angle) <= this reach every ray
-_POLE_GAP = 1e-3  # radians a cone's reach must clear both poles by for the corner bound
+_POLE_GAP = 1e-3  # radians a box must clear both poles by for the corner bound
 _PAIRS_PER_BLOCK = 1 << 21  # bounds the (ray, face) pairs held in memory
 _TIE = 1e-12  # hits within this relative distance of the farthest are one tie
 
@@ -353,31 +352,70 @@ def _norm(a):
     return np.sqrt(_dot(a, a))
 
 
-def _face_cones(
+def _face_boxes(
     origin: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit axis and cos(half-angle) of a cone from ``origin`` around each face.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Colatitudes [lo, hi] and longitudes phi_a + [phi_lo, phi_hi] that hold
+    every ray from ``origin`` that meets each face.
 
-    The cone holds the three vertex directions, hence (being convex) every
-    ray that meets the face.  Its half-angle is the widest vertex angle plus
-    ``_CONE_MARGIN``, which covers the barycentric tolerance of the hit test
-    and the roundoff of the vertex offsets.  Wide cones, and faces with a
-    vertex at the origin (closer than 1e-6 of the face's extent, where its
-    direction is unreliable), get cos = -inf so that every ray stays a
-    candidate.
+    Those rays form the spherical triangle of the corner directions p0, p1,
+    p2.  Colatitude has no critical point on the sphere but the poles, so
+    over the triangle it is least and greatest at a pole inside it, at a
+    corner, or at the top or bottom of an edge's great circle.  With n = p x
+    q for edge (p, q), the circle tops out at colatitude arctan2(|n_z|,
+    hypot(n_x, n_y)); that point is on the edge where p_y n_x - p_x n_y and
+    q_x n_y - q_y n_x are both >= 0, and the bottom, pi minus that, where
+    both are <= 0.  The triangle holds the north pole where n_z det(p0, p1,
+    p2) > 0 on all three edges and the south pole where all three are < 0.
+
+    The box is padded by 1e-8 (|v0| + |origin| + |e1| + |e2|) / h radians,
+    h being the origin's distance from the face's plane.  A hit lies at
+    least h from the origin and at most 2e-9 (|e1| + |e2|) off the face (the
+    hit test's barycentric tolerance), so its ray is within pi 1e-9 (|e1| +
+    |e2|) / h of the triangle.  The rest covers the roundoff of the corner
+    directions, and as h <= |v0| + |origin| the pad is at least 1e-8, far
+    above the roundoff of the angles.  A face seen from its plane (h = 0)
+    reaches every ray.
+
+    Where the box clears both poles by gap = min(lo, pi - hi) > ``_POLE_GAP``,
+    longitude is strictly monotonic along every edge (a great-circle arc that
+    misses the poles projects onto an ellipse centred on the z axis), so the
+    triangle spans exactly its corners' longitudes.  They are measured from
+    the longitude phi_a of p0 + p1 + p2, which the triangle holds, with the
+    pad over sin(gap); a pole-free triangle spans less than pi of longitude,
+    so the interval never wraps.  Elsewhere phi_lo, phi_hi = -inf, inf: the
+    face takes whole rows.
     """
     a0 = (v0 - origin).T
     corners = (a0, a0 + e1.T, a0 + e2.T)
     dist = [_norm(c) for c in corners]
-    at_origin = np.minimum.reduce(dist) <= 1e-6 * (dist[0] + _norm(e1.T) + _norm(e2.T))
-    unit = [c / np.where(d > 0, d, 1.0) for c, d in zip(corners, dist)]
-    axis = unit[0] + unit[1] + unit[2]
-    norm = _norm(axis)
-    axis /= np.where(norm > 0, norm, 1.0)
-    half = np.maximum.reduce([np.arctan2(_norm(_cross(u, axis)), _dot(u, axis)) for u in unit])
-    cos_half = np.cos(np.minimum(half + _CONE_MARGIN, np.pi))
-    cos_half[at_origin | (norm == 0) | (cos_half <= _CONE_WIDE)] = -np.inf
-    return axis.T, cos_half
+    p = [c / np.where(d > 0, d, 1.0) for c, d in zip(corners, dist)]
+    colat = [np.arctan2(np.hypot(u[0], u[1]), u[2]) for u in p]
+    lo, hi = np.minimum.reduce(colat), np.maximum.reduce(colat)
+    det = _dot(p[0], _cross(p[1], p[2]))
+    north = south = True
+    for u, w in ((p[0], p[1]), (p[1], p[2]), (p[2], p[0])):
+        n = _cross(u, w)
+        top = np.arctan2(np.abs(n[2]), np.hypot(n[0], n[1]))
+        after_u, before_w = u[1] * n[0] - u[0] * n[1], w[0] * n[1] - w[1] * n[0]
+        lo = np.where((after_u >= 0) & (before_w >= 0), np.minimum(lo, top), lo)
+        hi = np.where((after_u <= 0) & (before_w <= 0), np.maximum(hi, np.pi - top), hi)
+        north = north & (n[2] * det > 0)
+        south = south & (n[2] * det < 0)
+    normal = _cross(e1.T, e2.T)
+    h = np.abs(_dot(a0, normal)) / _norm(normal)
+    spread = 1e-8 * (_norm(v0.T) + _norm(origin) + _norm(e1.T) + _norm(e2.T))
+    margin = np.divide(spread, h, out=np.full_like(h, np.inf), where=h > 0)
+    lo = np.where(north, 0.0, lo) - margin
+    hi = np.where(south, np.pi, hi) + margin
+    gap = np.minimum(lo, np.pi - hi)
+    clear = gap > _POLE_GAP
+    sx, sy = p[0][:2] + p[1][:2] + p[2][:2]
+    phis = [np.arctan2(sx * u[1] - sy * u[0], sx * u[0] + sy * u[1]) for u in p]
+    pad = margin / np.sin(np.where(clear, gap, 1.0))
+    phi_lo = np.where(clear, np.minimum.reduce(phis) - pad, -np.inf)
+    phi_hi = np.where(clear, np.maximum.reduce(phis) + pad, np.inf)
+    return lo, hi, np.arctan2(sy, sx), phi_lo, phi_hi
 
 
 def _pieces(counts: np.ndarray, size: int):
@@ -425,29 +463,15 @@ def _cast_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Farthest-hit distance and hit-face index for a batch of unit rays.
 
-    Only the (ray, face) pairs inside a face's bounding cone are listed.  Rays
-    of equal z form a row at colatitude theta.  A cone of half-angle h around
-    an axis at colatitude theta_a, longitude phi_a reaches that row only if
-    |theta - theta_a| <= h, and there only the longitudes phi_a +- arccos((cos h
-    - cos theta cos theta_a) / (sin theta sin theta_a)).  With the rays sorted by
-    (row, longitude), each such interval is one index range, split where it
-    wraps past +-pi.  h gets ``_CONE_MARGIN`` more, and the interval the same
-    again, so roundoff only adds pairs; wide cones, and rows where sin theta
-    sin theta_a vanishes (the poles), take the whole row.
-
-    Where the cone's reach clears both poles by gap > ``_POLE_GAP``, the
-    interval is also cut to the longitudes of the face's three corners,
-    measured from phi_a and padded by ``_CONE_MARGIN`` / sin(gap).  This
-    loses no pair: on a great-circle arc that misses the poles, longitude
-    is strictly monotonic (the arc's xy-projection is an ellipse centred on
-    the z axis), so a spherical triangle inside a pole-free cap spans exactly
-    its corners' longitudes, and an angle d off the triangle moves longitude
-    by at most d / sin(gap) there.  phi_a lies in both intervals, so their
-    common part is never empty.  Faces whose cone reaches a pole keep the
-    cone interval alone.
-
-    The (face, row) pairs are walked row by row and by longitude within a
-    row, so the range ends arrive at ``searchsorted`` nearly sorted.
+    Only the (ray, face) pairs inside a face's box (``_face_boxes``) are
+    listed.  Rays of equal z form a row, so the rows of colatitude in [lo, hi]
+    are one range of the rows sorted by z.  With the rays sorted by (row,
+    longitude), a face's rays in a row are then one index range: its corner
+    longitudes, or the whole row where its box reaches a pole.  A longitude
+    interval that wraps past +-pi goes on at the row's other end, as a second
+    interval shifted by 2 pi.  The (interval, row) pairs are walked row by
+    row and by longitude within a row, so the range ends arrive at
+    ``searchsorted`` nearly sorted.
 
     Moller-Trumbore runs on the listed pairs, at most ``_PAIRS_PER_BLOCK`` at
     a time, as three dot products of the ray with its face's column of
@@ -460,62 +484,35 @@ def _cast_rows(
     on the walk or on roundoff at a shared edge or vertex.  Returns (t, face)
     with t = -inf and face = 0 where the ray misses everything.
     """
-    axis, cos_half = _face_cones(origin, v0, e1, e2)
+    lo, hi, phi_a, phi_lo, phi_hi = _face_boxes(origin, v0, e1, e2)
     table = _hit_table(origin, v0, e1, e2)
     tol = 1e-9
     # One sort key per ray: its row's slot [8 row, 8 row + 8) plus 4 + longitude.
     row_z, row = np.unique(dirs[:, 2], return_inverse=True)
-    row_sin = np.sqrt((1.0 - row_z) * (1.0 + row_z))
     key = 8.0 * row + 4.0 + np.arctan2(dirs[:, 1], dirs[:, 0])
     ray_order = np.argsort(key)
     key = key[ray_order]
     ray_dirs = np.ascontiguousarray(dirs[ray_order].T)  # (3 xyz, rays) in key order
-    reach = np.arccos(np.maximum(cos_half, -1.0)) + _CONE_MARGIN  # > pi for wide cones
-    cos_reach = np.cos(reach)
-    ax, ay, az = axis.T
-    axis_sin = np.hypot(ax, ay)
-    axis_theta = np.arctan2(axis_sin, az)
-    axis_phi = np.arctan2(ay, ax)
-    # each face's corner longitudes from phi_a, padded, where its cone clears
-    # both poles; -inf, inf elsewhere
-    gap = np.minimum(axis_theta, np.pi - axis_theta) - reach
-    clear = gap > _POLE_GAP
-    pad = _CONE_MARGIN / np.sin(np.where(clear, gap, 1.0))
-    a0 = (v0 - origin).T[:2]
-    phis = [np.arctan2(ax * c[1] - ay * c[0], ax * c[0] + ay * c[1])
-            for c in (a0, a0 + e1.T[:2], a0 + e2.T[:2])]
-    phi_lo = np.where(clear, np.minimum.reduce(phis) - pad, -np.inf)
-    phi_hi = np.where(clear, np.maximum.reduce(phis) + pad, np.inf)
-    # rows with |theta - theta_a| <= reach are a z range of the sorted rows
-    first_row = np.searchsorted(row_z, np.cos(np.minimum(axis_theta + reach, np.pi)))
-    end_row = np.searchsorted(row_z, np.cos(np.maximum(axis_theta - reach, 0.0)), "right")
+    first_row = np.searchsorted(row_z, np.cos(np.minimum(hi, np.pi)))
+    end_row = np.searchsorted(row_z, np.cos(np.maximum(lo, 0.0)), "right")
+    # one longitude interval per face, [-4, 4] for a whole row, and a second
+    # for each that wraps
+    phi_lo, phi_hi = phi_a + phi_lo, phi_a + phi_hi
+    past = np.flatnonzero(np.isfinite(phi_lo) & ((phi_lo < -np.pi) | (phi_hi > np.pi)))
+    shift = np.where(phi_lo[past] < -np.pi, 2 * np.pi, -2 * np.pi)
+    face = np.concatenate([np.arange(len(lo)), past])
+    bounds = np.clip([np.concatenate([phi_lo, phi_lo[past] + shift]),
+                      np.concatenate([phi_hi, phi_hi[past] + shift])], -4.0, 4.0)
+    by_phi = np.argsort(bounds[0])
+    face, bounds = face[by_phi], bounds[:, by_phi]
     hit_ray, hit_face, hit_t = [], [], []
-    by_phi = np.argsort(axis_phi)
-    for fr, off in _pieces((end_row - first_row)[by_phi], _PAIRS_PER_BLOCK):
-        fr = by_phi[fr]
-        rw = first_row[fr] + off  # (face fr, row rw) pairs
+    for iv, off in _pieces((end_row - first_row)[face], _PAIRS_PER_BLOCK):
+        rw = first_row[face[iv]] + off  # (interval iv, row rw) pairs
         # row-major, by longitude within a row (a radix sort up to 65,536 rows)
         by_row = np.argsort(rw.astype(np.min_scalar_type(len(row_z))), kind="stable")
-        fr, rw = fr[by_row], rw[by_row]
-        den = row_sin[rw] * axis_sin[fr]
-        whole = (reach[fr] >= np.pi) | (den <= 1e-12)
-        num = cos_reach[fr] - row_z[rw] * az[fr]
-        half = np.arccos(np.clip(num / np.where(whole, 1.0, den), -1.0, 1.0)) + _CONE_MARGIN
-        whole |= half >= np.pi
-        # the cone's interval from phi_a, cut to the corners' where they bound it
-        lo = np.maximum(np.where(whole, -np.inf, -half), phi_lo[fr])
-        hi = np.minimum(np.where(whole, np.inf, half), phi_hi[fr])
-        whole = np.isinf(lo)
-        lo = np.where(whole, -4.0, axis_phi[fr] + lo)
-        hi = np.where(whole, 4.0, axis_phi[fr] + hi)
-        # an interval past -pi or +pi goes on at the row's other end: one more
-        # (face, row) range, shifted by 2 pi
-        past = ~whole & ((lo < -np.pi) | (hi > np.pi))
-        shift = np.where(lo[past] < -np.pi, 2 * np.pi, -2 * np.pi)
-        fr, rw = np.concatenate([fr, fr[past]]), np.concatenate([rw, rw[past]])
-        lo = np.concatenate([lo, lo[past] + shift])
-        hi = np.concatenate([hi, hi[past] + shift])
-        start, stop = np.searchsorted(key, np.clip([lo, hi], -4.0, 4.0) + (8.0 * rw + 4.0))
+        iv, rw = iv[by_row], rw[by_row]
+        start, stop = np.searchsorted(key, bounds[:, iv] + (8.0 * rw + 4.0))
+        fr = face[iv]
         for k, at in _pieces(stop - start, _PAIRS_PER_BLOCK):
             i = start[k] + at  # rays in key order
             f = fr[k]

@@ -363,6 +363,13 @@ def _head(kind: str, feat: np.ndarray, b: int):
     return norms.swapaxes(0, 1).reshape(feat.shape[1], -1), vjp
 
 
+def _check_input(config: NetworkConfig, x: np.ndarray) -> None:
+    """Reject values that are not (batch, in_channels, 2b, 2b) for ``config``."""
+    c, n = config.input_channels, 2 * config.input_bandwidth
+    if x.ndim != 4 or x.shape[1:] != (c, n, n):
+        raise ValueError(f"input has shape {x.shape}; the config expects (batch, {c}, {n}, {n})")
+
+
 def _forward_batch(
     config: NetworkConfig, params: ParameterStore, x: np.ndarray, *, taps: bool = True
 ):
@@ -375,9 +382,7 @@ def _forward_batch(
     output is kept until the next block of its branch has analysed it, and
     no longer unless ``taps`` keeps it; callers that read no taps pass
     ``taps=False``, so that no feature map outlives its consumer."""
-    c, n = config.input_channels, 2 * config.input_bandwidth
-    if x.ndim != 4 or x.shape[1:] != (c, n, n):
-        raise ValueError(f"input has shape {x.shape}; the config expects (batch, {c}, {n}, {n})")
+    _check_input(config, x)
     outs = dict(enumerate(np.split(x.swapaxes(0, 1), config.branches, axis=0)))
     kept: dict[str, np.ndarray] = {}
     blocks = []
@@ -536,11 +541,14 @@ def train(
     schedule: TrainSchedule | None = None,
     params: ParameterStore | None = None,
 ) -> tuple[ParameterStore, list[float]]:
-    """Train on (N, C, n, n) values; returns parameters and per-epoch mean loss."""
+    """Train on (N, C, n, n) values; returns parameters and per-epoch mean loss.
+
+    The values are checked against the config before any parameter is made."""
     schedule = TrainSchedule() if schedule is None else schedule
     rng = np.random.default_rng(schedule.seed)
-    params = init_parameters(config, seed=schedule.seed) if params is None else params
     x = np.asarray(signals, dtype=np.float64)
+    _check_input(config, x)
+    params = init_parameters(config, seed=schedule.seed) if params is None else params
     y = np.asarray(labels)
     n = len(x)
     history: list[float] = []

@@ -248,6 +248,27 @@ def test_train_label_out_of_range(tmp_path, capsys, label):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("channels", [2, 10**12])
+def test_train_input_width_checked_first(tmp_path, capsys, channels):
+    """Data whose width is not the config's ``in_channels`` is a data error
+    naming both shapes, checked before the parameters are made: at 1e12
+    channels they would take 116 TiB."""
+    data = tmp_path / "ds"
+    assert main(["synth", "--count", "1", "-b", "8", "-o", str(data)]) == 0
+    cfgfile = tmp_path / "net.json"
+    cfgfile.write_text(json.dumps(dict(
+        input_bandwidth=8, num_classes=3, in_channels=channels, layers=[dict(out_channels=2)],
+    )))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfgfile), "--data", str(data), "--epochs", "1",
+                 "-o", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "input has shape (3, 1, 16, 16)" in err and "Traceback" not in err
+    assert f"the config expects (batch, {channels}, 16, 16)" in err
+    assert not ckpt.exists()
+
+
 def test_synth_reproducible(tmp_path):
     da, db = str(tmp_path / "a"), str(tmp_path / "b")
     for d in (da, db):

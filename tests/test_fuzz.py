@@ -1,11 +1,13 @@
 """Seeded fuzz of the SPH1/SPEC1/CKPT1 readers and the OBJ/OFF mesh readers
-through the CLI.
+through the CLI, and of the mesh ray caster.
 
-Each example mutates a valid file (truncated at an offset, one bit flipped,
-one header u32 field set to an extreme value, or, in a mesh file, one number
-token replaced by an extreme one) and runs the CLI command that reads it
-in-process.  The contract: exit code 0 or 2, and no exception escapes
-``main``.
+Each reader example mutates a valid file (truncated at an offset, one bit
+flipped, one header u32 field set to an extreme value, or, in a mesh file,
+one number token replaced by an extreme one) and runs the CLI command that
+reads it in-process.  The contract: exit code 0 or 2, and no exception
+escapes ``main``.  Each caster example casts rays at a random triangle soup
+from an origin on or near its surface; the contract: the same bits as the
+all-pairs caster.
 """
 
 import json
@@ -17,10 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_mesh import all_pairs_cast, cast_args
+
+from spheresig import mesh as mesh_module
 from spheresig.cli import main
 from spheresig.formats import write_ckpt1, write_spec1, write_sph1
+from spheresig.grid import make_grid
 from spheresig.harmonics import shared_table
+from spheresig.mesh import TriangleMesh
 from spheresig.network import LayerConfig, NetworkConfig, init_parameters
+from spheresig.rotation import random_rotations
 from spheresig.sft import isft, random_coeffs
 from spheresig.synth import star_mesh
 
@@ -171,3 +179,55 @@ def test_spec1_unknown_storage_code(valid, tmp_path, capsys):
     bad.write_bytes(bytes(data))
     assert main(["isft", str(bad), "-o", str(tmp_path / "out.sph")]) == 2
     assert "unknown storage code 7" in capsys.readouterr().err
+
+
+@st.composite
+def casts(draw):
+    """A triangle soup under a random rotation, an origin and unit rays.
+
+    The soup's corners are scattered around the center, clustered at a
+    pole, or spread over the whole sphere (faces that span wide angles).
+    The origin is the center, a point off it, or a vertex, an edge's
+    midpoint or a face's centroid, maybe moved 1e-13 to 1e-8 off it.  The
+    rays are +-z, a grid, random rays and the rays toward every vertex.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    spread = draw(st.sampled_from(["soup", "pole", "large"]))
+    if spread == "soup":
+        corners = rng.standard_normal((n, 1, 3)) + 0.3 * rng.standard_normal((n, 3, 3))
+    elif spread == "pole":
+        corners = [0.0, 0.0, draw(st.sampled_from([1.0, -1.0]))] + 0.05 * rng.standard_normal((n, 3, 3))
+    else:
+        corners = rng.standard_normal((n, 3, 3))
+        corners /= np.linalg.norm(corners, axis=-1, keepdims=True)
+    turn = random_rotations(1, seed=int(rng.integers(2**32)))[0].matrix()
+    mesh = TriangleMesh(corners.reshape(-1, 3) @ turn.T, np.arange(3 * n).reshape(-1, 3))
+    face = mesh.vertices[mesh.faces[rng.integers(len(mesh.faces))]]
+    origin = {
+        "center": np.zeros(3),
+        "off": 0.3 * rng.standard_normal(3),
+        "vertex": face[0],
+        "edge": face[:2].mean(axis=0),
+        "face": face.mean(axis=0),
+    }[draw(st.sampled_from(["center", "off", "vertex", "edge", "face"]))]
+    if draw(st.booleans()):
+        step = rng.standard_normal(3)
+        origin = origin + 10.0 ** rng.uniform(-13, -8) * step / np.linalg.norm(step)
+    toward = mesh.vertices - origin
+    toward = toward[np.linalg.norm(toward, axis=1) > 0]
+    rays = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                      make_grid(draw(st.sampled_from([2, 4, 8]))).directions().reshape(-1, 3),
+                      rng.standard_normal((100, 3)), toward])
+    return rays / np.linalg.norm(rays, axis=1, keepdims=True), mesh, origin
+
+
+@settings(FUZZ, max_examples=300)
+@given(case=casts())
+def test_cast_rows_matches_all_pairs(case):
+    dirs, mesh, origin = case
+    args = (dirs, *cast_args(mesh, origin))
+    t, face = mesh_module._cast_rows(*args)
+    t_ref, face_ref = all_pairs_cast(*args)
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_array_equal(face, face_ref)

@@ -69,6 +69,12 @@ class TestLoading:
         assert len(mesh.faces) == 1
         assert mesh.dropped_faces == 1
 
+    def test_dropped_faces_is_counted_not_passed(self):
+        mesh = TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3)))
+        assert len(mesh.faces) == 0 and mesh.dropped_faces == 0
+        with pytest.raises(TypeError):
+            TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3)), dropped_faces=7)
+
     def test_face_index_out_of_range(self):
         with pytest.raises(ValueError):
             TriangleMesh(np.zeros((3, 3)), [[0, 1, 5]])
@@ -379,7 +385,7 @@ def two_far_triangles():
 
 
 class TestCulledCastingParity:
-    """The cone-culled caster reproduces the all-pairs caster bit for bit."""
+    """The box-culled caster reproduces the all-pairs caster bit for bit."""
 
     def assert_matches_all_pairs(self, monkeypatch, mesh, b, center=None):
         fast = project_mesh(mesh, b, center=center).signal.values
@@ -409,11 +415,10 @@ class TestCulledCastingParity:
         corners = mesh.vertices[mesh.faces[0]]
         center = {"face": corners.mean(axis=0), "edge": corners[:2].mean(axis=0),
                   "vertex": corners[0]}[where]
-        v0 = mesh.vertices[mesh.faces[:, 0]]
-        e1 = mesh.vertices[mesh.faces[:, 1]] - v0
-        e2 = mesh.vertices[mesh.faces[:, 2]] - v0
-        _, cos_half = mesh_module._face_cones(center, v0, e1, e2)
-        assert np.isneginf(cos_half[0])  # face 0 is never culled
+        lo, hi, _, phi_lo, _ = mesh_module._face_boxes(*cast_args(mesh, center))
+        assert np.isneginf(phi_lo[0])  # face 0 takes whole rows
+        if where != "face":
+            assert lo[0] < 0 and hi[0] > np.pi  # and every row
         self.assert_matches_all_pairs(monkeypatch, mesh, 16, center=center)
 
     def test_cube_corner_center(self, monkeypatch):
@@ -452,24 +457,22 @@ def z_turn(angle):
 
 def cap_triangles(spots, radius=0.02):
     """An equilateral triangle of corner angle ``radius`` around each
-    (colatitude, longitude) in ``spots``, at unit distance."""
+    (colatitude, longitude) in ``spots``, at unit distance, with a corner
+    toward the nearer pole: its box's colatitudes reach theta -+ radius."""
     corners = []
     for theta, phi in spots:
         c, s = np.cos(theta), np.sin(theta)
         turn = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])  # z onto theta
-        for a in 2 * np.pi * np.arange(3) / 3:
+        for a in 2 * np.pi * np.arange(3) / 3 + (np.pi if theta < np.pi / 2 else 0.0):
             corners.append(z_turn(phi) @ turn @ spherical(radius, a))
     return TriangleMesh(np.array(corners), np.arange(len(corners)).reshape(-1, 3))
 
 
 def pole_gaps(mesh, origin):
-    """min(theta_a, pi - theta_a) - reach of each face's cone: where this
-    exceeds ``_POLE_GAP``, ``_cast_rows`` cuts the face's longitudes to its
-    corners'."""
-    axis, cos_half = mesh_module._face_cones(*cast_args(mesh, origin))
-    reach = np.arccos(np.maximum(cos_half, -1.0)) + mesh_module._CONE_MARGIN
-    theta = np.arctan2(np.hypot(axis[:, 0], axis[:, 1]), axis[:, 2])
-    return np.minimum(theta, np.pi - theta) - reach
+    """min(lo, pi - hi) of each face's box: where this exceeds ``_POLE_GAP``,
+    ``_cast_rows`` cuts the face's longitudes to its corners'."""
+    lo, hi, *_ = mesh_module._face_boxes(*cast_args(mesh, origin))
+    return np.minimum(lo, np.pi - hi)
 
 
 def rays_past_the_corners(mesh, origin, angle=1e-12):
@@ -543,12 +546,13 @@ class TestCasterParity:
             turned = mesh.transformed([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             self.assert_matches(dirs, turned, bounding_sphere(turned)[0])
 
-    def test_cone_gap_at_the_clear_threshold(self):
-        """Faces whose cone clears the poles by just more and just less than
+    def test_box_gap_at_the_clear_threshold(self):
+        """Faces whose box clears the poles by just more and just less than
         ``_POLE_GAP``: the corner bound applies to the first kind only, and
         either way no pair is lost."""
         threshold, radius = mesh_module._POLE_GAP, 0.02
-        reach = radius + 2 * mesh_module._CONE_MARGIN
+        # a cap's gap is theta - radius less its margin, which turning it keeps
+        reach = 0.5 - pole_gaps(cap_triangles([(0.5, 0.0)], radius), np.zeros(3))[0]
         spots = [(theta, phi)
                  for delta in (-1e-6, -1e-9, 1e-9, 1e-6)
                  for theta in (reach + threshold + delta, np.pi - reach - threshold - delta)
@@ -563,11 +567,12 @@ class TestCasterParity:
         self.assert_matches(dirs, mesh, np.zeros(3))
 
     def test_slivers_near_the_poles(self):
-        """Thin triangles a few degrees from a pole that span 90 or 108
-        degrees of longitude, some with cones that clear the pole and some
-        without, across the +-pi seam too."""
+        """Thin triangles near a pole that span 90 or 108 degrees of
+        longitude, so that their long edge bulges toward the pole: some with
+        boxes that clear the pole and some without, across the +-pi seam
+        too."""
         verts = []
-        for t1 in (0.03, 0.05, 0.2):
+        for t1 in (1e-3, 1.5e-3, 0.03, 0.2):
             for far in (1.2, 1.5, 1.9):
                 for span in (np.pi / 2, 0.6 * np.pi):
                     for phi in (0.4, np.pi):
@@ -587,7 +592,7 @@ class TestCasterParity:
     @pytest.mark.parametrize("where", ["face", "edge", "vertex"])
     def test_star_tilted_onto_the_poles(self, where):
         """A star mesh turned so that the +z ray meets a face, an edge or a
-        vertex: the faces around the pole keep their cone's rows, the rest
+        vertex: the faces around the pole take whole rows, the rest
         get the corner bound; cast from the center and from off it."""
         mesh = tilted_onto_z(
             star_mesh(seed=800, n_theta=16, n_phi=32, amplitude=0.3, sharpness=(4, 9)), where
@@ -600,16 +605,72 @@ class TestCasterParity:
                               unit_rays(500, 9), rays_past_the_corners(mesh, origin)])
             self.assert_matches(dirs, mesh, origin)
 
+    def test_triangles_around_a_pole(self):
+        """Triangles that hold a pole with every corner far from it, across
+        the +-pi seam too: their boxes reach the pole, where no corner or
+        edge does."""
+        verts = []
+        for theta in (0.05, 0.3, 0.8):
+            for phi in (0.4, np.pi):
+                for flip in (1, -1):
+                    corners = [(theta, phi), (1.5 * theta, phi + 2.0), (0.7 * theta, phi - 2.2)]
+                    verts += [spherical(t, p) * [1, 1, flip] for t, p in corners]
+        mesh = TriangleMesh(np.array(verts), np.arange(len(verts)).reshape(-1, 3))
+        lo, hi, *_ = mesh_module._face_boxes(*cast_args(mesh, np.zeros(3)))
+        assert ((lo < 0) != (hi > np.pi)).all()
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        dirs = np.vstack([poles, make_grid(16).directions().reshape(-1, 3), unit_rays(500, 10)])
+        self.assert_matches(dirs, mesh, np.zeros(3))
+
+    def test_edges_that_bulge_past_their_corners(self):
+        """Triangles whose long east-west edge runs nearer the pole than
+        either of its corners: the box reaches the top (or bottom) of that
+        edge's great circle, and rays toward the edge's middle hit."""
+        verts = []
+        for theta in (0.3, 0.6, 1.2):
+            for span in (1.5, 2.6):
+                for phi in (0.4, np.pi):
+                    for flip in (1, -1):
+                        corners = [(theta, phi - span / 2), (theta, phi + span / 2),
+                                   (theta + 0.3, phi)]
+                        verts += [spherical(t, p) * [1, 1, flip] for t, p in corners]
+        mesh = TriangleMesh(np.array(verts), np.arange(len(verts)).reshape(-1, 3))
+        gaps = pole_gaps(mesh, np.zeros(3))
+        corners = mesh.vertices[mesh.faces]
+        corner_gaps = np.arccos(np.abs(corners[..., 2])).min(axis=1)
+        assert (gaps < corner_gaps - 0.05).all()
+        middles = corners[:, :2].mean(axis=1)
+        middles /= np.linalg.norm(middles, axis=1, keepdims=True)
+        dirs = np.vstack([make_grid(16).directions().reshape(-1, 3), unit_rays(500, 11),
+                          middles @ z_turn(1e-12).T, middles @ z_turn(-1e-12).T])
+        self.assert_matches(dirs, mesh, np.zeros(3))
+
+    @pytest.mark.parametrize("where", ["vertex", "edge"])
+    @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9, 1e-8, 1e-6, 1e-5])
+    def test_origins_just_off_a_vertex_or_an_edge(self, where, offset):
+        """Origins 1e-13 to 1e-5 off a vertex or an edge's midpoint: seen from
+        there the hit test's tolerance spans a wide angle, and the boxes of
+        the faces at that vertex or edge widen by as much."""
+        mesh = star_mesh(seed=804, n_theta=8, n_phi=16, amplitude=0.3, sharpness=(4, 9))
+        grid = make_grid(8).directions().reshape(-1, 3)
+        for face in (5, 9):
+            corners = mesh.vertices[mesh.faces[face]]
+            base = corners[0] if where == "vertex" else corners[:2].mean(axis=0)
+            for step in unit_rays(2, face):
+                origin = base + offset * step
+                dirs = np.vstack([grid, unit_rays(200, face)]
+                                 + [rays_past_the_corners(mesh, origin, a) for a in (1e-9, 1e-4)])
+                self.assert_matches(dirs, mesh, origin)
+
     @pytest.mark.parametrize("name", ["cube-corner", "star"])
     def test_small_blocks(self, monkeypatch, name):
         """With 64 pairs per block every walk crosses block boundaries; from a
-        cube corner, the faces at that corner have wide cones that reach
-        every ray."""
+        cube corner, the boxes of the faces at that corner hold every ray."""
         mesh = cube_mesh(1.0) if name == "cube-corner" else star_mesh(seed=803, n_theta=8, n_phi=16)
         origin = mesh.vertices[0] if name == "cube-corner" else bounding_sphere(mesh)[0]
         if name == "cube-corner":
-            _, cos_half = mesh_module._face_cones(*cast_args(mesh, origin))
-            assert np.isneginf(cos_half).sum() == 6
+            lo, hi, *_ = mesh_module._face_boxes(*cast_args(mesh, origin))
+            assert ((lo < 0) & (hi > np.pi)).sum() == 6
         pieces = []
         walk = mesh_module._pieces
 
@@ -638,10 +699,10 @@ def test_pieces_walk_every_item_once_in_order():
 
 
 def test_cast_lists_few_pairs(monkeypatch):
-    """The cone rows and the corner bound list 16,339 (ray, face) pairs for
-    this mesh at b = 32 (the cone rows alone list 25,061).  A listing that
-    loosens by more than about 10% fails here, though every parity test
-    would still pass."""
+    """The face boxes list 10,345 (ray, face) pairs for this mesh at b = 32
+    (the bounding cones with the corner bound that they replace listed
+    16,339).  A listing that loosens by more than about 10% fails here,
+    though every parity test would still pass."""
     walks = []
     walk = mesh_module._pieces
 
@@ -657,7 +718,7 @@ def test_cast_lists_few_pairs(monkeypatch):
     project_mesh(mesh, 32)
     face_rows, *pair_walks = walks  # the (face, row) walk, then one pair walk per piece of it
     pairs = sum(map(sum, pair_walks))
-    assert len(face_rows) == 1 and 0 < pairs <= 18_000
+    assert len(face_rows) == 1 and 0 < pairs <= 11_500
 
 
 class TestTextbookArithmetic:

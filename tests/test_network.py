@@ -326,6 +326,18 @@ class TestSchedule:
         with pytest.raises(ValueError, match=message):
             TrainSchedule(**kwargs)
 
+    def test_input_checked_before_parameters(self, monkeypatch):
+        """``train`` rejects values of the wrong width before it makes any
+        parameter, with the message the forward pass would give."""
+        made = []
+        monkeypatch.setattr(network, "init_parameters", lambda *a, **k: made.append(a))
+        cfg = stack_config(8, [4], in_channels=2, num_classes=3)
+        x = np.zeros((3, 1, 16, 16))
+        with pytest.raises(ValueError, match=r"input has shape \(3, 1, 16, 16\); "
+                           r"the config expects \(batch, 2, 16, 16\)"):
+            train(cfg, x, np.zeros(3, dtype=int), TrainSchedule(epochs=1))
+        assert made == []
+
     def test_training_reduces_loss(self):
         ds = make_blob_dataset(8, 10, seed=1)
         x = np.stack([s.values for s in ds.signals])
