@@ -9,11 +9,8 @@ channels; the representation is faithful for star-shaped objects viewed from
 the center and remains defined (if lossy) otherwise.
 
 Each face is tested only against the rays in its box (``_face_boxes``): the
-rows of colatitude between its least and greatest, and where the box clears
-both poles only the longitudes between its corners'.  Colatitude has no
-critical point on the sphere but the poles, and along a great-circle arc that
-misses the poles longitude is strictly monotonic, so the box follows from the
-corners, the edges' great circles and the poles alone (``_cast_rows``).
+latitude rows between its least and greatest colatitude and, where the box
+clears both poles, only the longitudes between its corners' (``_cast_rows``).
 
 The hit test is Moller-Trumbore's, run as three dot products of the ray with
 per-face rows divided by the face's |e1 x e2| (``_hit_table``), so its
@@ -467,11 +464,11 @@ def _cast_rows(
     listed.  Rays of equal z form a row, so the rows of colatitude in [lo, hi]
     are one range of the rows sorted by z.  With the rays sorted by (row,
     longitude), a face's rays in a row are then one index range: its corner
-    longitudes, or the whole row where its box reaches a pole.  A longitude
-    interval that wraps past +-pi goes on at the row's other end, as a second
-    interval shifted by 2 pi.  The (interval, row) pairs are walked row by
-    row and by longitude within a row, so the range ends arrive at
-    ``searchsorted`` nearly sorted.
+    longitudes, or the whole row where its box does not clear both poles.
+    A longitude interval that wraps past +-pi goes on at the row's other
+    end, as a second interval shifted by 2 pi.  The (interval, row) pairs
+    are walked row by row and by longitude within a row, so the range ends
+    arrive at ``searchsorted`` nearly sorted.
 
     Moller-Trumbore runs on the listed pairs, at most ``_PAIRS_PER_BLOCK`` at
     a time, as three dot products of the ray with its face's column of

@@ -197,7 +197,8 @@ def casts(draw):
     if spread == "soup":
         corners = rng.standard_normal((n, 1, 3)) + 0.3 * rng.standard_normal((n, 3, 3))
     elif spread == "pole":
-        corners = [0.0, 0.0, draw(st.sampled_from([1.0, -1.0]))] + 0.05 * rng.standard_normal((n, 3, 3))
+        pole = [0.0, 0.0, draw(st.sampled_from([1.0, -1.0]))]
+        corners = pole + 0.05 * rng.standard_normal((n, 3, 3))
     else:
         corners = rng.standard_normal((n, 3, 3))
         corners /= np.linalg.norm(corners, axis=-1, keepdims=True)

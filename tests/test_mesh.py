@@ -416,9 +416,7 @@ class TestCulledCastingParity:
         center = {"face": corners.mean(axis=0), "edge": corners[:2].mean(axis=0),
                   "vertex": corners[0]}[where]
         lo, hi, _, phi_lo, _ = mesh_module._face_boxes(*cast_args(mesh, center))
-        assert np.isneginf(phi_lo[0])  # face 0 takes whole rows
-        if where != "face":
-            assert lo[0] < 0 and hi[0] > np.pi  # and every row
+        assert lo[0] < 0 and hi[0] > np.pi and np.isneginf(phi_lo[0])  # face 0 reaches every ray
         self.assert_matches_all_pairs(monkeypatch, mesh, 16, center=center)
 
     def test_cube_corner_center(self, monkeypatch):
