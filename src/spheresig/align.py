@@ -17,7 +17,7 @@ lexicographically smallest (alpha, beta, gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class AlignmentResult:
     score: float
     degenerate: bool = False
     angular_error_deg: float | None = None
-    per_rotation_scores: np.ndarray | None = field(default=None, repr=False)
 
 
 def _score_lattice(
@@ -71,8 +70,6 @@ def so3_correlate(
     a: list[SpectralCoeffs] | SpectralCoeffs,
     b: list[SpectralCoeffs] | SpectralCoeffs,
     grid_size: tuple[int, int, int] = (16, 16, 16),
-    refine: bool = True,
-    keep_scores: bool = False,
 ) -> AlignmentResult:
     """Rotation maximizing the summed feature-map correlation of ``a`` against ``b``."""
     a_list = [a] if isinstance(a, SpectralCoeffs) else list(a)
@@ -96,7 +93,7 @@ def so3_correlate(
     spread = float(scores.max() - scores.min())
     median = float(np.median(scores))
     degenerate = bool(spread <= 0 or (scores.max() - median) / spread < DEGENERATE_SPREAD)
-    if refine and not degenerate:
+    if not degenerate:
         offs = np.arange(-3, 4) / 3.0
         fine_a = alphas[i] + offs * (2 * np.pi / na)
         fine_b = np.clip(betas[j] + offs * (np.pi / nb), 0.0, np.pi)
@@ -105,12 +102,7 @@ def so3_correlate(
         fi, fj, fk = _first_max(fine)
         best_rot = RotationZYZ(fine_a[fi], fine_b[fj], fine_g[fk])
         best_score = max(best_score, float(fine[fi, fj, fk]))
-    return AlignmentResult(
-        rotation=best_rot,
-        score=best_score,
-        degenerate=degenerate,
-        per_rotation_scores=scores.ravel() if keep_scores else None,
-    )
+    return AlignmentResult(rotation=best_rot, score=best_score, degenerate=degenerate)
 
 
 def align_shapes(

@@ -18,15 +18,13 @@ from .harmonics import build_table
 from .sft import SphericalSignal, sft_direct, sft_sepvar
 
 
-def benchmark_sft(
-    bandwidths: list[int], reps: int = 10, seed: int = 0, channels: int = 1
-) -> dict:
+def benchmark_sft(bandwidths: list[int], reps: int = 10, seed: int = 0) -> dict:
     """Median wall times per bandwidth for both transform paths."""
     results = {}
     rng = np.random.default_rng(seed)
     for b in bandwidths:
         table = build_table(make_grid(b))
-        sig = SphericalSignal(table.grid, rng.standard_normal((channels, 2 * b, 2 * b)))
+        sig = SphericalSignal(table.grid, rng.standard_normal((1, 2 * b, 2 * b)))
         sft_direct(sig, table)  # warm caches before timing
         sft_sepvar(sig, table)
         t_direct, t_sepvar = [], []

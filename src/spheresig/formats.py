@@ -17,8 +17,10 @@ CKPT1: magic ``CKPT1`` | u32 tensor count | per tensor: u16 name length,
 
 Readers reject wrong magic bytes, bandwidths outside the grid's range, zero
 channel counts, unknown dtype or storage codes, repeated tensor names,
-truncated payloads and non-finite SPEC1 coefficients; the writers refuse
-any header or coefficients the readers reject, before the file is opened.
+truncated payloads and non-finite SPEC1 coefficients (signals and checkpoint
+tensors are checked finite where they are loaded); the writers refuse any
+header or value that would not load, including one that overflows its
+float32 cast, before the file is opened.
 Declared sizes are checked against the bytes left in the file before
 anything is read or allocated.
 """
@@ -56,16 +58,27 @@ def _check_header(path: str, b: int, channels: int) -> None:
         raise FormatError(f"{path}: header declares 0 channels")
 
 
+def _finite_cast(path: str, arr: np.ndarray, dtype: str) -> np.ndarray:
+    """``arr`` as contiguous ``dtype``; FormatError if a value is not finite
+    after the cast (a float64 over ~3.4e38 overflows float32)."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype=dtype)
+    if not np.isfinite(out).all():
+        name = np.dtype(dtype).name
+        raise FormatError(f"{path}: refusing to write values that are non-finite as {name}")
+    return out
+
+
 def write_sph1(path: str, signal: SphericalSignal, dtype: str = "f64") -> None:
     if dtype not in ("f32", "f64"):
         raise ValueError(f"dtype must be f32 or f64, got {dtype}")
     _check_header(path, signal.bandwidth, signal.channels)
     code = 0 if dtype == "f32" else 1
-    np_dtype = "<f4" if dtype == "f32" else "<f8"
+    values = _finite_cast(path, signal.values, "<f4" if dtype == "f32" else "<f8")
     with open(path, "wb") as fh:
         fh.write(_SPH_MAGIC)
         fh.write(struct.pack("<IIB", signal.bandwidth, signal.channels, code))
-        fh.write(np.ascontiguousarray(signal.values, dtype=np_dtype).tobytes())
+        fh.write(values.tobytes())
 
 
 def read_sph1(path: str) -> SphericalSignal:
@@ -123,12 +136,12 @@ def read_spec1(path: str) -> SpectralCoeffs:
 
 
 def write_ckpt1(path: str, tensors: dict[str, np.ndarray]) -> None:
+    arrays = {name: _finite_cast(path, arr, "<f4") for name, arr in tensors.items()}
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
             blob = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr, dtype="<f4")
             fh.write(struct.pack("<H", len(blob)))
             fh.write(blob)
             fh.write(struct.pack("<B", arr.ndim))

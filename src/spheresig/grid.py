@@ -72,20 +72,20 @@ def require_int(value, name: str):
     return value
 
 
-def check_bandwidth(b, name: str = "bandwidth", top: int = DEFAULT_MAX_BANDWIDTH) -> None:
-    """The one bandwidth rule of grids and configs: an integer in [2, top]."""
-    if not 2 <= require_int(b, name) <= top:
-        raise ValueError(f"{name} must be in [2, {top}], got {b}")
+def check_bandwidth(b, name: str = "bandwidth") -> None:
+    """The one bandwidth rule of grids and configs: an integer in [2, 512]."""
+    if not 2 <= require_int(b, name) <= DEFAULT_MAX_BANDWIDTH:
+        raise ValueError(f"{name} must be in [2, {DEFAULT_MAX_BANDWIDTH}], got {b}")
 
 
-def make_grid(b: int, max_bandwidth: int = DEFAULT_MAX_BANDWIDTH) -> SphericalGrid:
+def make_grid(b: int) -> SphericalGrid:
     """Build the bandwidth-``b`` grid with quadrature and area weights.
 
     The stored quad_weights carry a global sqrt(2*pi) factor so that the
     forward transform's sqrt(2*pi)/(2b) prefactor yields an exact inverse
     pair under the orthonormal harmonic convention.
     """
-    check_bandwidth(b, top=max_bandwidth)
+    check_bandwidth(b)
     n = 2 * b
     thetas = np.pi * np.arange(n) / n
     phis = np.pi * np.arange(n) / b

@@ -119,17 +119,15 @@ class HarmonicTable:
         return self.grid.bandwidth
 
 
-def build_table(
-    grid: SphericalGrid, max_bandwidth: int = DEFAULT_MAX_BANDWIDTH
-) -> HarmonicTable:
+def build_table(grid: SphericalGrid) -> HarmonicTable:
     """Tabulate normalized Legendre samples and Fourier phases for ``grid``.
 
     Memory grows as b^3 for the Legendre block (float64) and b^2 for the
     phases (complex128).
     """
     b = grid.bandwidth
-    if b > max_bandwidth:
-        raise ValueError(f"bandwidth {b} exceeds table maximum {max_bandwidth}")
+    if b > DEFAULT_MAX_BANDWIDTH:
+        raise ValueError(f"bandwidth {b} exceeds table maximum {DEFAULT_MAX_BANDWIDTH}")
     leg = normalized_legendre(b - 1, np.cos(grid.thetas))
     m = np.arange(b)
     phases = np.exp(-1j * m[:, None] * grid.phis[None, :])

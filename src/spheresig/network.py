@@ -56,7 +56,7 @@ import numpy as np
 from . import spectral
 from .errors import DivergenceError
 from .grid import check_bandwidth, make_grid, require_int
-from .harmonics import HarmonicTable, shared_table
+from .harmonics import shared_table
 from .mesh import TriangleMesh, bounding_sphere
 from .rotation import random_rotations, rotate_signal
 from .sft import (
@@ -539,7 +539,6 @@ def train(
     signals: np.ndarray,
     labels: np.ndarray,
     schedule: TrainSchedule | None = None,
-    params: ParameterStore | None = None,
 ) -> tuple[ParameterStore, list[float]]:
     """Train on (N, C, n, n) values; returns parameters and per-epoch mean loss.
 
@@ -548,7 +547,7 @@ def train(
     rng = np.random.default_rng(schedule.seed)
     x = np.asarray(signals, dtype=np.float64)
     _check_input(config, x)
-    params = init_parameters(config, seed=schedule.seed) if params is None else params
+    params = init_parameters(config, seed=schedule.seed)
     y = np.asarray(labels)
     n = len(x)
     history: list[float] = []
@@ -589,7 +588,6 @@ def augment(
     rotate: bool = False,
     center_jitter: float = 0.0,
     rng: np.random.Generator | None = None,
-    table: HarmonicTable | None = None,
 ):
     """Random rotation and (for meshes) projection-center jitter.
 
@@ -623,7 +621,6 @@ def augment(
             raise ValueError("center_jitter applies to meshes, not sampled signals")
         if not rotate:
             return item
-        table = shared_table(item.bandwidth) if table is None else table
         r = random_rotations(1, seed=int(rng.integers(2**32)))[0]
-        return rotate_signal(item, r, table)
+        return rotate_signal(item, r, shared_table(item.bandwidth))
     raise TypeError(f"cannot augment {type(item).__name__}")

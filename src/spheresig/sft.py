@@ -415,9 +415,7 @@ def sft_sepvar(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
     return SpectralCoeffs(table.bandwidth, to_packed(_analysis_half(vals, table)))
 
 
-def isft(
-    coeffs: SpectralCoeffs, table: HarmonicTable, dtype: np.dtype | type = np.float64
-) -> SphericalSignal:
+def isft(coeffs: SpectralCoeffs, table: HarmonicTable) -> SphericalSignal:
     """Inverse transform: the real part of the full harmonic sum
     (``_synthesis_real``).  Coefficients so large that their synthesis
     overflows raise ValueError (a non-finite signal).
@@ -425,7 +423,7 @@ def isft(
     _check_match(coeffs.bandwidth, table)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _synthesis_real(coeffs.coeffs, table)
-    return SphericalSignal(table.grid, vals.astype(dtype, copy=False))
+    return SphericalSignal(table.grid, vals)
 
 
 def bandlimit(signal: SphericalSignal, table: HarmonicTable) -> SphericalSignal:
@@ -453,14 +451,10 @@ def random_coeffs(
 
 
 def random_bandlimited_signal(
-    b: int,
-    channels: int = 1,
-    rng: np.random.Generator | None = None,
-    table: HarmonicTable | None = None,
+    b: int, channels: int = 1, rng: np.random.Generator | None = None
 ) -> SphericalSignal:
     """Convenience: synthesize a random strictly bandlimited real signal."""
-    table = shared_table(b) if table is None else table
-    return isft(random_coeffs(b, channels, rng), table)
+    return isft(random_coeffs(b, channels, rng), shared_table(b))
 
 
 def evaluate_coeffs_at(

@@ -180,17 +180,10 @@ def sp_vjp(dcoeffs: np.ndarray, b: int) -> np.ndarray:
     return out
 
 
-def spectral_pool(f: SpectralCoeffs, presmooth: bool = False) -> SpectralCoeffs:
-    """Halve the bandwidth by dropping all degrees >= b/2 (``sp_fwd``).
-
-    With ``presmooth`` a raised-cosine taper is applied over the retained
-    degrees first, trading ringing for attenuation (off by default).
-    """
+def spectral_pool(f: SpectralCoeffs) -> SpectralCoeffs:
+    """Halve the bandwidth by dropping all degrees >= b/2 (``sp_fwd``)."""
     half = _halved(f.bandwidth)
-    out = sp_fwd(_real_parts(f.coeffs)[0], half)
-    if presmooth:
-        out = out * (np.cos(0.5 * np.pi * np.arange(half) / half) ** 2)[:, None, None]
-    return SpectralCoeffs(half, _from_parts(out))
+    return SpectralCoeffs(half, _from_parts(sp_fwd(_real_parts(f.coeffs)[0], half)))
 
 
 def _blocks(values: np.ndarray) -> np.ndarray:
@@ -305,6 +298,6 @@ def pointwise_nonlinearity(signal: SphericalSignal, kind: str = "relu") -> Spher
     """Elementwise nonlinearity in the spatial domain."""
     if kind == "relu":
         return SphericalSignal(signal.grid, relu_fwd(signal.values)[0])
-    if kind in ("none", "identity"):
+    if kind == "none":
         return signal
     raise ValueError(f"unknown nonlinearity {kind!r}")

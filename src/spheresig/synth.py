@@ -16,7 +16,7 @@ from .sft import SphericalSignal, SpectralCoeffs, isft, random_coeffs
 # ---------------------------------------------------------------------------
 
 
-def icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriangleMesh:
+def icosphere(subdivisions: int = 3) -> TriangleMesh:
     """Unit icosahedron subdivided ``subdivisions`` times, vertices on the sphere."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
@@ -51,7 +51,7 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriangleMesh:
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         faces = new_faces
-    return TriangleMesh(radius * np.array(verts), np.array(faces, dtype=np.int64))
+    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
 
 
 def cube_mesh(half_edge: float = 1.0) -> TriangleMesh:
@@ -101,23 +101,22 @@ def star_mesh(
     seed: int,
     n_theta: int = 24,
     n_phi: int = 48,
-    bumps: int = 5,
     amplitude: float = 0.35,
     sharpness: tuple[float, float] = (6.0, 12.0),
 ) -> TriangleMesh:
     """Random star-shaped mesh: radial bump field over a UV sphere.
 
     Star-shapedness holds by construction (the radius field is positive), and
-    random bump placement leaves no rotational symmetry.  ``sharpness`` sets
-    the bump concentration range; lower values give smoother shapes whose
-    projections resolve better at a given grid bandwidth.
+    the random placement of its 5 bumps leaves no rotational symmetry.
+    ``sharpness`` sets the bump concentration range; lower values give
+    smoother shapes whose projections resolve better at a given grid bandwidth.
     """
     rng = np.random.default_rng(seed)
     dirs, faces = _uv_sphere_topology(n_theta, n_phi)
-    centers = rng.standard_normal((bumps, 3))
+    centers = rng.standard_normal((5, 3))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    amp = rng.uniform(0.4 * amplitude, amplitude, size=bumps)
-    kappa = rng.uniform(*sharpness, size=bumps)
+    amp = rng.uniform(0.4 * amplitude, amplitude, size=len(centers))
+    kappa = rng.uniform(*sharpness, size=len(centers))
     r = 1.0 + (amp[None, :] * np.exp(kappa[None, :] * (dirs @ centers.T - 1.0))).sum(axis=1)
     return TriangleMesh(r[:, None] * dirs, faces)
 

@@ -18,6 +18,7 @@ from spheresig.grid import make_grid
 from spheresig.harmonics import build_table, shared_table
 from spheresig.network import LayerConfig, NetworkConfig, init_parameters
 from spheresig.sft import (
+    SpectralCoeffs,
     SphericalSignal,
     isft,
     random_bandlimited_signal,
@@ -388,6 +389,23 @@ class TestExitCodes:
         assert f"{out}: bandwidth 1 outside [2, 512]" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_isft_f32_refuses_overflow(self, tmp_path, capsys):
+        """c_00 = 1e300 synthesizes to ~2.8e299: finite in float64, inf in
+        float32, which ``pool`` would reject. ``isft --dtype f32`` exits 2
+        before the output file is opened, and the cast does not warn."""
+        spec, out = tmp_path / "big.spec", tmp_path / "big.sph"
+        c = np.zeros((1, 16), dtype=np.complex128)
+        c[0, 0] = 1e300
+        write_spec1(str(spec), SpectralCoeffs(4, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["isft", str(spec), "--dtype", "f32", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: refusing to write values that are non-finite as float32" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(["isft", str(spec), "-o", str(out)]) == 0  # float64 holds them
+
     def test_spec1_zero_bandwidth(self, tmp_path, capsys):
         bad = tmp_path / "b0.spec"
         bad.write_bytes(b"SPEC" + struct.pack("<IIB", 0, 1, 1))
@@ -629,9 +647,16 @@ class TestCheckpointAgainstConfig:
 
     @pytest.mark.parametrize("name, value", [("head/weight", np.nan), ("conv1/filters", np.inf)])
     def test_nonfinite_tensor(self, tmp_path, files, capsys, name, value):
-        tensors = dict(files[1])
-        tensors[name] = np.full_like(tensors[name], value)
-        assert self.infer(tmp_path, files, tensors) == 2
+        """The writer refuses non-finite tensors, so they are patched into a
+        written file in place of a marker value."""
+        cfgfile, tensors, sig = files
+        tensors = dict(tensors)
+        tensors[name] = np.full_like(tensors[name], 2.0**100)
+        ckpt = tmp_path / "m.ckpt"
+        write_ckpt1(str(ckpt), tensors)
+        marker = np.float32(2.0**100).tobytes()
+        ckpt.write_bytes(ckpt.read_bytes().replace(marker, np.float32(value).tobytes()))
+        assert main(["infer", "--config", cfgfile, "--ckpt", str(ckpt), "--input", sig]) == 2
         err = capsys.readouterr().err
         assert f"{name!r} holds non-finite values" in err and "Traceback" not in err
 

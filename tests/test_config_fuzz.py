@@ -9,7 +9,8 @@ raises ValueError or TypeError naming a field and the CLI exits 2 with that
 message, or ``init_parameters``, ``backward`` on a batch of 2 and ``measure``
 give finite outputs of the declared shapes and the CLI exits 0.  Only
 ``measure``'s zero-norm warning may be raised, and only its layers may
-report NaN.
+report NaN.  A second fuzz checks ``backward`` against central differences
+on the same configs.
 """
 
 import json
@@ -26,6 +27,7 @@ from spheresig.equivariance import measure
 from spheresig.network import (
     LayerConfig,
     NetworkConfig,
+    ParameterStore,
     backward,
     init_parameters,
     parameter_shapes,
@@ -146,3 +148,56 @@ def test_every_config_that_constructs_runs(tmp_path, capsys, doc):
         assert code == 2 and message in err and "Traceback" not in err, err
     else:
         assert code == 0, err
+
+
+EPS, BOUND, MAX_KINK_SHARE = 1e-6, 1e-4, 0.05  # BOUND is acceptance 09's
+
+
+def loss_along(config, params, x, y, direction, t):
+    """The loss at ``params`` moved by ``t`` along ``direction``."""
+    moved = {name: v + t * direction[name] for name, v in params.tensors.items()}
+    return backward(config, ParameterStore(tensors=moved), x, y)[0]
+
+
+def test_gradients_match_central_differences():
+    """For each drawn config that constructs with two or more classes (one
+    class has a constant loss), batch 2: every tensor is first moved off its
+    initial point (biases start at 0, and a ReLU then puts exact kinks in the
+    loss).  ``backward``'s derivative along one random unit direction in all
+    tensors matches the central difference to BOUND, relative.  A draw whose
+    two one-sided differences disagree by more than BOUND sits on a kink; it
+    is counted instead, and at most MAX_KINK_SHARE of draws may."""
+    draws, kinks = [], []
+
+    @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+    @given(doc=config_docs())
+    def check(doc):
+        try:
+            config = build(doc)
+        except (ValueError, TypeError):
+            return
+        if config.num_classes < 2:
+            return
+        rng = np.random.default_rng(0)
+        params = init_parameters(config, seed=0)
+        for t in params.tensors.values():
+            t += 0.1 * rng.standard_normal(t.shape)
+        b, c = config.input_bandwidth, config.input_channels
+        x = rng.standard_normal((2, c, 2 * b, 2 * b))
+        y = np.arange(2) % config.num_classes
+        loss, grads = backward(config, params, x, y)
+        direction = {name: rng.standard_normal(g.shape) for name, g in grads.items()}
+        norm = np.sqrt(sum((d * d).sum() for d in direction.values()))
+        direction = {name: d / norm for name, d in direction.items()}
+        slope = sum(float((grads[name] * d).sum()) for name, d in direction.items())
+        up, down = (loss_along(config, params, x, y, direction, t) for t in (EPS, -EPS))
+        central = (up - down) / (2 * EPS)
+        scale = max(abs(central), 1e-12)
+        draws.append(doc)
+        if abs((up - loss) - (loss - down)) / EPS > BOUND * scale:
+            kinks.append(doc)
+        else:
+            assert abs(central - slope) < BOUND * scale, (doc, central, slope)
+
+    check()
+    assert len(kinks) <= MAX_KINK_SHARE * len(draws), kinks

@@ -16,7 +16,7 @@ from spheresig.synth import make_blob_dataset
 
 def bandlimited_signals(b, count, seed):
     rng = np.random.default_rng(seed)
-    return [random_bandlimited_signal(b, 1, rng, shared_table(b)) for _ in range(count)]
+    return [random_bandlimited_signal(b, 1, rng) for _ in range(count)]
 
 
 class TestExactRows:

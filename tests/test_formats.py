@@ -1,6 +1,7 @@
 """Binary containers: round trips are bit-exact, corruption is rejected."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,17 @@ class TestCkpt1:
         path.write_bytes(data[:5] + struct.pack("<I", 2) + data[9:] * 2)
         with pytest.raises(FormatError, match="twice"):
             read_ckpt1(str(path))
+
+    @pytest.mark.parametrize("bad", [1e39, np.inf, np.nan])
+    def test_values_not_finite_as_float32_refused(self, tmp_path, bad):
+        """1e39 overflows the float32 payload to inf, which the loader
+        rejects: the writer refuses it, and NaN and inf, before opening the file."""
+        path = tmp_path / "m.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite as float32"):
+                write_ckpt1(str(path), {"w": np.ones(2), "b": np.array([1.0, bad])})
+        assert not path.exists()
 
     def test_truncated_tensor(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -60,9 +60,6 @@ class TestValidation:
     def test_rejects_over_maximum(self):
         with pytest.raises(ValueError):
             make_grid(513)
-        make_grid(9, max_bandwidth=16)
-        with pytest.raises(ValueError):
-            make_grid(17, max_bandwidth=16)
 
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 """Legendre recurrences and spherical harmonics against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
@@ -187,5 +189,7 @@ class TestHarmonicTable:
         assert shared_table(np.int64(8)) is shared_table(8)
 
     def test_table_size_limit(self):
-        with pytest.raises(ValueError):
-            build_table(make_grid(8), max_bandwidth=4)
+        """A hand-built grid can carry any bandwidth; the table still refuses 513."""
+        g = make_grid(2)
+        with pytest.raises(ValueError, match="exceeds table maximum 512"):
+            build_table(replace(g, bandwidth=513))

@@ -162,13 +162,6 @@ class TestSpectralPool:
         with pytest.raises(ValueError):
             spectral_pool(random_coeffs(5, 1, np.random.default_rng(8)))
 
-    def test_presmooth_tapers_high_degrees(self):
-        c = random_coeffs(16, 1, np.random.default_rng(9))
-        plain = spectral_pool(c)
-        smooth = spectral_pool(c, presmooth=True)
-        np.testing.assert_allclose(smooth.at(0, 0, 0), plain.at(0, 0, 0), rtol=1e-12)
-        assert abs(smooth.at(0, 7, 0)) < abs(plain.at(0, 7, 0))
-
     def test_commutes_with_rotation_exactly(self):
         """Degree truncation acts per block, so it commutes with rotation;
         the spatial poolings only commute approximately."""
@@ -319,26 +312,21 @@ class TestDescriptors:
 class TestPackedAdapter:
     """The ``SpectralCoeffs`` front ends run the half-spectrum forwards on the
     parts of their packed input; checked here against the packed formulas
-    (per-degree scale, degree prefix, taper per degree, per-degree sums)."""
+    (per-degree scale, degree prefix, per-degree sums)."""
 
     FRONT_ENDS = {
         "conv": conv_spectral,
         "sp": lambda c, spec: spectral_pool(c),
-        "sp-presmooth": lambda c, spec: spectral_pool(c, presmooth=True),
     }
 
     @staticmethod
     def packed(name, c, spec):
         """The packed-layout result of front end ``name`` on (C, b*b) ``c``."""
         b = spec.bandwidth
-        degrees = np.repeat(np.arange(b), 2 * np.arange(b) + 1)
         if name == "conv":
+            degrees = np.repeat(np.arange(b), 2 * np.arange(b) + 1)
             return c * (spectral.conv_scale(b) * realize_filter(spec))[degrees]
-        half = b // 2
-        out = c[:, : half * half].copy()
-        if name == "sp-presmooth":
-            out *= np.cos(0.5 * np.pi * degrees[: half * half] / half) ** 2
-        return out
+        return c[:, : (b // 2) ** 2]
 
     @staticmethod
     def reduceat_norms(c):
@@ -388,10 +376,9 @@ class TestPackedAdapter:
     def test_huge_non_symmetric_coefficient_pools_finite(self):
         c = np.zeros((1, 16), dtype=np.complex128)
         c[0, 0] = 1e308 * (1 + 1j)
-        for presmooth in (False, True):
-            out = spectral_pool(SpectralCoeffs(4, c), presmooth).coeffs
-            assert np.isfinite(out).all()
-            np.testing.assert_array_equal(out, c[:, :4])
+        out = spectral_pool(SpectralCoeffs(4, c)).coeffs
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, c[:, :4])
 
 
 class TestNonlinearity:

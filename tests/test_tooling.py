@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
 
@@ -388,3 +389,92 @@ def test_every_parameter_is_read():
         for hit in unread_parameters(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def _name(node):
+    """The name an ``ast.Name`` or ``ast.Attribute`` reads."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def unset_defaults(definitions, callers):
+    """(module, function, parameter) of each defaulted parameter of a function
+    in ``definitions`` (module name -> source text) that no call in
+    ``callers`` (source texts) passes, by position or by keyword.  Calls match
+    by function name, and a method's ``self`` takes no position.  A call with
+    ``*`` or ``**`` passes every parameter, and so does any other read of the
+    name: the function is passed on as a value."""
+    passed = defaultdict(set)  # name -> positional counts, keywords and "*" for all
+    for text in callers:
+        tree = ast.parse(text)
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for call in calls:
+            uses = passed[_name(call.func)]
+            uses |= {len(call.args)} | {k.arg for k in call.keywords}
+            if any(isinstance(a, ast.Starred) for a in call.args) or None in uses:
+                uses.add("*")  # None is the keyword of a ** argument
+        funcs = {call.func for call in calls}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                if node not in funcs:
+                    passed[_name(node)].add("*")
+    found = []
+    for module, text in definitions.items():
+        tree = ast.parse(text)
+        methods = {
+            fn
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a, uses = fn.args, passed[fn.name]
+            positional = (a.posonlyargs + a.args)[fn in methods:]
+            first = len(positional) - len(a.defaults)
+            options = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            options += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [
+                (module, fn.name, arg)
+                for i, arg in options
+                if not {"*", arg} & uses
+                and not (i is not None and any(isinstance(u, int) and u > i for u in uses))
+            ]
+    return sorted(found)
+
+
+def test_unset_defaults_finds_each_kind():
+    """An unset positional, keyword-only and method option are found; options
+    passed by position, by keyword, through ``*``/``**`` or to a function
+    used as a value are not."""
+    source = (
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+        "class K:\n    def g(self, t=0.0, u=1.0):\n        pass\n\n"
+        "def h(x=0):\n    pass\n\n"
+        "def k(y=0):\n    pass\n\n"
+        "def v(z=0):\n    pass\n"
+    )
+    calls = "f(0, 1)\nf(0, d=4)\nK().g(1.0)\nh(*args)\nk(**opts)\nrun = v\n"
+    assert unset_defaults({"m": source}, [source, calls]) == [
+        ("m", "f", "c"), ("m", "g", "u"),
+    ]
+    assert unset_defaults({"m": source}, [source]) == [
+        ("m", "f", "b"), ("m", "f", "c"), ("m", "f", "d"), ("m", "g", "t"), ("m", "g", "u"),
+        ("m", "h", "x"), ("m", "k", "y"), ("m", "v", "z"),
+    ]
+
+
+def test_every_option_is_set():
+    """Every defaulted parameter of a function in ``src/spheresig`` is passed
+    by at least one call in ``src/``, ``perfbench/`` or ``tests/``
+    (``unset_defaults``): an option that no caller sets is a constant."""
+    root = PACKAGE.parents[1]
+    definitions = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [
+        path.read_text()
+        for folder in ("src", "perfbench", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    assert unset_defaults(definitions, callers) == []
