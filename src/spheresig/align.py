@@ -5,14 +5,17 @@ part of the Hermitian inner product between the rotated first set and the
 second, summed over channels and feature maps; by Parseval this equals the
 spatial quadrature inner product.  On real slots r is Z(alpha) K^T Z(beta) K
 Z(gamma) (see ``rotation``); Z(alpha)^T = Z(-alpha) and K is orthogonal, so the
-score is <Z(beta) K Z(gamma) a, K Z(-alpha) b>.  A lattice search applies K
-(``rotation._apply_k``) to a once per gamma and to b once per alpha, forms
+score is <Z(beta) K Z(gamma) a, K Z(-alpha) b>.  A lattice search turns a
+once with every gamma and b once with every -alpha (``rotation._turn``), forms
 W[m] = V[m]^H U[m] per order m, and sums Re exp(-i m beta) W[m] for each beta.
+``so3_correlate(a, b)`` takes one coefficient set per side; several feature
+maps of one bandwidth are more channels.
 
 The returned rotation maximizes the score over a coarse lattice, then over a
-three-times-finer lattice spanning one coarse cell around the best point.
-Ties, scores within 1e-12 (relative) of the maximum, break toward the
-lexicographically smallest (alpha, beta, gamma).
+three-times-finer lattice spanning one coarse cell around the best point, its
+alpha and gamma axes reduced mod 2pi and sorted.  Ties, scores within 1e-12
+(relative) of the maximum, break toward the first index, which on sorted axes
+is the lexicographically smallest (alpha, beta, gamma).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .harmonics import shared_table
 from .mesh import TriangleMesh, project_mesh
-from .rotation import RotationZYZ, _apply_k, _slot_factor, geodesic_distance
+from .rotation import RotationZYZ, _turn, geodesic_distance
 from .sft import SpectralCoeffs, _real_parts, sft_sepvar
 
 DEGENERATE_SPREAD = 1e-3
@@ -43,14 +46,9 @@ def _score_lattice(
     """Scores <R a, b> on the outer-product rotation lattice (A, B, G), for half
     spectra a and b (bw, bw, X) of real signals."""
     bw, x = a.shape[0], a.shape[2]
-    m = np.arange(bw)
-
-    def k_turned(h, angles):  # K Z(t) h for each t in angles, (M, L X, T)
-        s = (h * _slot_factor(bw))[..., None] * np.exp(-1j * np.outer(m, angles))[:, None, None]
-        return _apply_k(s.reshape(bw, bw, -1)).reshape(bw, bw * x, -1)
-
-    w = k_turned(b, -alphas).conj().transpose(0, 2, 1) @ k_turned(a, gammas)  # (M, A, G)
-    scores = (np.exp(-1j * np.outer(betas, m)) @ w.reshape(bw, -1)).real  # Z(beta)
+    kb, ka = (_turn(h, t).reshape(bw, bw * x, -1) for h, t in ((b, -alphas), (a, gammas)))
+    w = kb.conj().transpose(0, 2, 1) @ ka  # (M, A, G)
+    scores = (np.exp(-1j * np.outer(betas, np.arange(bw))) @ w.reshape(bw, -1)).real  # Z(beta)
     return scores.reshape(len(betas), len(alphas), len(gammas)).transpose(1, 0, 2)
 
 
@@ -67,21 +65,13 @@ def _first_max(scores: np.ndarray) -> tuple[int, ...]:
 
 
 def so3_correlate(
-    a: list[SpectralCoeffs] | SpectralCoeffs,
-    b: list[SpectralCoeffs] | SpectralCoeffs,
-    grid_size: tuple[int, int, int] = (16, 16, 16),
+    a: SpectralCoeffs, b: SpectralCoeffs, grid_size: tuple[int, int, int] = (16, 16, 16)
 ) -> AlignmentResult:
     """Rotation maximizing the summed feature-map correlation of ``a`` against ``b``."""
-    a_list = [a] if isinstance(a, SpectralCoeffs) else list(a)
-    b_list = [b] if isinstance(b, SpectralCoeffs) else list(b)
-    if not a_list or len(a_list) != len(b_list):
-        raise ValueError("feature lists must be non-empty and of equal length")
-    bw = a_list[0].bandwidth
-    for a_c, b_c in zip(a_list, b_list):
-        if {a_c.bandwidth, b_c.bandwidth} != {bw} or a_c.channels != b_c.channels:
-            raise ValueError("coefficient sets need one bandwidth and equal channels per pair")
-    halves = [_real_parts(a_c.coeffs, b_c.coeffs) for a_c, b_c in zip(a_list, b_list)]
-    ha, hb = (np.concatenate([h.reshape(bw, bw, -1) for h in hs], axis=2) for hs in zip(*halves))
+    bw = a.bandwidth
+    if b.bandwidth != bw or a.channels != b.channels:
+        raise ValueError("coefficient sets need one bandwidth and equal channels")
+    ha, hb = (h.reshape(bw, bw, -1) for h in _real_parts(a.coeffs, b.coeffs))
     na, nb, ng = grid_size
     alphas = 2 * np.pi * np.arange(na) / na
     betas = np.pi * np.arange(nb) / nb
@@ -95,9 +85,9 @@ def so3_correlate(
     degenerate = bool(spread <= 0 or (scores.max() - median) / spread < DEGENERATE_SPREAD)
     if not degenerate:
         offs = np.arange(-3, 4) / 3.0
-        fine_a = alphas[i] + offs * (2 * np.pi / na)
+        fine_a = np.sort((alphas[i] + offs * (2 * np.pi / na)) % (2 * np.pi))
         fine_b = np.clip(betas[j] + offs * (np.pi / nb), 0.0, np.pi)
-        fine_g = gammas[k] + offs * (2 * np.pi / ng)
+        fine_g = np.sort((gammas[k] + offs * (2 * np.pi / ng)) % (2 * np.pi))
         fine = _score_lattice(ha, hb, fine_a, fine_b, fine_g)
         fi, fj, fk = _first_max(fine)
         best_rot = RotationZYZ(fine_a[fi], fine_b[fj], fine_g[fk])
@@ -135,7 +125,7 @@ def align_shapes(
                 raise ValueError(f"unknown tap {layer!r}; have {sorted(taps)}")
             sig = taps[layer]
         feats.append(sft_sepvar(sig, shared_table(sig.bandwidth)))
-    result = so3_correlate([feats[0]], [feats[1]], grid_size=grid_size)
+    result = so3_correlate(feats[0], feats[1], grid_size=grid_size)
     if truth is not None:
         result.angular_error_deg = geodesic_distance(result.rotation, truth, degrees=True)
     return result

@@ -7,15 +7,16 @@ real slots, Re and Im of s_m = i^m sqrt(2) c_m for m = 0 .. l (s_0 = c_0, real).
 There the block is Z(alpha) K^T Z(beta) K Z(gamma) (Pinchon & Hoggan, "Rotation
 matrices for real spherical harmonics", J. Phys. A 40, 2007): Z(t) multiplies
 s_m by exp(-i m t), and K^l, the block of the rotation (-pi/2, pi/2, pi/2), is
-real orthogonal and maps Re slots to Re slots, Im to Im.  ``_apply_k`` applies
-K, _BAND degrees at a time in one batched real matmul; ``_rotate_half`` rotates
-a half spectrum with it (at beta = 0 one exact phase), and ``align`` scores its
-rotation lattices with it.  ``rotate_spectrum`` rotates the half-spectrum
-parts of packed coefficients (``sft._real_parts``).  ``wigner_d`` forms one
-degree's block in the coefficient basis from ``_small_d_many``, the
-eigendecomposition of Jy: the reference that the K path is tested against.
-``_k_band`` is the one rotation cache (immutable); building a band runs
-``_jy_eig`` once per degree, and the reference recomputes it on every call.
+real orthogonal and maps Re slots to Re slots, Im to Im.  Only this module
+knows the slot basis.  ``_apply_k`` applies K, one real matmul per band of
+_BAND degrees straight into the result; ``_turn`` takes a half spectrum to
+slots, applies Z(t) for each angle t, then K.  ``align`` scores its lattices
+with ``_turn``; ``_rotate_half`` follows it with Z(beta), K^T and Z(alpha) (at
+beta = 0 one exact phase), and ``rotate_spectrum`` applies that to the parts
+of packed coefficients (``sft._real_parts``).  ``wigner_d`` forms one degree's
+block in the coefficient basis from ``_small_d_many`` (eigenvectors of Jy),
+the reference that the K path is tested against.  ``_k_band`` is the one
+rotation cache (immutable); building a band runs ``_jy_eig`` once per degree.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class RotationZYZ:
         return rotation_from_matrix(self.matrix() @ other.matrix())
 
     def is_identity(self, tol: float = 0.0) -> bool:
-        a, g = min(self.alpha, _TWO_PI - self.alpha), min(self.gamma, _TWO_PI - self.gamma)
-        return max(a, self.beta, g) <= tol
+        # the rotation angle w has cos(w/2) = cos(beta/2) cos((alpha + gamma)/2)
+        s = (self.alpha + self.gamma) % _TWO_PI
+        return max(self.beta, min(s, _TWO_PI - s)) <= tol
 
 
 def _rz(t: float) -> np.ndarray:
@@ -158,19 +160,25 @@ def _slot_factor(b: int) -> np.ndarray:
 def _apply_k(s: np.ndarray, transpose: bool = False) -> np.ndarray:
     """K^l, or its transpose, applied to every degree l of slots s (b, b, X),
     complex s_m stored m-major like a half spectrum: one batched real matmul per
-    band of _BAND degrees, on the Re and Im blocks at once."""
+    band of _BAND degrees, on the Re and Im blocks at once, straight into the result."""
     b, nx = s.shape[0], s.shape[2]
-    nb = -(-b // _BAND) * _BAND  # b rounded up to whole bands of degrees
-    x = np.zeros((nb // _BAND, _BAND, 2, nb, nx))  # [band, l, Re or Im, m, X]
-    y = np.zeros_like(x)
-    out = np.empty_like(s)
+    out = np.zeros_like(s)  # orders past a band stay 0, as in a half spectrum
     s_in, s_out = (v.view(np.float64).reshape(b, b, nx, 2).transpose(1, 3, 0, 2) for v in (s, out))
-    x.reshape(nb, 2, nb, nx)[:b, :, :b] = s_in
-    for j, n in enumerate(range(_BAND, nb + 1, _BAND)):
-        k = _k_band(j)
-        np.matmul(k.transpose(0, 1, 3, 2) if transpose else k, x[j, :, :, :n], out=y[j, :, :, :n])
-    s_out[:] = y.reshape(nb, 2, nb, nx)[:b, :, :b]
+    for j, l0 in enumerate(range(0, b, _BAND)):  # [l, Re or Im, m, X]
+        l1 = min(l0 + _BAND, b)
+        k = _k_band(j)[: l1 - l0, :, :l1, :l1]
+        np.matmul(k.transpose(0, 1, 3, 2) if transpose else k, s_in[l0:l1, :, :l1],
+                  out=s_out[l0:l1, :, :l1])
     return out
+
+
+def _turn(h: np.ndarray, angles) -> np.ndarray:
+    """K Z(t) applied to the slots of half spectrum h (b, b, X) for each t in
+    ``angles``: the first step of every rotation, shape (b, b, X, T)."""
+    b = h.shape[0]
+    z = np.exp(-1j * np.outer(np.arange(b), angles))[:, None, None]
+    s = (h * _slot_factor(b))[..., None] * z
+    return _apply_k(s.reshape(b, b, -1)).reshape(s.shape)
 
 
 def _rotate_half(half: np.ndarray, r: RotationZYZ) -> np.ndarray:
@@ -179,11 +187,10 @@ def _rotate_half(half: np.ndarray, r: RotationZYZ) -> np.ndarray:
     h, m = half.reshape(b, b, -1), np.arange(b)[:, None, None]
     if r.beta == 0.0:
         return (h * np.exp(-1j * m * (r.alpha + r.gamma))).reshape(half.shape)
-    to_slots = _slot_factor(b)
-    s = _apply_k(h * (to_slots * np.exp(-1j * m * r.gamma)))
+    s = _turn(h, [r.gamma])[..., 0]
     t = m * r.beta  # Z(beta): s e^{-i m beta}, each part rounded as a real plane rotation
     s = _apply_k(s * np.cos(t) - 1j * s * np.sin(t), transpose=True)
-    s *= np.exp(-1j * m * r.alpha) / to_slots
+    s *= np.exp(-1j * m * r.alpha) / _slot_factor(b)
     return s.reshape(half.shape)
 
 

@@ -204,7 +204,7 @@ class TestHalfKernel:
 
     def test_packed_image_matches_explicit_blocks(self):
         rng = np.random.default_rng(16)
-        specs = [random_coeffs(b, ch, rng).coeffs for b, ch in ((4, 2), (16, 3), (64, 1))]
+        specs = [random_coeffs(b, ch, rng).coeffs for b, ch in ((4, 2), (16, 3), (64, 1), (12, 2), (33, 1))]
         for r in KERNEL_ROTATIONS:
             for c in specs:
                 self.assert_matches_blocks(to_packed(_rotate_half(to_half(c), r)), c, r)
@@ -213,7 +213,7 @@ class TestHalfKernel:
         """Through ``rotate_spectrum``, a complex array that is not conjugate-
         symmetric goes as its parts s1 + i s2: the path ``wigner_d`` takes."""
         rng = np.random.default_rng(17)
-        for b in (4, 16, 64):
+        for b in (4, 16, 33, 64):
             c = rng.standard_normal((2, b * b)) + 1j * rng.standard_normal((2, b * b))
             for r in KERNEL_ROTATIONS:
                 out = rotate_spectrum(SpectralCoeffs(b, c), r).coeffs
@@ -343,6 +343,20 @@ class TestParameterization:
         r = RotationZYZ(0, 1.0, 0)
         assert abs(geodesic_distance(RotationZYZ(0, 0, 0), r) - 1.0) < 1e-12
         assert abs(geodesic_distance(RotationZYZ(0, 0, 0), r, degrees=True) - np.degrees(1.0)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "angles, identity",
+        [
+            ((7 * np.pi / 4, 0.0, np.pi / 4), True),
+            ((np.pi, 0.0, np.pi), True),
+            ((np.pi / 2, 0.0, 0.0), False),
+            ((0.0, 1e-6, 0.0), False),
+        ],
+    )
+    def test_is_identity_tests_the_rotation_not_the_angles(self, angles, identity):
+        """At beta = 0 every (alpha, gamma) with alpha + gamma = 0 mod 2 pi is the
+        identity; cos(w/2) = cos(beta/2) cos((alpha + gamma)/2) for angle w."""
+        assert RotationZYZ(*angles).is_identity(1e-12) == identity
 
     def test_rejects_nonfinite_angles(self):
         with pytest.raises(ValueError):

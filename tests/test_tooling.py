@@ -179,6 +179,30 @@ def test_packed_layout_stays_in_sft():
     assert found == []
 
 
+SLOT_HELPERS = {"_apply_k", "_slot_factor", "_k_band", "_real_k"}
+
+
+def test_real_slots_stay_in_rotation():
+    """The real-slot basis (the slot factor and K) belongs to ``rotation``:
+    other modules turn half spectra through ``rotation._turn`` and
+    ``_rotate_half``, and neither import nor name the slot helpers."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "rotation.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in SLOT_HELPERS]
+    assert found == []
+
+
 def test_block_names_stay_in_network():
     """``NetworkConfig.blocks`` names every block ("conv3", "branch1/conv3":
     the tap name and the parameter prefix); no other module builds one.  A
