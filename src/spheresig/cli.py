@@ -183,8 +183,8 @@ def _load_checkpoint(path: str, config):
 
 
 def _load_dataset_dir(path: str):
-    """``meta.json`` of a dataset directory: a ``samples`` list of objects, each
-    naming an SPH1 ``file`` (a string) and an integer ``label``."""
+    """``meta.json`` of a dataset directory: a non-empty ``samples`` list of objects,
+    each naming an SPH1 ``file`` (a string; all of one shape) and an integer ``label``."""
     import numpy as np
 
     from .formats import read_sph1
@@ -194,6 +194,8 @@ def _load_dataset_dir(path: str):
     samples = meta.get("samples")
     if not isinstance(samples, list):
         raise FormatError(f"{meta_path}: 'samples' must be a list of objects")
+    if not samples:
+        raise FormatError(f"{meta_path}: 'samples' is empty")
     signals, labels = [], []
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):
@@ -205,6 +207,9 @@ def _load_dataset_dir(path: str):
             raise FormatError(f"{meta_path}: sample {i} needs an integer 'label'")
         signals.append(read_sph1(os.path.join(path, file)))
         labels.append(label)
+        if signals[i].values.shape != signals[0].values.shape:
+            shapes = f"{signals[i].values.shape}, sample 0 has {signals[0].values.shape}"
+            raise FormatError(f"{meta_path}: sample {i} ({file}) has shape {shapes}")
     return meta, signals, np.array(labels)
 
 

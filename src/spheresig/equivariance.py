@@ -9,18 +9,18 @@ norm
 
     || taps_L(rotate(x)) - rotate(taps_L(x)) || / || taps_L(x) ||,
 
-averaged over (sample, rotation) pairs.  Layer zero reports the input
-itself; because the stimulus rotation is realized spectrally, it is exact
-for bandlimited inputs by construction.  Samples whose feature norm
-vanishes at some layer are excluded from that layer's mean with a warning.
+averaged over (sample, rotation) pairs.  Each forward pass gives one list of
+rows, [input, tap_1 ... tap_L] of branch 0, and one loop scores them.  Row 0
+is the input; its rotation is spectral, so exact for bandlimited inputs.  A
+row whose reference norm is zero for a sample is excluded, with a warning.
 
 Work is shared where the result allows it.  Once per sample: the reference
-forward, the half-spectrum analysis of the input and of every tap, and their
-norms.  Once per rotation: ``rotation._rotate_half`` on each of those half
-spectra in turn, one synthesis of the rotated input and one per rotated tap,
-and one forward on the rotated input.  No spectrum passes through the packed
-layout, and arrays are never stacked, so every rotated tap is the same bits
-as ``rotate_signal`` gives it.
+pass, the half-spectrum analysis of each of its rows, and their norms.  Once
+per rotation: ``rotation._rotate_half`` on each half spectrum, one synthesis
+of the rotated input (which also feeds the rotated pass) and of each other
+scored row, and one forward.  No spectrum passes through the packed layout,
+and arrays are never stacked, so every rotated row is the same bits as
+``rotate_signal`` gives it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .harmonics import shared_table
 from .network import NetworkConfig, ParameterStore, _forward_batch
 from .rotation import _rotate_half, random_rotations
-from .sft import SphericalSignal, _analysis_half, _synthesis_half
+from .sft import SphericalSignal, _analysis_half, _prefactor, _synthesis_half
 
 
 @dataclass
@@ -46,11 +46,12 @@ class EquivarianceReport:
     seed: int = 0
 
     def to_json(self) -> str:
+        """The report as JSON; a layer that no sample scored (NaN) is ``null``."""
         return json.dumps(
             dict(
                 config=self.config,
                 layers=self.layer_names,
-                per_layer_error=[float(e) for e in self.per_layer_error],
+                per_layer_error=[None if np.isnan(e) else float(e) for e in self.per_layer_error],
                 rotations_used=self.rotations_used,
                 seed=self.seed,
                 norm="quadrature-weighted L2",
@@ -69,7 +70,7 @@ class EquivarianceReport:
 
 def _weighted_norm(values: np.ndarray, b: int) -> float:
     grid = shared_table(b).grid
-    mu = (np.sqrt(2 * np.pi) / (2 * b)) * grid.quad_weights
+    mu = _prefactor(b) * grid.quad_weights
     return float(np.sqrt((mu[:, None] * values**2).sum()))
 
 
@@ -83,16 +84,15 @@ def measure(
 ) -> EquivarianceReport:
     """Per-layer equivariance errors of ``config`` on a signal dataset.
 
-    Once per sample: one reference forward, then the half spectra of the
-    input and of each branch-0 tap (at that tap's bandwidth) and their
-    weighted norms.  A layer whose reference norm is zero is excluded for
-    that sample with a warning.  Once per rotation: each of those half
-    spectra is rotated on its own by ``_rotate_half``; the rotated input is
-    synthesized once in float64 (``y64``) by ``_synthesis_half`` and cast to
-    the signal's dtype to give the network input ``x_rot``; one forward runs
-    on ``x_rot``; each rotated reference tap is synthesized and compared with
-    the matching tap of that forward.  The input layer scores
-    ``||x_rot - y64|| / ||x||``.
+    Every forward pass gives one list of row maps: the input, then each
+    branch-0 tap.  Once per sample: the reference pass's rows, their
+    weighted norms (a zero norm excludes that row for the sample, with a
+    warning) and their half spectra.  Once per rotation: each half spectrum
+    is rotated on its own by ``_rotate_half``; the rotated input is
+    synthesized in float64 (``y64``), which is row 0's reference and, cast
+    to the signal's dtype, the input of the rotated pass; then one loop
+    scores each row of non-zero reference norm as ``||rotated pass row -
+    synthesized rotated reference row|| / ||reference row||``.
     """
     if not signals:
         raise ValueError("need at least one signal")
@@ -103,37 +103,27 @@ def measure(
     counts = np.zeros(len(names), dtype=int)
     rng = np.random.default_rng(seed)
     rots = random_rotations(rotations * len(signals), seed=int(rng.integers(2**32)))
+
+    def rows(x: np.ndarray) -> list[np.ndarray]:
+        _, taps, _ = _forward_batch(config, params, x[None])
+        return [x] + [taps[name][0] for name in names[1:]]
+
     for si, sig in enumerate(signals):
-        x = np.asarray(sig.values, dtype=np.float64)
-        _, taps_ref, _ = _forward_batch(config, params, x[None])
-        refs = [x] + [taps_ref[name][0] for name in names[1:]]
-        # live: (layer, reference norm) of every layer this sample scores;
-        # specs: the input's half spectrum (it also makes x_rot), then the live taps'.
-        live, specs = [], []
-        for li, (ref, b_layer) in enumerate(zip(refs, bws)):
-            ref_norm = _weighted_norm(ref, b_layer)
-            if ref_norm == 0.0:
-                warnings.warn(
-                    f"zero-norm feature map at {names[li]}; sample excluded", stacklevel=2
-                )
-            else:
-                live.append((li, ref_norm))
-            if ref_norm != 0.0 or li == 0:
-                specs.append(_analysis_half(ref, shared_table(b_layer)))
+        refs = rows(np.asarray(sig.values, dtype=np.float64))
+        norms = [_weighted_norm(ref, b) for ref, b in zip(refs, bws)]
+        for name, norm in zip(names, norms):
+            if norm == 0.0:
+                warnings.warn(f"zero-norm feature map at {name}; sample excluded", stacklevel=2)
+        specs = [_analysis_half(ref, shared_table(b)) for ref, b in zip(refs, bws)]
         for r in rots[si * rotations : (si + 1) * rotations]:
             rotated = [_rotate_half(spec, r) for spec in specs]
             y64 = _synthesis_half(rotated[0], shared_table(b_in))
-            x_rot = y64.astype(sig.values.dtype, copy=False)
-            _, taps_rot, _ = _forward_batch(config, params, x_rot[None])
-            rotated_taps = iter(rotated[1:])
-            for li, ref_norm in live:
-                if li == 0:
-                    diff = x_rot - y64
-                else:
-                    y = _synthesis_half(next(rotated_taps), shared_table(bws[li]))
-                    diff = taps_rot[names[li]][0] - y
-                sums[li] += _weighted_norm(diff, bws[li]) / ref_norm
-                counts[li] += 1
+            got = rows(y64.astype(sig.values.dtype, copy=False))
+            for li, norm in enumerate(norms):
+                if norm != 0.0:
+                    y = _synthesis_half(rotated[li], shared_table(bws[li])) if li else y64
+                    sums[li] += _weighted_norm(got[li] - y, bws[li]) / norm
+                    counts[li] += 1
     errors = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     desc = dict(descriptor or {})
     desc.setdefault("resolution", f"{2 * b_in}x{2 * b_in}")

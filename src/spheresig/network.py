@@ -482,19 +482,20 @@ def backward(
 # Training.
 # ---------------------------------------------------------------------------
 
+DROP_EPOCHS = (32, 40)  # the learning rate drops after each of these epochs,
+DROP_FACTOR = 5.0  # each time by this factor
+
 
 @dataclass
 class TrainSchedule:
     """ADAM schedule: fixed epoch count with stepwise learning-rate drops.
 
-    Defaults: 48 epochs at 1e-3, divided by 5 after epochs 32 and 40, so
-    epoch 33 runs at 2e-4 and epoch 41 at 4e-5.
+    Defaults: 48 epochs at 1e-3, divided by ``DROP_FACTOR`` after each of
+    ``DROP_EPOCHS``, so epoch 33 runs at 2e-4 and epoch 41 at 4e-5.
     """
 
     epochs: int = 48
     learning_rate: float = 1e-3
-    drop_epochs: tuple[int, ...] = (32, 40)
-    drop_factor: float = 5.0
     batch_size: int = 16
     seed: int = 0
     beta1: float = 0.9
@@ -512,8 +513,8 @@ class TrainSchedule:
 
 def learning_rate_at(schedule: TrainSchedule, epoch: int) -> float:
     """Learning rate for a 1-based epoch index."""
-    drops = sum(1 for d in schedule.drop_epochs if epoch > d)
-    return schedule.learning_rate / schedule.drop_factor**drops
+    drops = sum(1 for d in DROP_EPOCHS if epoch > d)
+    return schedule.learning_rate / DROP_FACTOR**drops
 
 
 def adam_update(

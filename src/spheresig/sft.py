@@ -408,8 +408,9 @@ def sft_direct(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
 
 
 def sft_sepvar(signal: SphericalSignal, table: HarmonicTable) -> SpectralCoeffs:
-    """Forward transform via row-wise FFT + one batched Legendre transform
-    over all orders (separation of variables)."""
+    """Forward transform by separation of variables (``_analysis_half``): a
+    longitude DFT of every latitude row (one matmul at b <= 32, an rfft along
+    the longitude axis above), then one batched Legendre transform."""
     _check_match(signal.bandwidth, table)
     vals = np.asarray(signal.values, dtype=np.float64)
     return SpectralCoeffs(table.bandwidth, to_packed(_analysis_half(vals, table)))

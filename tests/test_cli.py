@@ -29,6 +29,16 @@ from spheresig.sft import (
 from spheresig.synth import make_blob_dataset, star_mesh
 
 
+def loads_strict(text):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``,
+    which Python writes but JSON (RFC 8259) does not have."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture()
 def star_off(tmp_path):
     mesh = star_mesh(seed=1, n_theta=10, n_phi=20)
@@ -92,7 +102,7 @@ def test_mesh2sphere_and_align(tmp_path, star_off, capsys):
     assert sig.channels == 2
     assert main(["align", star_off, star_off, "-b", "8", "--grid", "8,8,8",
                  "--truth", "0,0,0"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = loads_strict(capsys.readouterr().out)
     assert doc["angular_error_deg"] < 1e-6
     assert not doc["degenerate"]
 
@@ -190,7 +200,7 @@ def test_synth_train_infer(tmp_path, capsys):
     data = str(tmp_path / "ds")
     assert main(["synth", "--kind", "blobs", "--classes", "3", "--count", "4",
                  "--seed", "0", "-b", "8", "-o", data]) == 0
-    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+    meta = loads_strict((tmp_path / "ds" / "meta.json").read_text())
     assert len(meta["samples"]) == 12
     cfgfile = tmp_path / "net.json"
     cfgfile.write_text(json.dumps(dict(
@@ -201,12 +211,12 @@ def test_synth_train_infer(tmp_path, capsys):
     report = str(tmp_path / "train.json")
     assert main(["train", "--config", str(cfgfile), "--data", data, "--seed", "0",
                  "--epochs", "4", "-o", ckpt, "--report", report]) == 0
-    doc = json.loads((tmp_path / "train.json").read_text())
+    doc = loads_strict((tmp_path / "train.json").read_text())
     assert len(doc["loss_per_epoch"]) == 4
     capsys.readouterr()
     assert main(["infer", "--config", str(cfgfile), "--ckpt", ckpt,
                  "--input", f"{data}/c0_0000.sph"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = loads_strict(capsys.readouterr().out)
     assert len(out["logits"]) == 3 and 0 <= out["prediction"] < 3
 
 
@@ -221,7 +231,7 @@ def test_train_verbose_keeps_stdout_json(tmp_path, capsys):
     assert main(["train", "--config", str(cfgfile), "--data", data, "--epochs", "3",
                  "-o", str(tmp_path / "m.ckpt"), "-v"]) == 0
     captured = capsys.readouterr()
-    assert len(json.loads(captured.out)["loss_per_epoch"]) == 3
+    assert len(loads_strict(captured.out)["loss_per_epoch"]) == 3
     lines = captured.err.splitlines()
     assert len(lines) == 3 and all(line.startswith("epoch") for line in lines)
 
@@ -233,7 +243,7 @@ def test_train_label_out_of_range(tmp_path, capsys, label):
     silently train against the last class."""
     data = tmp_path / "ds"
     assert main(["synth", "--count", "1", "-b", "8", "-o", str(data)]) == 0
-    meta = json.loads((data / "meta.json").read_text())
+    meta = loads_strict((data / "meta.json").read_text())
     meta["samples"][0]["label"] = label
     (data / "meta.json").write_text(json.dumps(meta))
     cfgfile = tmp_path / "net.json"
@@ -291,8 +301,23 @@ def test_equiv_report_zero_row(tmp_path, capsys):
     )))
     assert main(["equiv-report", "--config", str(cfgfile), "--seed", "1",
                  "--count", "2", "--bandlimited"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = loads_strict(capsys.readouterr().out)
     assert max(doc["per_layer_error"]) < 1e-6
+
+
+def test_equiv_report_unscored_layer_is_null(tmp_path, capsys):
+    """A layer that no sample scored (its map is all zero) is JSON ``null``,
+    not the ``NaN`` that JSON does not have."""
+    cfgfile = tmp_path / "net.json"
+    cfgfile.write_text(json.dumps(dict(
+        input_bandwidth=8, num_classes=3,
+        layers=[dict(out_channels=2), dict(out_channels=1), dict(out_channels=1)],
+    )))
+    with pytest.warns(UserWarning, match="zero-norm"):
+        assert main(["equiv-report", "--config", str(cfgfile), "--seed", "0",
+                     "--count", "1"]) == 0
+    errors = loads_strict(capsys.readouterr().out)["per_layer_error"]
+    assert errors[0] == 0.0 and isinstance(errors[1], float) and errors[2:] == [None, None]
 
 
 @pytest.mark.parametrize("count", [1, 4, 7])
@@ -303,7 +328,7 @@ def test_equiv_report_count(tmp_path, capsys, count):
         input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2)],
     )))
     assert main(["equiv-report", "--config", str(cfgfile), "--count", str(count)]) == 0
-    assert json.loads(capsys.readouterr().out)["rotations_used"] == count
+    assert loads_strict(capsys.readouterr().out)["rotations_used"] == count
 
 
 ONE_CHANNEL = dict(input_bandwidth=8, num_classes=3, layers=[dict(out_channels=2)])
@@ -354,7 +379,7 @@ def test_equiv_report_config_channels(tmp_path, doc, bandlimited):
 
 def test_bench_output_shape(capsys):
     assert main(["bench-sft", "--bandwidths", "8", "--reps", "2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = loads_strict(capsys.readouterr().out)
     assert set(doc["8"]) >= {"direct_median_s", "sepvar_median_s", "sepvar_faster"}
 
 
@@ -572,7 +597,7 @@ class TestFlagChecks:
         data = tmp_path / "ds"
         assert main(["synth", "--kind", "harmonics", "--classes", "5", "--count", "1",
                      "-b", "9", "-o", str(data)]) == 0
-        meta = json.loads((data / "meta.json").read_text())
+        meta = loads_strict((data / "meta.json").read_text())
         assert sorted(s["label"] for s in meta["samples"]) == [0, 1, 2, 3, 4]
         capsys.readouterr()
 
@@ -797,7 +822,7 @@ class TestJsonEdges:
         out = tmp_path / "report.json"
         assert main(["equiv-report", "--config", str(cfg), "--count", "1", "-o", str(out)]) == 0
         capsys.readouterr()
-        assert json.loads(out.read_text())["layers"] == ["input", "conv1"]
+        assert loads_strict(out.read_text())["layers"] == ["input", "conv1"]
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -867,12 +892,20 @@ class TestJsonEdges:
             (dict(samples=[dict(file="a.sph", label=None)]), "integer 'label'"),
             (dict(samples=[dict(file=3, label=0)]), "string 'file'"),
             (dict(samples=["a.sph"]), "sample 0 is not an object"),
+            (dict(samples=[]), "'samples' is empty"),
+            (
+                dict(samples=[dict(file="b8.sph", label=0), dict(file="b4.sph", label=1)]),
+                "sample 1 (b4.sph) has shape (1, 8, 8), sample 0 has (1, 16, 16)",
+            ),
         ],
-        ids=["samples-int", "label-null", "file-int", "sample-string"],
+        ids=["samples-int", "label-null", "file-int", "sample-string", "empty", "shapes"],
     )
     def test_dataset_meta(self, tmp_path, capsys, meta, message):
         data = tmp_path / "ds"
         data.mkdir()
+        for b in (8, 4):  # files for the shape case, at b = 8 and b = 4
+            sig = random_bandlimited_signal(b, 1, np.random.default_rng(b))
+            write_sph1(str(data / f"b{b}.sph"), sig)
         (data / "meta.json").write_text(json.dumps(meta))
         cfg = tmp_path / "net.json"
         cfg.write_text(json.dumps(self.NET))

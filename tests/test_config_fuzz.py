@@ -9,8 +9,10 @@ raises ValueError or TypeError naming a field and the CLI exits 2 with that
 message, or ``init_parameters``, ``backward`` on a batch of 2 and ``measure``
 give finite outputs of the declared shapes and the CLI exits 0.  Only
 ``measure``'s zero-norm warning may be raised, and only its layers may
-report NaN.  A second fuzz checks ``backward`` against central differences
-on the same configs.
+report NaN, which the CLI's report writes as ``null``: the report parses as
+strict JSON.  A config whose layers are all linear, pooled by ``none`` or
+``sp``, scores every row below 1e-6 on its bandlimited input.  A second fuzz
+checks ``backward`` against central differences on the same configs.
 """
 
 import json
@@ -33,6 +35,7 @@ from spheresig.network import (
     parameter_shapes,
 )
 from spheresig.sft import random_bandlimited_signal
+from test_cli import loads_strict
 
 FIELDS = {f.name for cls in (LayerConfig, NetworkConfig) for f in fields(cls)}
 NAMES_A_FIELD = re.compile(r"\b(" + "|".join(sorted(FIELDS)) + r")\b")
@@ -118,6 +121,8 @@ def check_runs(config: NetworkConfig) -> None:
     assert report.layer_names == ["input"] + [f"conv{i + 1}" for i in range(len(config.layers))]
     for name, err in zip(report.layer_names, report.per_layer_error):
         assert np.isfinite(err) or name in zero, name
+    if all(lay.nonlinearity == "none" and lay.pool in ("none", "sp") for lay in config.layers):
+        assert (report.per_layer_error < 1e-6).all(), report.per_layer_error
 
 
 @settings(
@@ -148,6 +153,7 @@ def test_every_config_that_constructs_runs(tmp_path, capsys, doc):
         assert code == 2 and message in err and "Traceback" not in err, err
     else:
         assert code == 0, err
+        loads_strict((tmp_path / "report.json").read_text())
 
 
 EPS, BOUND, MAX_KINK_SHARE = 1e-6, 1e-4, 0.05  # BOUND is acceptance 09's
