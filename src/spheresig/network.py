@@ -3,33 +3,37 @@
 A block is one harmonic-domain convolutional layer (a zonal filter per
 output/input channel pair plus a per-output bias), optional pooling, and an
 optional pointwise nonlinearity.  The running representation stays in the
-spatial domain between blocks, so each block costs one analysis/synthesis
-pair.  The head is a rotation-invariant descriptor (area-weighted global
+spatial domain between blocks, and a block's output is analysed once,
+however many blocks read it.  The head is a rotation-invariant descriptor (area-weighted global
 average or per-degree coefficient norms) followed by a linear projection.
 
 The network owns no layer arithmetic, and reverse mode runs on a tape.
-``_block`` runs one branch of one layer through the ``sft`` transforms and
-the ``spectral`` forward of each operation (filter realization, per-degree
-channel mixing, pooling, ReLU) and returns, beside its output, a closure
-that applies the matching ``spectral`` vector-Jacobian products and ``sft``
-transform adjoints in reverse; ``_head`` does the same for the descriptor.
+``_block`` runs one branch of one layer from the half spectra of its input
+through the ``spectral`` forward of each operation (filter realization,
+per-degree channel mixing, pooling, ReLU) and the ``sft`` synthesis, and
+returns, beside its output, a closure that applies the matching ``spectral``
+vector-Jacobian products and the synthesis adjoint in reverse; ``_head``
+does the same for the descriptor.
 A ``wap`` layer pools inside its synthesis: ``_synthesis_half`` with
 ``pool=True`` synthesizes straight onto the pooled grid, and its adjoint is
 ``_synthesis_adjoint`` with ``pool=True``, so no full-resolution map of a
 pooled layer is made in either direction.  ``spectral.wap_fwd`` is the
 grid-domain form of that pooling and is not called here.
-``_forward_batch`` walks ``NetworkConfig.blocks`` and records these
-closures in that order; ``backward`` replays them backwards, routing only
-the cotangents of the concatenated cross-branch inputs.  Gradients are
+``_forward_batch`` walks ``NetworkConfig.blocks``, analyses each map once,
+where its first reader runs, and records the closures in that order; a
+concat block reads both branches' half spectra joined on the channel axis.
+``backward`` replays the closures backwards and synthesizes each map's
+summed coefficient cotangent once (none for the input).  Gradients are
 checked against central finite differences in tests.
 
 The tape holds what the adjoints read and nothing else: per block the input
 coefficients, the filter spectra and the pooling and ReLU masks; for the
 head its descriptors (and, for MAG-L, the coefficients and norms).  A feature
-map lives until the next block of its branch has analysed it, unless the
-caller asks for taps; ``backward``, ``predict`` and ``descriptors`` do not.
-``backward`` pops each tape entry before replaying it, so an entry is freed
-once replayed, and a cotangent once its block has read it.
+map lives until it is analysed, unless the caller asks for taps;
+``backward``, ``predict`` and ``descriptors`` do not.  ``predict`` and
+``descriptors`` keep no tape either: each closure is dropped as its block
+returns.  ``backward`` pops each tape entry before replaying it, so an entry
+is freed once replayed, and a cotangent once its block has read it.
 
 Feature maps on this path have the logical shape (channel, batch, 2b, 2b)
 and are stored longitude-major, as ``sft._synthesis_half`` returns them:
@@ -301,21 +305,20 @@ def init_parameters(config: NetworkConfig, seed: int = 0) -> ParameterStore:
 _SQRT_4PI = np.sqrt(4.0 * np.pi)  # a constant c is the coefficient sqrt(4 pi) c of Y_0^0
 
 
-def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
-    """One branch of one layer on (C, B, 2b, 2b) maps: its output and the
-    closure ``vjp(dy) -> (dx, dfilters, dbias)``, which replays the adjoints
-    of the steps taken here in reverse.
+def _block(lay: LayerConfig, b: int, coeffs: np.ndarray, filters: np.ndarray, bias: np.ndarray):
+    """One branch of one layer on the (b, b, in, B) half spectra of its input:
+    its (out, B, 2b, 2b) output maps and the closure
+    ``vjp(dy) -> (dcoeffs, dfilters, dbias)``, which replays the adjoints of
+    the steps taken here in reverse and returns the cotangent of ``coeffs``
+    unsynthesized; the walk that analysed the input synthesizes it.
 
     The closure keeps the input coefficients, the filter spectra and the
-    pooling and ReLU masks, never a feature map.  The block drops its own
-    references to ``x`` once analysed and to each intermediate once read, so
-    a caller that hands over its only reference to ``x`` (or to ``dy``) has
-    it freed before the next large array is made."""
+    pooling and ReLU masks, never a feature map.  The block drops each
+    intermediate once read, so a caller that hands over its only reference
+    to ``dy`` has it freed before the next large array is made."""
     table = shared_table(b)
     anchors = _anchors(lay, b)
     spectra = spectral.realize_fwd(filters, b, anchors)  # (out, in, b)
-    coeffs = _analysis_half(x, table)  # (b, b, in, B)
-    del x
     out_table = shared_table(b // 2) if lay.pool == "sp" else table
     pool = lay.pool == "wap"  # synthesized straight onto the pooled grid
     yhat = spectral.sp_fwd(spectral.conv_fwd(coeffs, spectra), out_table.bandwidth)
@@ -340,8 +343,7 @@ def _block(lay: LayerConfig, b: int, x: np.ndarray, filters: np.ndarray, bias: n
             vhat = spectral.sp_vjp(vhat, b)
         dcoeffs, dspectra = spectral.conv_vjp(vhat, coeffs, spectra)
         del vhat
-        dfilters = spectral.realize_vjp(dspectra, b, anchors)
-        return _analysis_adjoint(dcoeffs, table), dfilters, dbias
+        return dcoeffs, spectral.realize_vjp(dspectra, b, anchors), dbias
 
     return y, vjp
 
@@ -371,32 +373,42 @@ def _check_input(config: NetworkConfig, x: np.ndarray) -> None:
 
 
 def _forward_batch(
-    config: NetworkConfig, params: ParameterStore, x: np.ndarray, *, taps: bool = True
+    config: NetworkConfig, params: ParameterStore, x: np.ndarray, *, taps=True, tape=True
 ):
     """Run the network on (B, C, n, n) values; returns the logits, the taps
     (``{}`` when ``taps`` is false) and the tape ``(desc, head_vjp, blocks)``,
     with ``blocks`` the ``(block, own-branch input width, vjp)`` of every
-    block in the order they ran.
+    block in the order they ran (``[]`` when ``tape`` is false, so that each
+    block's closure is dropped as soon as it returns).
 
-    The tape holds only what the adjoints read (see ``_block``).  Each block
-    output is kept until the next block of its branch has analysed it, and
-    no longer unless ``taps`` keeps it; callers that read no taps pass
-    ``taps=False``, so that no feature map outlives its consumer."""
+    Each branch's maps are analysed once, when the first block that reads
+    them runs, and dropped then unless ``taps`` keeps them.  A concat block
+    reads its own half spectra and branch 1's, joined on the channel axis;
+    branch 1's are kept until its own block, their last reader, has run.
+    The tape holds only what the adjoints read (see ``_block``)."""
     _check_input(config, x)
-    outs = dict(enumerate(np.split(x.swapaxes(0, 1), config.branches, axis=0)))
+    maps = dict(enumerate(np.split(x.swapaxes(0, 1), config.branches, axis=0)))
+    analysed: dict[int, np.ndarray] = {}  # half spectra a later block still reads
     kept: dict[str, np.ndarray] = {}
     blocks = []
     for blk in config.blocks():
-        lay, width = config.layers[blk.layer], len(outs[blk.branch])
+        lay, table = config.layers[blk.layer], shared_table(blk.bandwidth)
+        coeffs = analysed.pop(blk.branch, None)
+        if coeffs is None:
+            coeffs = _analysis_half(maps.pop(blk.branch), table)
+        width = coeffs.shape[2]
         if blk.in_channels > width:  # branch 1's maps of the layer before
-            outs[blk.branch] = np.concatenate([outs[blk.branch], outs[1]], axis=0)
+            analysed[1] = _analysis_half(maps.pop(1), table)
+            coeffs = np.concatenate([coeffs, analysed[1]], axis=2)
         filters, bias = (params.tensors[f"{blk.name}/{k}"] for k in ("filters", "bias"))
-        y, vjp = _block(lay, blk.bandwidth, outs.pop(blk.branch), filters, bias)
-        blocks.append((blk, width, vjp))
-        outs[blk.branch] = y
+        y, vjp = _block(lay, blk.bandwidth, coeffs, filters, bias)
+        if tape:
+            blocks.append((blk, width, vjp))
+        del coeffs, vjp
+        maps[blk.branch] = y
         if taps:
             kept[blk.name] = y.swapaxes(0, 1)
-    feat = np.concatenate([outs[i] for i in range(config.branches)], axis=0)
+    feat = np.concatenate([maps[i] for i in range(config.branches)], axis=0)
     desc, head_vjp = _head(config.head, feat, config.layer_bandwidths()[-1])
     logits = desc @ params.tensors["head/weight"].T + params.tensors["head/bias"]
     return logits, kept, (desc, head_vjp, blocks)
@@ -436,7 +448,7 @@ def descriptors(
 ) -> np.ndarray:
     """Invariant descriptor vectors (the head input) for a batch of signals."""
     x = np.asarray(signals, dtype=np.float64)
-    _, _, (desc, _, _) = _forward_batch(config, params, x, taps=False)
+    _, _, (desc, _, _) = _forward_batch(config, params, x, taps=False, tape=False)
     return desc
 
 
@@ -453,9 +465,11 @@ def backward(
     DivergenceError on a non-finite loss.
 
     The forward keeps no taps.  The reverse pass pops each tape entry before
-    replaying it and hands the block its cotangent as the only reference, so
-    at any time it holds the entries still ahead of it, the cotangent of
-    each branch and the gradients.
+    replaying it and hands the block its cotangent as the only reference.
+    It sums each branch's coefficient cotangents (its share of a concat
+    block's too) and synthesizes the sum once, when the block that made the
+    maps replays, so at any time it holds the entries still ahead of it,
+    the cotangent of each branch and the gradients.
     """
     x, y = np.asarray(signals, dtype=np.float64), np.asarray(labels)
     outside = y[(y < 0) | (y >= config.num_classes)]
@@ -467,14 +481,18 @@ def backward(
         raise DivergenceError(f"non-finite loss {loss}")
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
     dfeat = head_vjp(dlogits @ params.tensors["head/weight"])
-    dbranch = dict(enumerate(np.split(dfeat, config.branches, axis=0)))
+    dmaps = dict(enumerate(np.split(dfeat, config.branches, axis=0)))
+    dcoeffs: dict[int, np.ndarray] = {}  # of the half spectra of each branch's maps
     while blocks:
         blk, width, vjp = blocks.pop()
-        dx, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dbranch.pop(blk.branch))
-        if len(dx) > width:  # hand branch 1 its share of the input
-            dbranch[1] = dbranch[1] + dx[width:]
-        dbranch[blk.branch] = dx[:width]
-        del dx
+        if blk.branch not in dmaps:  # a later block analysed its maps: synthesize the sum
+            table = shared_table(len(dcoeffs[blk.branch]))
+            dmaps[blk.branch] = _analysis_adjoint(dcoeffs.pop(blk.branch), table)
+        dc, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dmaps.pop(blk.branch))
+        if dc.shape[2] > width:  # hand branch 1 its share of the input
+            dcoeffs[1] = dcoeffs[1] + dc[:, :, width:]
+        dcoeffs[blk.branch] = dc[:, :, :width]
+        del dc
     return loss, grads
 
 
@@ -575,7 +593,7 @@ def predict(
     config: NetworkConfig, params: ParameterStore, signals: np.ndarray
 ) -> np.ndarray:
     x = np.asarray(signals, dtype=np.float64)
-    logits, _, _ = _forward_batch(config, params, x, taps=False)
+    logits, _, _ = _forward_batch(config, params, x, taps=False, tape=False)
     return logits.argmax(axis=1)
 
 

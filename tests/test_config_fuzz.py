@@ -21,7 +21,7 @@ import warnings
 from dataclasses import fields
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from spheresig.cli import main
@@ -37,6 +37,9 @@ from spheresig.network import (
 from spheresig.sft import random_bandlimited_signal
 from test_cli import loads_strict
 
+# Both fuzzes draw from this fixed seed, not from their own source (as
+# ``derandomize`` would), so an edit to a test body keeps the draw set.
+FUZZ_SEED = 0
 FIELDS = {f.name for cls in (LayerConfig, NetworkConfig) for f in fields(cls)}
 NAMES_A_FIELD = re.compile(r"\b(" + "|".join(sorted(FIELDS)) + r")\b")
 
@@ -125,8 +128,9 @@ def check_runs(config: NetworkConfig) -> None:
         assert (report.per_layer_error < 1e-6).all(), report.per_layer_error
 
 
+@seed(FUZZ_SEED)
 @settings(
-    derandomize=True,
+    derandomize=False,
     max_examples=300,
     deadline=None,
     database=None,
@@ -175,7 +179,8 @@ def test_gradients_match_central_differences():
     is counted instead, and at most MAX_KINK_SHARE of draws may."""
     draws, kinks = [], []
 
-    @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+    @seed(FUZZ_SEED)
+    @settings(derandomize=False, max_examples=600, deadline=None, database=None)
     @given(doc=config_docs())
     def check(doc):
         try:

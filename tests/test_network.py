@@ -276,10 +276,10 @@ class TestLongitudeMajorMaps:
     def test_folded_bias_adds_the_bias(self, pool):
         lay = LayerConfig(4, pool=pool, nonlinearity="none")
         rng = np.random.default_rng(23)
-        x = rng.standard_normal((3, 2, 16, 16))
+        coeffs = network._analysis_half(rng.standard_normal((3, 2, 16, 16)), shared_table(8))
         filters, bias = rng.standard_normal((4, 3, 4)), rng.standard_normal(4)
-        with_bias, _ = network._block(lay, 8, x, filters, bias)
-        without, _ = network._block(lay, 8, x, filters, np.zeros(4))
+        with_bias, _ = network._block(lay, 8, coeffs, filters, bias)
+        without, _ = network._block(lay, 8, coeffs, filters, np.zeros(4))
         np.testing.assert_allclose(
             with_bias, without + bias[:, None, None, None], rtol=0, atol=1e-13
         )
@@ -288,8 +288,10 @@ class TestLongitudeMajorMaps:
     def test_bias_gradient_sums_the_cotangent(self, pool):
         lay = LayerConfig(4, pool=pool, nonlinearity="none")
         rng = np.random.default_rng(24)
-        x = rng.standard_normal((3, 2, 16, 16))
-        y, vjp = network._block(lay, 8, x, rng.standard_normal((4, 3, 4)), rng.standard_normal(4))
+        coeffs = network._analysis_half(rng.standard_normal((3, 2, 16, 16)), shared_table(8))
+        y, vjp = network._block(
+            lay, 8, coeffs, rng.standard_normal((4, 3, 4)), rng.standard_normal(4)
+        )
         dy = rng.standard_normal(y.shape)
         np.testing.assert_allclose(vjp(dy)[2], dy.sum(axis=(1, 2, 3)), rtol=0, atol=1e-12)
 
@@ -555,17 +557,24 @@ class TestOneFilterPath:
 
 def replay_backward(config, params, x, y):
     """Reference reverse pass: the default, taps-keeping forward, then every
-    tape entry replayed in reverse while the whole tape stays alive."""
+    tape entry replayed in reverse while the whole tape stays alive.  Each
+    block below the last layer synthesizes the summed coefficient cotangent
+    of its output, and the network input's is never synthesized."""
     logits, _, (desc, head_vjp, blocks) = network._forward_batch(config, params, x)
     loss, dlogits = network.softmax_cross_entropy(logits, y)
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
-    dbranch = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
+    dmaps = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
+    dcoeffs, bws = [None] * config.branches, config.layer_bandwidths()
     for blk, width, vjp in reversed(blocks):
-        dx, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dbranch[blk.branch])
-        if len(dx) > width:
-            dbranch[1] = dbranch[1] + dx[width:]
-            dx = dx[:width]
-        dbranch[blk.branch] = dx
+        if blk.layer < len(config.layers) - 1:
+            dmaps[blk.branch] = network._analysis_adjoint(
+                dcoeffs[blk.branch], shared_table(bws[blk.layer])
+            )
+        dc, grads[f"{blk.name}/filters"], grads[f"{blk.name}/bias"] = vjp(dmaps[blk.branch])
+        if dc.shape[2] > width:
+            dcoeffs[1] = dcoeffs[1] + dc[:, :, width:]
+            dc = dc[:, :, :width]
+        dcoeffs[blk.branch] = dc
     return loss, grads
 
 
@@ -586,8 +595,9 @@ def traced_peak(fn) -> int:
 
 class TestLeanReversePass:
     """``backward``, ``predict`` and ``descriptors`` run the forward without
-    taps and free the tape as they replay it; the arithmetic is that of the
-    taps-keeping forward and a plain replay of its tape."""
+    taps; ``backward`` frees the tape as it replays it, and ``predict`` and
+    ``descriptors`` keep none.  The arithmetic is that of the taps-keeping
+    forward and a plain replay of its tape."""
 
     CONFIGS = {
         "two_branch": two_branch_config(16, 5),
@@ -634,6 +644,44 @@ class TestLeanReversePass:
         peak_backward = traced_peak(lambda: backward(cfg, params, x, y))
         peak_forward = traced_peak(lambda: network._forward_batch(cfg, params, x))
         assert peak_backward < peak_forward, (peak_backward, peak_forward)
+
+    def test_inference_holds_no_tape(self):
+        """``predict`` and ``descriptors`` drop each block's closure as it
+        returns, so at the reference width they peak well below a forward
+        that keeps the tape, though both keep no taps."""
+        cfg = two_branch_config(32, 5)
+        params = init_parameters(cfg, seed=1)
+        x = np.random.default_rng(5).standard_normal((4, 2, 64, 64))
+        predict(cfg, params, x)  # warm-up: the harmonic tables
+        taped = traced_peak(lambda: network._forward_batch(cfg, params, x, taps=False))
+        for fn in (predict, network.descriptors):
+            peak = traced_peak(lambda: fn(cfg, params, x))
+            assert peak < 0.7 * taped, (fn.__name__, peak, taped)
+
+    def test_each_map_analysed_and_each_cotangent_synthesized_once(self, monkeypatch):
+        """One ``backward`` analyses every branch's layer input once (a concat
+        block reads branch 1's spectra, not its maps again) and synthesizes
+        one summed cotangent per map a block produced and a later block read;
+        the network input's cotangent is never synthesized."""
+        cfg = two_branch_config(16, 5)
+        params = init_parameters(cfg, seed=2)
+        x = np.random.default_rng(6).standard_normal((3, 2, 32, 32))
+        analysed, adjoints = [], []
+
+        def spy(kernel, shapes):
+            def wrapped(values, *args, **kwargs):
+                shapes.append(values.shape)
+                return kernel(values, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(network, "_analysis_half", spy(network._analysis_half, analysed))
+        monkeypatch.setattr(network, "_analysis_adjoint", spy(network._analysis_adjoint, adjoints))
+        backward(cfg, params, x, np.array([0, 1, 2]))
+        widths = [cfg.in_channels] + [lay.out_channels for lay in cfg.layers[:-1]]
+        columns = sum(np.prod(shape[:-2]) for shape in analysed)
+        assert columns == cfg.branches * sum(widths) * len(x)
+        assert len(adjoints) == sum(blk.layer > 0 for blk in cfg.blocks()) == 14
 
 
 class TestAugment:

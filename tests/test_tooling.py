@@ -148,6 +148,28 @@ def test_align_op_reaches_every_align_row():
         assert rows[name]["value"] > 0, name
 
 
+def test_train_op_reaches_every_train_row():
+    """perfbench's ``train`` rows wrap ``network`` functions by module
+    attribute: one traced tiny ``Train`` op enters every one.  Its
+    ``backward`` runs ``_synthesis_adjoint`` once per block (16) and
+    ``_analysis_adjoint`` once per map a later block analysed (14): 30
+    adjoint calls."""
+    tracer = load_tracing().Tracer()
+    wl = load_workloads().Train(1, tiny=True)
+    tracer.install()
+    try:
+        with tracer.op(0):
+            wl.op(0)
+    finally:
+        tracer.uninstall()
+    assert {tuple(name.rsplit(".", 1)) for name in tracer.missing} <= RETARGET
+    rows = tracer.metrics(1)
+    for name in ("network.forward.calls", "network.backward.self_s", "network.adam.self_s",
+                 "network.predict.total_s", "sft.adjoint.calls"):
+        assert rows[name]["value"] > 0, name
+    assert rows["sft.adjoint.calls"]["value"] == 30
+
+
 def test_every_export_resolves():
     """The package resolves its exports lazily, so a broken entry in
     ``__all__`` would otherwise surface only at its first use."""
