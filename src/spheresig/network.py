@@ -20,20 +20,21 @@ A ``wap`` layer pools inside its synthesis: ``_synthesis_half`` with
 pooled layer is made in either direction.  ``spectral.wap_fwd`` is the
 grid-domain form of that pooling and is not called here.
 ``_forward_batch`` walks ``NetworkConfig.blocks``, analyses each map once,
-where its first reader runs, and records the closures in that order; a
-concat block reads both branches' half spectra joined on the channel axis.
-``backward`` replays the closures backwards and synthesizes each map's
-summed coefficient cotangent once (none for the input).  Gradients are
-checked against central finite differences in tests.
+where its first reader runs, and, when asked for a tape, records the
+closures in that order; a concat block reads both branches' half spectra
+joined on the channel axis.  Only ``backward`` asks for a tape; it replays
+the closures backwards and synthesizes each map's summed coefficient
+cotangent once (none for the input).  Gradients are checked against central
+finite differences in tests.
 
 The tape holds what the adjoints read and nothing else: per block the input
 coefficients, the filter spectra and the pooling and ReLU masks; for the
 head its descriptors (and, for MAG-L, the coefficients and norms).  A feature
 map lives until it is analysed, unless the caller asks for taps;
-``backward``, ``predict`` and ``descriptors`` do not.  ``predict`` and
-``descriptors`` keep no tape either: each closure is dropped as its block
-returns.  ``backward`` pops each tape entry before replaying it, so an entry
-is freed once replayed, and a cotangent once its block has read it.
+``backward``, ``predict`` and ``descriptors`` do not.  Every forward but
+``backward``'s keeps no tape: each closure is dropped as its block returns.
+``backward`` pops each tape entry before replaying it, so an entry is freed
+once replayed, and a cotangent once its block has read it.
 
 Feature maps on this path have the logical shape (channel, batch, 2b, 2b)
 and are stored longitude-major, as ``sft._synthesis_half`` returns them:
@@ -373,13 +374,14 @@ def _check_input(config: NetworkConfig, x: np.ndarray) -> None:
 
 
 def _forward_batch(
-    config: NetworkConfig, params: ParameterStore, x: np.ndarray, *, taps=True, tape=True
+    config: NetworkConfig, params: ParameterStore, x: np.ndarray, *, taps=True, tape=False
 ):
     """Run the network on (B, C, n, n) values; returns the logits, the taps
-    (``{}`` when ``taps`` is false) and the tape ``(desc, head_vjp, blocks)``,
-    with ``blocks`` the ``(block, own-branch input width, vjp)`` of every
-    block in the order they ran (``[]`` when ``tape`` is false, so that each
-    block's closure is dropped as soon as it returns).
+    (``{}`` when ``taps`` is false) and the tape ``(desc, head_vjp, blocks)``.
+    ``blocks`` is ``[]`` unless ``tape`` is true, so that each block's
+    closure is dropped as soon as it returns; only ``backward`` records it,
+    as the ``(block, own-branch input width, vjp)`` of every block in the
+    order they ran.
 
     Each branch's maps are analysed once, when the first block that reads
     them runs, and dropped then unless ``taps`` keeps them.  A concat block
@@ -448,7 +450,7 @@ def descriptors(
 ) -> np.ndarray:
     """Invariant descriptor vectors (the head input) for a batch of signals."""
     x = np.asarray(signals, dtype=np.float64)
-    _, _, (desc, _, _) = _forward_batch(config, params, x, taps=False, tape=False)
+    _, _, (desc, _, _) = _forward_batch(config, params, x, taps=False)
     return desc
 
 
@@ -461,21 +463,24 @@ def backward(
     """Batch-summed loss and parameter gradients for (B, C, n, n) inputs.
 
     Gradients add over the batch, so a duplicated sample contributes exactly
-    twice.  Raises ValueError on a label outside [0, num_classes) and
-    DivergenceError on a non-finite loss.
+    twice.  Raises ValueError on labels without an integer dtype or outside
+    [0, num_classes) and DivergenceError on a non-finite loss.
 
-    The forward keeps no taps.  The reverse pass pops each tape entry before
-    replaying it and hands the block its cotangent as the only reference.
-    It sums each branch's coefficient cotangents (its share of a concat
-    block's too) and synthesizes the sum once, when the block that made the
-    maps replays, so at any time it holds the entries still ahead of it,
-    the cotangent of each branch and the gradients.
+    The forward keeps no taps, and it is the only forward that records a
+    tape.  The reverse pass pops each tape entry before replaying it and
+    hands the block its cotangent as the only reference.  It sums each
+    branch's coefficient cotangents (its share of a concat block's too) and
+    synthesizes the sum once, when the block that made the maps replays, so
+    at any time it holds the entries still ahead of it, the cotangent of
+    each branch and the gradients.
     """
     x, y = np.asarray(signals, dtype=np.float64), np.asarray(labels)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
     outside = y[(y < 0) | (y >= config.num_classes)]
     if outside.size:
         raise ValueError(f"label {outside[0]} out of range for {config.num_classes} classes")
-    logits, _, (desc, head_vjp, blocks) = _forward_batch(config, params, x, taps=False)
+    logits, _, (desc, head_vjp, blocks) = _forward_batch(config, params, x, taps=False, tape=True)
     loss, dlogits = softmax_cross_entropy(logits, y)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
@@ -593,7 +598,7 @@ def predict(
     config: NetworkConfig, params: ParameterStore, signals: np.ndarray
 ) -> np.ndarray:
     x = np.asarray(signals, dtype=np.float64)
-    logits, _, _ = _forward_batch(config, params, x, taps=False, tape=False)
+    logits, _, _ = _forward_batch(config, params, x, taps=False)
     return logits.argmax(axis=1)
 
 

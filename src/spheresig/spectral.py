@@ -137,11 +137,16 @@ def conv_vjp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents in the coefficients (the transposed mix) and the spectra
     (Re(conj(v) f) summed over the trailing axes and the orders, m > 0
-    twice) for output cotangent ``v``."""
+    twice) for output cotangent ``v``.  The spectra's cotangent is summed
+    order by order over the degrees l >= m, where half spectra hold their
+    coefficients, so each step makes one (b - m, out, in) product."""
     b = spectra.shape[-1]
-    per_order = _real_rows(v) @ _real_rows(coeffs).swapaxes(-1, -2)  # (m, l, out, in)
-    dspectra = np.tensordot(order_weights(b), per_order, axes=(0, 0)).transpose(1, 2, 0)
-    return conv_fwd(v, spectra.transpose(1, 0, 2)), conv_scale(b) * dspectra
+    rv, rc, w = _real_rows(v), _real_rows(coeffs), order_weights(b)
+    dspectra = np.zeros((b,) + spectra.shape[:2])  # (l, out, in)
+    for m in range(b):
+        dspectra[m:] += w[m] * (rv[m, m:] @ rc[m, m:].swapaxes(-1, -2))
+    dspectra *= conv_scale(b)[:, None, None]
+    return conv_fwd(v, spectra.transpose(1, 0, 2)), dspectra.transpose(1, 2, 0)
 
 
 def conv_spectral(f: SpectralCoeffs, h: ZonalFilterSpec) -> SpectralCoeffs:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spheresig import network
+from spheresig import equivariance, network
 from spheresig.errors import DivergenceError
 from spheresig.grid import make_grid
 from spheresig.harmonics import build_table
@@ -242,6 +242,17 @@ class TestGradients:
         x = np.random.default_rng(12).standard_normal((2, 1, 16, 16))
         with pytest.raises(ValueError, match=f"label {label} out of range for 3 classes"):
             backward(cfg, params, x, np.array([0, label]))
+
+    @pytest.mark.parametrize("label", [0.5, 1.0, True], ids=["half", "whole-float", "bool"])
+    def test_non_integer_labels_raise(self, label):
+        """A label array without an integer dtype is refused by name, not
+        left to fail as an index."""
+        cfg = stack_config(8, [3], in_channels=1, num_classes=3)
+        params = init_parameters(cfg, seed=11)
+        x = np.random.default_rng(12).standard_normal((1, 1, 16, 16))
+        labels = np.array([label])
+        with pytest.raises(ValueError, match=f"integer dtype, got {labels.dtype}"):
+            backward(cfg, params, x, labels)
 
 
 def is_longitude_major(values):
@@ -556,11 +567,12 @@ class TestOneFilterPath:
 
 
 def replay_backward(config, params, x, y):
-    """Reference reverse pass: the default, taps-keeping forward, then every
-    tape entry replayed in reverse while the whole tape stays alive.  Each
+    """Reference reverse pass: the default, taps-keeping forward with its
+    tape, then every tape entry replayed in reverse while the whole tape
+    stays alive.  Each
     block below the last layer synthesizes the summed coefficient cotangent
     of its output, and the network input's is never synthesized."""
-    logits, _, (desc, head_vjp, blocks) = network._forward_batch(config, params, x)
+    logits, _, (desc, head_vjp, blocks) = network._forward_batch(config, params, x, tape=True)
     loss, dlogits = network.softmax_cross_entropy(logits, y)
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}
     dmaps = np.split(head_vjp(dlogits @ params.tensors["head/weight"]), config.branches, axis=0)
@@ -633,16 +645,44 @@ class TestLeanReversePass:
         np.testing.assert_array_equal(predict(cfg, params, x), logits.argmax(axis=1))
         np.testing.assert_array_equal(network.descriptors(cfg, params, x), desc)
 
+    def test_tape_only_when_asked(self, case):
+        """The default forward records no block of the tape; ``tape=True``
+        records one entry per block of ``config.blocks()``, in that order."""
+        cfg, params, x, _ = case
+        *_, (_, _, blocks) = network._forward_batch(cfg, params, x)
+        assert blocks == []
+        *_, (_, _, blocks) = network._forward_batch(cfg, params, x, tape=True)
+        assert [blk for blk, _, _ in blocks] == cfg.blocks()
+
+    def test_forward_and_measure_record_no_tape(self, monkeypatch):
+        """``forward`` and ``equivariance.measure`` replay nothing, so every
+        forward they run returns an empty tape."""
+        tapes, forward_batch = [], network._forward_batch
+
+        def spy(*args, **kwargs):
+            out = forward_batch(*args, **kwargs)
+            tapes.append(out[2][2])
+            return out
+
+        monkeypatch.setattr(network, "_forward_batch", spy)
+        monkeypatch.setattr(equivariance, "_forward_batch", spy)
+        cfg = stack_config(8, [2, 3], num_classes=3)
+        params = init_parameters(cfg, seed=3)
+        signal = isft(random_coeffs(8, 1, np.random.default_rng(7)), build_table(make_grid(8)))
+        forward(cfg, params, signal)
+        equivariance.measure(cfg, params, [signal], rotations=1)
+        assert len(tapes) == 3 and all(blocks == [] for blocks in tapes)
+
     def test_backward_peaks_below_a_taps_keeping_forward(self):
-        """At the reference width the taps alone outweigh what the reverse
-        pass holds at any time.  (At b = 16 the margin is a few percent.)"""
+        """At the reference width the taps and the tape outweigh what the
+        reverse pass holds at any time.  (At b = 16 the margin is a few percent.)"""
         cfg = two_branch_config(32, 5)
         params = init_parameters(cfg, seed=1)
         x = np.random.default_rng(5).standard_normal((4, 2, 64, 64))
         y = np.array([0, 1, 2, 3])
         backward(cfg, params, x, y)  # warm-up: the harmonic tables
         peak_backward = traced_peak(lambda: backward(cfg, params, x, y))
-        peak_forward = traced_peak(lambda: network._forward_batch(cfg, params, x))
+        peak_forward = traced_peak(lambda: network._forward_batch(cfg, params, x, tape=True))
         assert peak_backward < peak_forward, (peak_backward, peak_forward)
 
     def test_inference_holds_no_tape(self):
@@ -653,7 +693,9 @@ class TestLeanReversePass:
         params = init_parameters(cfg, seed=1)
         x = np.random.default_rng(5).standard_normal((4, 2, 64, 64))
         predict(cfg, params, x)  # warm-up: the harmonic tables
-        taped = traced_peak(lambda: network._forward_batch(cfg, params, x, taps=False))
+        taped = traced_peak(
+            lambda: network._forward_batch(cfg, params, x, taps=False, tape=True)
+        )
         for fn in (predict, network.descriptors):
             peak = traced_peak(lambda: fn(cfg, params, x))
             assert peak < 0.7 * taped, (fn.__name__, peak, taped)

@@ -478,3 +478,53 @@ def test_vjp_is_adjoint_of_forward(name):
     rhs = _inner(x, jty)
     scale = np.linalg.norm(jx) * np.linalg.norm(y)
     assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs)
+
+
+def conv_vjp_reference(v, coeffs, spectra):
+    """``conv_vjp`` with its filter gradient formed as one (m, l, out, in)
+    product over every order and degree, summed over the orders with
+    ``order_weights``."""
+    b = spectra.shape[-1]
+    rows = spectral._real_rows
+    per_order = rows(v) @ rows(coeffs).swapaxes(-1, -2)  # (m, l, out, in)
+    dspectra = np.tensordot(order_weights(b), per_order, axes=(0, 0)).transpose(1, 2, 0)
+    return spectral.conv_fwd(v, spectra.transpose(1, 0, 2)), spectral.conv_scale(b) * dspectra
+
+
+def _conv_vjp_case(b, c_in, c_out, batch, rng):
+    """(v, coeffs, spectra): half-spectrum coefficients zero where l < m, a
+    cotangent random over every entry."""
+
+    def spectrum(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    held = np.triu(np.ones((b, b), dtype=bool)).reshape((b, b) + (1,) * (1 + len(batch)))
+    coeffs = np.where(held, spectrum(b, b, c_in, *batch), 0.0)
+    return spectrum(b, b, c_out, *batch), coeffs, rng.standard_normal((c_out, c_in, b))
+
+
+class TestConvVjp:
+    @pytest.mark.parametrize("b", [1, 2, 5, 8])
+    @pytest.mark.parametrize(
+        "c_in, c_out, batch",
+        [(1, 1, (3,)), (1, 4, (2,)), (3, 1, (2,)), (2, 3, (2, 3))],
+        ids=["1-to-1", "1-to-4", "3-to-1", "two-batch-axes"],
+    )
+    def test_matches_the_per_order_product(self, b, c_in, c_out, batch):
+        """Summed order by order over l >= m, the filter gradient is the
+        reference's to rounding; the coefficient cotangent is unchanged."""
+        v, coeffs, spectra = _conv_vjp_case(b, c_in, c_out, batch, np.random.default_rng(b))
+        dcoeffs, dspectra = spectral.conv_vjp(v, coeffs, spectra)
+        ref_coeffs, ref_spectra = conv_vjp_reference(v, coeffs, spectra)
+        np.testing.assert_array_equal(dcoeffs, ref_coeffs)
+        assert dspectra.shape == ref_spectra.shape == spectra.shape
+        assert np.abs(dspectra - ref_spectra).max() <= 1e-14 * np.abs(ref_spectra).max()
+
+    def test_peak_below_the_per_order_product(self):
+        """At b = 8 with 128 -> 128 channels and batch 8 the (m, l, out, in)
+        product alone is 8 MB; order by order the step stays under 4 MB."""
+        from test_network import traced_peak
+
+        v, coeffs, spectra = _conv_vjp_case(8, 128, 128, (8,), np.random.default_rng(0))
+        peak = traced_peak(lambda: spectral.conv_vjp(v, coeffs, spectra))
+        assert peak < 4 * 2**20, peak

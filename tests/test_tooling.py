@@ -242,6 +242,24 @@ def test_block_names_stay_in_network():
     assert found == []
 
 
+def test_only_backward_records_a_tape():
+    """``_forward_batch`` records no tape by default, and ``tape=True``
+    appears in the package only inside ``network.backward``, the one forward
+    whose tape is replayed."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [
+                (path.stem, getattr(top, "name", None))
+                for node in ast.walk(top)
+                if isinstance(node, ast.keyword)
+                and node.arg == "tape"
+                and not (isinstance(node.value, ast.Constant) and node.value.value is False)
+            ]
+    assert found == [("network", "backward")]
+    assert inspect.signature(network._forward_batch).parameters["tape"].default is False
+
+
 def test_cli_json_keys_match_config_types():
     """Config JSON keys are the config types' fields (a layer's ``filter`` is
     ``filter_mode``), so a field added to a type without its JSON key fails
