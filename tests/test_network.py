@@ -567,11 +567,10 @@ class TestOneFilterPath:
 
 
 def replay_backward(config, params, x, y):
-    """Reference reverse pass: the default, taps-keeping forward with its
-    tape, then every tape entry replayed in reverse while the whole tape
-    stays alive.  Each
-    block below the last layer synthesizes the summed coefficient cotangent
-    of its output, and the network input's is never synthesized."""
+    """Reference reverse pass: the taps-keeping forward with its tape, then
+    every tape entry replayed in reverse while the whole tape stays alive.
+    Each block below the last layer synthesizes the summed coefficient
+    cotangent of its output, and the network input's is never synthesized."""
     logits, _, (desc, head_vjp, blocks) = network._forward_batch(config, params, x, tape=True)
     loss, dlogits = network.softmax_cross_entropy(logits, y)
     grads = {"head/weight": dlogits.T @ desc, "head/bias": dlogits.sum(axis=0)}

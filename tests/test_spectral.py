@@ -33,6 +33,7 @@ from spheresig.spectral import (
     weighted_avg_pool,
     wgap,
 )
+from test_network import traced_peak
 
 
 def filter_to_signal(spec, table=None):
@@ -523,8 +524,6 @@ class TestConvVjp:
     def test_peak_below_the_per_order_product(self):
         """At b = 8 with 128 -> 128 channels and batch 8 the (m, l, out, in)
         product alone is 8 MB; order by order the step stays under 4 MB."""
-        from test_network import traced_peak
-
         v, coeffs, spectra = _conv_vjp_case(8, 128, 128, (8,), np.random.default_rng(0))
         peak = traced_peak(lambda: spectral.conv_vjp(v, coeffs, spectra))
         assert peak < 4 * 2**20, peak
